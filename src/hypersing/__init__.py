@@ -18,6 +18,7 @@ from .quadrature import (
     chebyshev_nodes,
     weighted_integral,
     pv_weighted_integral,
+    pv_weighted_matrix,
     chebyshev_finite_part,
     halfline_cosine_integral,
 )
@@ -41,13 +42,11 @@ from .fullkernel import (
 from .crack import (
     MaterialParams,
     DimensionlessParams,
-    KernelSplit,
     CrackSolution,
     derive_dimensionless,
     crack_symbol,
     symbol_asymptotics,
     regular_kernel,
-    build_kernel_split,
     solve_crack,
     stress_concentration,
     porosity_sweep,
@@ -59,14 +58,13 @@ __all__ = [
     "Interval", "Grid", "SampleSite", "SampledFunction", "build_grid",
     "SingularMatrixError", "lu_solve", "residual_norm",
     "PVQuadSpec", "TailOrder", "OscIntSpec", "chebyshev_nodes",
-    "weighted_integral", "pv_weighted_integral", "chebyshev_finite_part",
-    "halfline_cosine_integral",
+    "weighted_integral", "pv_weighted_integral", "pv_weighted_matrix",
+    "chebyshev_finite_part", "halfline_cosine_integral",
     "CharacteristicProblem", "assemble_characteristic", "solve_characteristic",
     "invert_characteristic", "convergence_study",
     "FullProblem", "FredholmSystem", "assemble_full", "solve_full_collocation",
     "chebyshev_nystrom_rule", "fredholm_reduce", "solve_fredholm", "nystrom_eval",
-    "MaterialParams", "DimensionlessParams", "KernelSplit", "CrackSolution",
+    "MaterialParams", "DimensionlessParams", "CrackSolution",
     "derive_dimensionless", "crack_symbol", "symbol_asymptotics",
-    "regular_kernel", "build_kernel_split", "solve_crack",
-    "stress_concentration", "porosity_sweep",
+    "regular_kernel", "solve_crack", "stress_concentration", "porosity_sweep",
 ]

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .grids import Grid, Interval, SampledFunction, SampleSite, build_grid
-from .linalg import lu_solve, residual_norm
+from .linalg import solve_within_residual
 from .quadrature import PVQuadSpec, pv_weighted_integral, _sample
 
 __all__ = [
@@ -34,20 +34,21 @@ __all__ = [
     "convergence_study",
 ]
 
-_PROBE_FRACTIONS = (0.21, 0.5, 0.78)
 
+def _check_antiderivative(F, dF, probes, delta: float, label: str) -> None:
+    """Centered-difference check that dF differentiates F in its first argument.
 
-def _probe_consistency(interval: Interval, fprime, f, label: str) -> None:
-    """Centered-difference check that f' really differentiates f."""
-    delta = 1e-4 * interval.width
-    for frac in _PROBE_FRACTIONS:
-        x = interval.a + frac * interval.width
-        fd = (float(f(x + delta)) - float(f(x - delta))) / (2.0 * delta)
-        stated = float(fprime(x))
+    Each probe is a tuple of arguments; only the first one is stepped
+    by ``delta``.
+    """
+    for x, *rest in probes:
+        fd = (float(F(x + delta, *rest)) - float(F(x - delta, *rest))) / (2.0 * delta)
+        stated = float(dF(x, *rest))
         if not np.isfinite(fd) or abs(fd - stated) > 1e-4 * (1.0 + abs(stated)):
+            where = ", ".join(f"{v:.6g}" for v in (x, *rest))
             raise ValueError(
                 f"{label}: supplied antiderivative disagrees with the stated "
-                f"derivative near x={x:.6g} (finite difference {fd:.6g}, stated {stated:.6g})")
+                f"derivative at ({where}) (finite difference {fd:.6g}, stated {stated:.6g})")
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,10 @@ class CharacteristicProblem:
 
     def __post_init__(self):
         if self.f is not None:
-            _probe_consistency(self.interval, self.fprime, self.f, "CharacteristicProblem")
+            iv = self.interval
+            probes = [(iv.a + frac * iv.width,) for frac in (0.21, 0.5, 0.78)]
+            _check_antiderivative(self.f, self.fprime, probes, 1e-4 * iv.width,
+                                  "CharacteristicProblem")
 
 
 def assemble_characteristic(grid: Grid) -> np.ndarray:
@@ -83,8 +87,7 @@ def assemble_characteristic(grid: Grid) -> np.ndarray:
     return 1.0 / (x - right) - 1.0 / (x - left)
 
 
-def solve_characteristic(problem: CharacteristicProblem, grid: Grid,
-                         refine: bool = False) -> SampledFunction:
+def solve_characteristic(problem: CharacteristicProblem, grid: Grid) -> SampledFunction:
     """Solve the characteristic equation by collocation.
 
     The unknowns are the piecewise-constant cell values of g.  Each
@@ -96,17 +99,8 @@ def solve_characteristic(problem: CharacteristicProblem, grid: Grid,
     """
     if problem.interval != grid.interval:
         raise ValueError("problem and grid are built on different intervals")
-    matrix = assemble_characteristic(grid)
-    rhs = _sample(problem.fprime, grid.colloc)
-    values = lu_solve(matrix, rhs, refine=refine)
-    tol = 1e-9 * float(np.max(np.abs(rhs)))
-    if residual_norm(matrix, values, rhs) > tol:
-        # one shot of iterative refinement before giving up
-        values = lu_solve(matrix, rhs, refine=True)
-        resid = residual_norm(matrix, values, rhs)
-        if resid > tol:
-            raise ArithmeticError(
-                f"collocation residual {resid:.3e} exceeds tolerance {tol:.3e}")
+    values = solve_within_residual(assemble_characteristic(grid),
+                                   _sample(problem.fprime, grid.colloc))
     return SampledFunction(grid=grid, values=values, site=SampleSite.COLLOC)
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
-from scipy.special import eval_chebyt, eval_chebyu
 
 from .grids import Interval, build_grid
 from .linalg import SingularMatrixError
@@ -290,6 +289,7 @@ def _rhs_functions(config: RunConfig, interval: Interval):
         fprime = lambda x: -np.pi * scale * np.asarray(x, dtype=float)
         exact = lambda x: scale * weight(x) * (np.asarray(x, dtype=float) + mid) / 2.0
     elif config.rhs == "chebyshev_u":
+        from scipy.special import eval_chebyu
         k = config.rhs_degree
         fprime = lambda x: -np.pi * (k + 1) * scale * eval_chebyu(k, mapped(x))
         exact = lambda x: scale * hw * eval_chebyu(k, mapped(x)) * np.sqrt(

@@ -26,10 +26,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import sici
 
 from .grids import Grid, SampledFunction, build_grid
 from .quadrature import OscIntSpec, TailOrder, halfline_cosine_integral
@@ -38,13 +37,11 @@ from .fullkernel import FullProblem, solve_full_collocation
 __all__ = [
     "MaterialParams",
     "DimensionlessParams",
-    "KernelSplit",
     "CrackSolution",
     "derive_dimensionless",
     "crack_symbol",
     "symbol_asymptotics",
     "regular_kernel",
-    "build_kernel_split",
     "solve_crack",
     "stress_concentration",
     "porosity_sweep",
@@ -173,6 +170,11 @@ def crack_symbol(s, dp: DimensionlessParams):
     return out if out.shape else float(out)
 
 
+def _symbol_slope(dp: DimensionlessParams) -> float:
+    # closed form only; the decay coefficient carries the numeric fit
+    return (1.0 - dp.porosity) ** 2 * (1.0 - dp.c_sq)
+
+
 def symbol_asymptotics(dp: DimensionlessParams):
     """Large-s expansion coefficients (slope, decay) of the symbol.
 
@@ -187,7 +189,7 @@ def symbol_asymptotics(dp: DimensionlessParams):
     issued.
     """
     n_p = dp.porosity
-    slope = (1.0 - n_p) ** 2 * (1.0 - dp.c_sq)
+    slope = _symbol_slope(dp)
     decay = 0.75 * n_p * dp.c_sq * (1.0 - n_p) ** 2
 
     def defect(s):
@@ -204,7 +206,7 @@ def symbol_asymptotics(dp: DimensionlessParams):
     return slope, decay
 
 
-def regular_kernel(x, dp: DimensionlessParams, spec: Optional[OscIntSpec] = None) -> float:
+def regular_kernel(x, dp: DimensionlessParams, spec: Optional[OscIntSpec] = None):
     """Regular remainder of the crack kernel at offset x.
 
     The kernel is ``(1/pi) int_0^inf L(s) cos(s x) ds`` with the
@@ -217,18 +219,23 @@ def regular_kernel(x, dp: DimensionlessParams, spec: Optional[OscIntSpec] = None
     tail.  Discarded pieces are O(1/s^3) tails bounded by
     ``C / (2 s_max^2)``.
 
+    A scalar x gives a float; an array of offsets gives an array of the
+    same shape, with the symbol asymptotics computed once for all of
+    them.  Each entry equals the scalar call at that offset bitwise.
+
     Even in x; logarithmically singular at x = 0 whenever the decay
     coefficient is nonzero, which is why the collocation grids keep all
     kernel offsets away from zero.  At zero porosity the symbol is
     exactly linear and the remainder is identically zero.
     """
     spec = spec if spec is not None else OscIntSpec()
-    x = float(x)
+    offsets = np.asarray(x, dtype=float)
     slope, decay = symbol_asymptotics(dp)
     if decay == 0.0:
-        return 0.0
-    if x == 0.0:
+        return 0.0 if offsets.ndim == 0 else np.zeros(offsets.shape)
+    if np.any(offsets == 0.0):
         raise ValueError("regular kernel is logarithmically singular at zero offset")
+    from scipy.special import sici  # loaded on first use; routes 1-3 never need it
 
     def remainder(s):
         s = np.asarray(s, dtype=float)
@@ -238,33 +245,18 @@ def regular_kernel(x, dp: DimensionlessParams, spec: Optional[OscIntSpec] = None
         s = np.asarray(s, dtype=float)
         return -decay * s / (1.0 + s * s)
 
-    rem = halfline_cosine_integral(remainder, x, spec)
     proxy_spec = replace(spec, tail=TailOrder.NONE)
-    prox = halfline_cosine_integral(proxy, x, proxy_spec)
-    # analytic tail of the proxy past s_max: -decay * int cos(sx)/s ds
-    # equals the cosine integral, up to another O(1/s^3) remainder
-    tail = decay * float(sici(spec.s_max * abs(x))[1])
-    return float((rem + prox + tail) / np.pi)
 
+    def at(u):
+        rem = halfline_cosine_integral(remainder, u, spec)
+        prox = halfline_cosine_integral(proxy, u, proxy_spec)
+        # analytic tail of the proxy past s_max: -decay * int cos(su)/s ds
+        # equals the cosine integral, up to another O(1/s^3) remainder
+        tail = decay * float(sici(spec.s_max * abs(float(u)))[1])
+        return float((rem + prox + tail) / np.pi)
 
-@dataclass(frozen=True)
-class KernelSplit:
-    """Hypersingular slope plus regular remainder of the crack kernel."""
-
-    slope: float
-    regular: Callable[[float], float]
-
-    def __post_init__(self):
-        if not (np.isfinite(self.slope) and self.slope > 0.0):
-            raise ValueError(f"kernel slope must be positive, got {self.slope!r}")
-
-
-def build_kernel_split(dp: DimensionlessParams,
-                       spec: Optional[OscIntSpec] = None) -> KernelSplit:
-    """Split the crack kernel into finite-part and regular components."""
-    spec = spec if spec is not None else OscIntSpec()
-    slope, _ = symbol_asymptotics(dp)
-    return KernelSplit(slope=slope, regular=lambda x: regular_kernel(x, dp, spec))
+    out = np.array([at(u) for u in offsets.ravel()]).reshape(offsets.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,7 +368,8 @@ def solve_crack(params: MaterialParams, half_length: float, n: int,
     n = int(n)
     spec = spec if spec is not None else OscIntSpec()
     dp = derive_dimensionless(params)
-    slope, _ = symbol_asymptotics(dp)
+    # the full asymptotics (with their fit) run once, inside regular_kernel
+    slope = _symbol_slope(dp)
 
     n_p = dp.porosity
     rhs_raw = np.pi * (1.0 - n_p) ** 2 * params.sigma0 / (2.0 * params.mu * slope)
@@ -388,7 +381,7 @@ def solve_crack(params: MaterialParams, half_length: float, n: int,
 
     grid = build_grid(-half_length, half_length, n)
     offsets = (np.arange(n) + 0.5) * grid.h
-    table = np.array([regular_kernel(u, dp, spec) for u in offsets])
+    table = regular_kernel(offsets, dp, spec)
     kernel = _OffsetKernel(h=grid.h, scale=-(np.pi / slope), table=table)
 
     def fprime(x):

@@ -14,9 +14,11 @@ second-kind Fredholm equation
     g(x) + int N1(x, t) g(t) dt = f1(x),
 
 with N1 and f1 produced by weighted principal-value integrals of K1 and
-f.  The Fredholm equation is then solved by a Nystrom method on
-Chebyshev points.  Solving the same problem down both paths is the
-strongest available end-to-end check.
+f.  Every such integral is a row of one Gauss-Chebyshev matrix
+operator (``pv_weighted_matrix``), so the reduction and the off-node
+evaluation are each two matrix applications.  The Fredholm equation is
+then solved by a Nystrom method on Chebyshev points.  Solving the same
+problem down both paths is the strongest available end-to-end check.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grids import Grid, Interval, SampledFunction, SampleSite
-from .linalg import SingularMatrixError, lu_solve, residual_norm
-from .quadrature import PVQuadSpec, chebyshev_nodes, pv_weighted_integral, _sample
-from .characteristic import assemble_characteristic
+from .linalg import SingularMatrixError, lu_solve, solve_within_residual
+from .quadrature import PVQuadSpec, chebyshev_nodes, pv_weighted_matrix, _sample
+from .characteristic import assemble_characteristic, _check_antiderivative
 
 __all__ = [
     "FullProblem",
@@ -63,21 +65,13 @@ class FullProblem:
     def __post_init__(self):
         if self.K1 is not None:
             iv = self.interval
-            delta = 1e-4 * max(1.0, iv.halfwidth)
             probes = [
                 (iv.midpoint - 0.45 * iv.halfwidth, iv.midpoint + 0.3 * iv.halfwidth),
                 (iv.midpoint, iv.midpoint - 0.6 * iv.halfwidth),
                 (iv.midpoint + 0.37 * iv.halfwidth, iv.midpoint),
             ]
-            for xp, tp in probes:
-                fd = (float(self.K1(xp + delta, tp))
-                      - float(self.K1(xp - delta, tp))) / (2.0 * delta)
-                stated = float(self.K0(xp, tp))
-                if not np.isfinite(fd) or abs(fd - stated) > 1e-4 * (1.0 + abs(stated)):
-                    raise ValueError(
-                        "K1 is not an antiderivative of K0 in its first argument "
-                        f"(probe at x={xp:.6g}, t={tp:.6g}: finite difference {fd:.6g}, "
-                        f"stated {stated:.6g})")
+            _check_antiderivative(self.K1, self.K0, probes, 1e-4 * max(1.0, iv.halfwidth),
+                                  "FullProblem: K1 against K0")
 
 
 def assemble_full(grid: Grid, K0) -> np.ndarray:
@@ -88,25 +82,11 @@ def assemble_full(grid: Grid, K0) -> np.ndarray:
     callables are evaluated entry by entry.
     """
     base = assemble_characteristic(grid)
-    x = grid.colloc
-    t = grid.nodes[1:]
-    vals = None
-    with np.errstate(all="ignore"):
-        try:
-            trial = np.asarray(K0(x[:, None], t[None, :]), dtype=float)
-            if trial.shape == (grid.n, grid.n):
-                vals = trial
-        except Exception:
-            vals = None
-    if vals is None:
-        vals = np.array([[float(K0(xi, tj)) for tj in t] for xi in x])
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("kernel K0 returned a non-finite sample")
+    vals = _sample(K0, grid.colloc[:, None], grid.nodes[None, 1:])
     return base + grid.h * vals
 
 
-def solve_full_collocation(problem: FullProblem, grid: Grid,
-                           refine: bool = False) -> SampledFunction:
+def solve_full_collocation(problem: FullProblem, grid: Grid) -> SampledFunction:
     """Solve the perturbed equation by direct collocation.
 
     Sample attribution follows ``solve_characteristic``: the returned
@@ -114,16 +94,8 @@ def solve_full_collocation(problem: FullProblem, grid: Grid,
     """
     if problem.interval != grid.interval:
         raise ValueError("problem and grid are built on different intervals")
-    matrix = assemble_full(grid, problem.K0)
-    rhs = _sample(problem.fprime, grid.colloc)
-    values = lu_solve(matrix, rhs, refine=refine)
-    tol = 1e-9 * float(np.max(np.abs(rhs)))
-    if residual_norm(matrix, values, rhs) > tol:
-        values = lu_solve(matrix, rhs, refine=True)
-        resid = residual_norm(matrix, values, rhs)
-        if resid > tol:
-            raise ArithmeticError(
-                f"collocation residual {resid:.3e} exceeds tolerance {tol:.3e}")
+    values = solve_within_residual(assemble_full(grid, problem.K0),
+                                   _sample(problem.fprime, grid.colloc))
     return SampledFunction(grid=grid, values=values, site=SampleSite.COLLOC)
 
 
@@ -164,8 +136,20 @@ def chebyshev_nystrom_rule(interval: Interval, count: int):
     return nodes, weights
 
 
-def _inversion_prefactor(interval: Interval, x: float) -> float:
-    return float(np.sqrt((x - interval.a) * (interval.b - x)) / np.pi**2)
+def _second_kind_rows(problem: FullProblem, spec: PVQuadSpec, xs, nodes):
+    """Rows of f1 and N1 at the points xs, with N1 columns at the nodes.
+
+    Both are the inversion operator ``sqrt((x - a)(b - x)) / pi^2``
+    times a weighted principal value, one matrix application each.
+    """
+    if problem.K1 is None or problem.f is None:
+        raise ValueError("the second-kind route needs both antiderivatives K1 and f")
+    iv = problem.interval
+    pv_f = pv_weighted_matrix(lambda p: _sample(problem.f, p), iv, xs, spec)
+    pv_K1 = pv_weighted_matrix(lambda p: _sample(problem.K1, p[:, None], nodes[None, :]),
+                               iv, xs, spec)
+    pref = np.sqrt((xs - iv.a) * (iv.b - xs)) / np.pi**2
+    return pref * pv_f, pref[:, None] * pv_K1
 
 
 def fredholm_reduce(problem: FullProblem, spec: PVQuadSpec, nodes) -> FredholmSystem:
@@ -176,26 +160,16 @@ def fredholm_reduce(problem: FullProblem, spec: PVQuadSpec, nodes) -> FredholmSy
         N1(x, t) = pref(x) * pv-int K1(tau, t) / (w(tau)(x - tau)) dtau
         f1(x)    = pref(x) * pv-int f(tau)     / (w(tau)(x - tau)) dtau
 
-    with ``pref(x) = sqrt((x - a)(b - x)) / pi^2``.  Requires both
-    antiderivatives ``K1`` and ``f`` on the problem.
+    with ``pref(x) = sqrt((x - a)(b - x)) / pi^2``.  All entries come
+    from two applications of one principal-value matrix
+    (``pv_weighted_matrix``): one to f, one to K1 with a column per
+    node.  Requires both antiderivatives ``K1`` and ``f`` on the
+    problem.
     """
-    if problem.K1 is None or problem.f is None:
-        raise ValueError("Fredholm reduction needs both antiderivatives K1 and f")
-    iv = problem.interval
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 1 or nodes.size == 0:
         raise ValueError("nodes must be a nonempty 1-D array")
-    if not np.all((nodes > iv.a) & (nodes < iv.b)):
-        raise ValueError("all Nystrom nodes must lie strictly inside the interval")
-    m = nodes.size
-    pref = np.sqrt((nodes - iv.a) * (iv.b - nodes)) / np.pi**2
-    f1 = np.array([pv_weighted_integral(problem.f, iv, x, spec) for x in nodes])
-    f1 *= pref
-    N1 = np.empty((m, m))
-    for j, tj in enumerate(nodes):
-        column = lambda tau, tj=tj: problem.K1(tau, tj)
-        N1[:, j] = [pv_weighted_integral(column, iv, x, spec) for x in nodes]
-    N1 *= pref[:, None]
+    f1, N1 = _second_kind_rows(problem, spec, nodes, nodes)
     return FredholmSystem(nodes=nodes, N1=N1, f1=f1)
 
 
@@ -227,21 +201,14 @@ def nystrom_eval(problem: FullProblem, spec: PVQuadSpec, system: FredholmSystem,
 
     Evaluates ``g(x) = f1(x) - sum_k w_k N1(x, node_k) g_k`` which is
     exactly how the discrete solution extends off its nodes; the new
-    rows of N1 and f1 are built with the same principal-value rule.
+    rows of N1 and f1 come from the same two principal-value matrix
+    applications as ``fredholm_reduce``.
     """
     weights = np.asarray(weights, dtype=float)
     values = np.asarray(values, dtype=float)
     m = system.nodes.size
     if weights.shape != (m,) or values.shape != (m,):
         raise ValueError("weights and values must match the system nodes")
-    iv = problem.interval
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    out = np.empty(xs.shape)
-    for i, x in enumerate(xs):
-        pref = _inversion_prefactor(iv, x)
-        fx = pref * pv_weighted_integral(problem.f, iv, x, spec)
-        row = np.array([
-            pv_weighted_integral(lambda tau, tj=tj: problem.K1(tau, tj), iv, x, spec)
-            for tj in system.nodes])
-        out[i] = fx - float(np.dot(weights * pref * row, values))
-    return out
+    f1, N1 = _second_kind_rows(problem, spec, xs, system.nodes)
+    return f1 - N1 @ (weights * values)

@@ -1,9 +1,10 @@
 """Dense linear algebra for the collocation systems.
 
 Thin layer over LAPACK's partially pivoted LU factorization (through
-scipy) with explicit singularity detection and an optional single step
-of iterative refinement.  Matrices and vectors are plain float arrays;
-the caller's arrays are never modified.
+scipy) with explicit singularity detection, an optional single step
+of iterative refinement, and a residual-gated solve that refines with
+its own factors when the first solve misses the bound.  Matrices and
+vectors are plain float arrays; the caller's arrays are never modified.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-__all__ = ["SingularMatrixError", "lu_solve", "residual_norm"]
+__all__ = ["SingularMatrixError", "lu_solve", "solve_within_residual", "residual_norm"]
 
 
 class SingularMatrixError(ValueError):
@@ -36,6 +37,31 @@ def _as_vector(v) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError("vector entries must be finite")
     return v
+
+
+def _factor(A, rhs):
+    """Validated system plus its LU factors; refuses tiny pivots."""
+    A = _as_matrix(A)
+    rhs = _as_vector(rhs)
+    n, m = A.shape
+    if n != m:
+        raise ValueError(f"matrix must be square, got {n}x{m}")
+    if rhs.shape[0] != n:
+        raise ValueError(
+            f"dimension mismatch: matrix is {n}x{n}, rhs has length {rhs.shape[0]}")
+    norm_a = float(np.max(np.abs(A).sum(axis=1))) if n else 0.0
+    with warnings.catch_warnings():
+        # LAPACK flags exact zero pivots with a warning; the threshold
+        # test below turns those into errors.
+        warnings.simplefilter("ignore")
+        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
+    smallest_pivot = float(np.min(np.abs(np.diag(lu))))
+    threshold = n * np.finfo(float).eps * norm_a
+    if smallest_pivot <= threshold:
+        raise SingularMatrixError(
+            "matrix is singular to working precision "
+            f"(pivot {smallest_pivot:.3e} <= threshold {threshold:.3e})")
+    return A, rhs, (lu, piv)
 
 
 def lu_solve(A, rhs, refine: bool = False) -> np.ndarray:
@@ -62,30 +88,29 @@ def lu_solve(A, rhs, refine: bool = False) -> np.ndarray:
     ValueError
         On non-square input, dimension mismatch, or non-finite entries.
     """
-    A = _as_matrix(A)
-    rhs = _as_vector(rhs)
-    n, m = A.shape
-    if n != m:
-        raise ValueError(f"matrix must be square, got {n}x{m}")
-    if rhs.shape[0] != n:
-        raise ValueError(
-            f"dimension mismatch: matrix is {n}x{n}, rhs has length {rhs.shape[0]}")
-    norm_a = float(np.max(np.abs(A).sum(axis=1))) if n else 0.0
-    with warnings.catch_warnings():
-        # LAPACK flags exact zero pivots with a warning; the threshold
-        # test below turns those into errors.
-        warnings.simplefilter("ignore")
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-    smallest_pivot = float(np.min(np.abs(np.diag(lu))))
-    threshold = n * np.finfo(float).eps * norm_a
-    if smallest_pivot <= threshold:
-        raise SingularMatrixError(
-            "matrix is singular to working precision "
-            f"(pivot {smallest_pivot:.3e} <= threshold {threshold:.3e})")
-    x = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    A, rhs, factors = _factor(A, rhs)
+    x = scipy.linalg.lu_solve(factors, rhs, check_finite=False)
     if refine:
-        r = rhs - A @ x
-        x = x + scipy.linalg.lu_solve((lu, piv), r, check_finite=False)
+        x = x + scipy.linalg.lu_solve(factors, rhs - A @ x, check_finite=False)
+    return x
+
+
+def solve_within_residual(A, rhs) -> np.ndarray:
+    """Solve ``A x = rhs`` like ``lu_solve``, holding the residual to 1e-9 ``||rhs||_inf``.
+
+    A first solve that misses the bound gets one step of iterative
+    refinement with the same factors; if the max-norm residual still
+    exceeds the bound, raises ``ArithmeticError``.
+    """
+    A, rhs, factors = _factor(A, rhs)
+    x = scipy.linalg.lu_solve(factors, rhs, check_finite=False)
+    tol = 1e-9 * float(np.max(np.abs(rhs)))
+    if residual_norm(A, x, rhs) > tol:
+        x = x + scipy.linalg.lu_solve(factors, rhs - A @ x, check_finite=False)
+        resid = residual_norm(A, x, rhs)
+        if resid > tol:
+            raise ArithmeticError(
+                f"collocation residual {resid:.3e} exceeds tolerance {tol:.3e}")
     return x
 
 

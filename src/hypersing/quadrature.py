@@ -4,7 +4,8 @@ Two families:
 
 * Gauss-Chebyshev rules for integrals against the endpoint weight
   ``1 / sqrt((t - a)(b - t))``, including Cauchy principal values
-  evaluated by singularity subtraction.  The subtraction rests on the
+  evaluated by singularity subtraction, as one matrix over many
+  evaluation points.  The subtraction rests on the
   identity that the principal value of ``1 / (w(t) (x - t))`` over the
   interval vanishes for every interior x, so subtracting ``f(x)`` from
   the numerator removes the pole without changing the integral.
@@ -22,7 +23,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_chebyu, roots_legendre
 
 from .grids import Interval
 
@@ -33,12 +33,18 @@ __all__ = [
     "chebyshev_nodes",
     "weighted_integral",
     "pv_weighted_integral",
+    "pv_weighted_matrix",
     "chebyshev_finite_part",
     "halfline_cosine_integral",
 ]
 
-# fixed Gauss-Legendre order inside each oscillation panel
-_PANEL_RULE = roots_legendre(4)
+# 4-point Gauss-Legendre rule inside each oscillation panel, bit for bit as
+# scipy.special.roots_legendre(4).  scipy.special loads only where it is used,
+# so routes 1-3 run without its resident memory (3.7 MiB with scipy 1.17).
+_PANEL_RULE = (
+    np.array([-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526]),
+    np.array([0.3478548451374538, 0.6521451548625462, 0.6521451548625462, 0.3478548451374538]),
+)
 _MAX_PANELS = 5_000_000
 # an x this close to a quadrature node (relative to the interval width)
 # switches the difference quotient to a centered derivative
@@ -90,20 +96,25 @@ class OscIntSpec:
         object.__setattr__(self, "panels_per_period", int(self.panels_per_period))
 
 
-def _sample(f, pts: np.ndarray) -> np.ndarray:
-    """Evaluate f on an array of points, accepting scalar-only callables."""
+def _sample(f, *points) -> np.ndarray:
+    """Evaluate f on broadcast arrays of points, accepting scalar-only callables.
+
+    A callable that fails on arrays, or returns the wrong shape, is
+    called once per broadcast point instead.
+    """
+    shape = np.broadcast_shapes(*(np.shape(p) for p in points))
     vals = None
     with np.errstate(all="ignore"):
         try:
-            trial = np.asarray(f(pts), dtype=float)
-            if trial.shape == pts.shape:
+            trial = np.asarray(f(*points), dtype=float)
+            if trial.shape == shape:
                 vals = trial
         except Exception:
             vals = None
     if vals is None:
-        vals = np.array([float(f(t)) for t in pts])
+        vals = np.array([float(f(*args)) for args in np.broadcast(*points)]).reshape(shape)
     if not np.all(np.isfinite(vals)):
-        raise ValueError("integrand returned a non-finite sample")
+        raise ValueError("sampled callable returned a non-finite value")
     return vals
 
 
@@ -129,53 +140,59 @@ def weighted_integral(f, interval: Interval, spec: PVQuadSpec) -> float:
     return float(np.pi / spec.m * vals.sum())
 
 
-def _centered_derivative(f, x: float, interval: Interval) -> float:
-    delta = 1e-6 * interval.width
-    delta = min(delta, 0.5 * (x - interval.a), 0.5 * (interval.b - x))
-    return (float(f(x + delta)) - float(f(x - delta))) / (2.0 * delta)
+def pv_weighted_matrix(sample, interval: Interval, xs, spec: PVQuadSpec) -> np.ndarray:
+    """Principal values of ``f(tau) / (w(tau) (x_i - tau))`` at many points at once.
+
+    The m-point Gauss-Chebyshev rule with singularity subtraction is one
+    linear operator.  With the nodes tau_k and
+    ``D_ik = (pi / m) / (x_i - tau_k)``,
+
+        PV[f](x_i) = (D @ f(tau))_i - rowsum(D)_i * f(x_i).
+
+    The nearest node of each row is taken out of D and its term added
+    back as the difference quotient ``(f(tau_k) - f(x_i)) / (x_i - tau_k)``,
+    so an x_i close to a node costs no more rounding than the scalar
+    rule.  When that node collides with x_i (within 1e-12 of the
+    interval width) the row subtracts ``(pi / m) f'(x_i)`` from a
+    centered difference instead.
+
+    ``sample`` maps a 1-D array of points to the finite values of f
+    there, one row per point; any further axes (a column per Nystrom
+    node, say) carry through, so the result has shape ``(len(xs), ...)``.
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if not np.all((xs > interval.a) & (xs < interval.b)):
+        raise ValueError(f"singularities must lie strictly inside ({interval.a}, {interval.b})")
+    tau = chebyshev_nodes(interval, spec.m)
+    weight = np.pi / spec.m
+    dx = xs[:, None] - tau[None, :]
+    rows = np.arange(xs.size)
+    nearest = np.argmin(np.abs(dx), axis=1)
+    gap = dx[rows, nearest]
+    dx[rows, nearest] = np.inf
+    D = weight / dx
+    ftau, fx = sample(tau), sample(xs)
+    row = (slice(None),) + (None,) * (fx.ndim - 1)
+    out = D @ ftau - D.sum(axis=1)[row] * fx
+    collide = np.abs(gap) < _NODE_COLLISION * interval.width
+    apart = ~collide
+    out[apart] += weight * (ftau[nearest[apart]] - fx[apart]) / gap[apart][row]
+    if collide.any():
+        xc = xs[collide]
+        delta = np.minimum(1e-6 * interval.width,
+                           0.5 * np.minimum(xc - interval.a, interval.b - xc))
+        out[collide] -= weight * (sample(xc + delta) - sample(xc - delta)) / (2.0 * delta)[row]
+    return out
 
 
 def pv_weighted_integral(f, interval: Interval, x, spec: PVQuadSpec) -> float:
-    """Principal value of ``f(t) / (w(t) (x - t))`` with the Chebyshev weight.
+    """Principal value of ``f(t) / (w(t) (x - t))`` at one interior x.
 
-    Parameters
-    ----------
-    f : callable
-        Integrand numerator; must be finite on the closed interval.
-    interval : Interval
-    x : float
-        Singularity location, strictly inside the interval.
-    spec : PVQuadSpec
-
-    Returns
-    -------
-    float
-
-    Notes
-    -----
-    Computed as the regular integral of ``(f(t) - f(x)) / (w(t)(x - t))``
-    by the m-point Gauss-Chebyshev rule.  When x collides with a node
-    (within 1e-12 of the interval width) the difference quotient at that
-    node is replaced by ``-f'(x)`` from a centered difference.  The rule
-    is exact for polynomial f of degree m - 2 and below.
+    One row of ``pv_weighted_matrix``; exact for polynomial f of degree
+    m - 2 and below.  Raises ``ValueError`` unless x lies strictly
+    inside the interval and f is finite on the closed interval.
     """
-    x = float(x)
-    if not interval.contains_strictly(x):
-        raise ValueError(
-            f"singularity x={x!r} must lie strictly inside ({interval.a}, {interval.b})")
-    fx = float(f(x))
-    if not np.isfinite(fx):
-        raise ValueError("integrand is not finite at the singularity")
-    tau = chebyshev_nodes(interval, spec.m)
-    vals = _sample(f, tau)
-    dx = x - tau
-    quot = np.empty_like(tau)
-    collide = np.abs(dx) < _NODE_COLLISION * interval.width
-    ok = ~collide
-    quot[ok] = (vals[ok] - fx) / dx[ok]
-    if collide.any():
-        quot[collide] = -_centered_derivative(f, x, interval)
-    return float(np.pi / spec.m * quot.sum())
+    return float(pv_weighted_matrix(lambda p: _sample(f, p), interval, [float(x)], spec)[0])
 
 
 def chebyshev_finite_part(degree: int, x) -> float:
@@ -191,6 +208,7 @@ def chebyshev_finite_part(degree: int, x) -> float:
     x = float(x)
     if not -1.0 < x < 1.0:
         raise ValueError(f"evaluation point must satisfy |x| < 1, got {x!r}")
+    from scipy.special import eval_chebyu
     return float(-np.pi * (degree + 1) * eval_chebyu(int(degree), x))
 
 

@@ -11,11 +11,9 @@ from scipy.special import sici
 from hypersing import (
     DimensionlessParams,
     Interval,
-    KernelSplit,
     MaterialParams,
     OscIntSpec,
     SampleSite,
-    build_kernel_split,
     crack_symbol,
     derive_dimensionless,
     porosity_sweep,
@@ -123,9 +121,8 @@ def test_regular_kernel_vanishes_in_the_classical_limit():
     dp0 = derive_dimensionless(CLASSICAL)
     for x in (0.1, 0.5, 1.7):
         assert regular_kernel(x, dp0) == 0.0
-    split = build_kernel_split(dp0)
-    assert split.slope == pytest.approx(2.0 / 3.0, abs=1e-14)
-    assert split.regular(0.33) == 0.0
+    assert symbol_asymptotics(dp0)[0] == pytest.approx(2.0 / 3.0, abs=1e-14)
+    assert regular_kernel(0.33, dp0) == 0.0
 
 
 def test_regular_kernel_even_and_singular_at_origin():
@@ -160,10 +157,30 @@ def test_regular_kernel_self_convergence_and_quad_oracle():
     assert val == pytest.approx(oracle, abs=2e-6 * abs(oracle))
 
 
-def test_kernel_split_validates_slope():
-    for bad in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError):
-            KernelSplit(slope=bad, regular=lambda x: 0.0)
+def test_regular_kernel_array_call_matches_scalar_calls_bitwise():
+    dp = derive_dimensionless(POROUS)
+    offsets = (np.arange(12) + 0.5) * 0.1
+    table = regular_kernel(offsets.reshape(3, 4), dp)
+    assert table.shape == (3, 4)
+    assert np.array_equal(table.ravel(), [regular_kernel(float(u), dp) for u in offsets])
+    assert isinstance(regular_kernel(0.35, dp), float)
+    with pytest.raises(ValueError):
+        regular_kernel(np.array([0.5, 0.0]), dp)
+
+
+def test_symbol_asymptotics_runs_once_per_crack_solve(monkeypatch):
+    import hypersing.crack as crack
+
+    calls = []
+    original = crack.symbol_asymptotics
+
+    def counted(dp):
+        calls.append(dp)
+        return original(dp)
+
+    monkeypatch.setattr(crack, "symbol_asymptotics", counted)
+    solve_crack(POROUS, 1.0, 40)
+    assert len(calls) == 1
 
 
 def test_classical_opening_profile_and_amplitude():

@@ -91,18 +91,49 @@ def test_kernel_values_must_be_finite():
         assemble_full(g, bad)
 
 
-def test_scalar_only_kernel_falls_back_elementwise():
+def _scalar_only(fn):
+    def call(*args):
+        if any(np.ndim(a) for a in args):
+            raise TypeError("scalars only")
+        return fn(*args)
+    return call
+
+
+def _route3_problem(scalar):
+    if not scalar:
+        return two_path_problem()
     import math
 
-    def scalar_kernel(x, t):
-        if np.ndim(x) or np.ndim(t):
-            raise TypeError("scalars only")
-        return math.cos(x * t)
+    sinc = _scalar_only(lambda x, t: math.sin(x * t) / t if t != 0.0 else x)
+    linear = _scalar_only(lambda x: -math.pi * x)
+    return FullProblem(IV, cos_kernel, flat_load, K1=sinc, f=linear)
 
-    g = build_grid(-1.0, 1.0, 12)
-    assert np.allclose(
-        assemble_full(g, scalar_kernel), assemble_full(g, cos_kernel), rtol=0.0, atol=1e-14
-    )
+
+def _collocation_matrix(scalar):
+    import math
+
+    kernel = _scalar_only(lambda x, t: math.cos(x * t)) if scalar else cos_kernel
+    return assemble_full(build_grid(-1.0, 1.0, 12), kernel)
+
+
+def _reduced_system(scalar):
+    system = fredholm_reduce(_route3_problem(scalar), SPEC, chebyshev_nodes(IV, 12))
+    return np.column_stack([system.N1, system.f1])
+
+
+def _nystrom_values(scalar):
+    nodes, w = chebyshev_nystrom_rule(IV, 12)
+    system = fredholm_reduce(two_path_problem(), SPEC, nodes)
+    g = solve_fredholm(system, w)
+    xs = np.linspace(-0.9, 0.9, 7)
+    return nystrom_eval(_route3_problem(scalar), SPEC, system, w, g, xs)
+
+
+@pytest.mark.parametrize(
+    "build", [_collocation_matrix, _reduced_system, _nystrom_values],
+    ids=["assemble_full", "fredholm_reduce", "nystrom_eval"])
+def test_scalar_only_kernel_falls_back_elementwise(build):
+    assert np.allclose(build(True), build(False), rtol=0.0, atol=1e-14)
 
 
 def test_mismatched_kernel_pair_is_rejected():
@@ -159,6 +190,31 @@ def test_reduction_requires_k1_f_and_interior_nodes():
         fredholm_reduce(good, SPEC, np.array([-1.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
         fredholm_reduce(good, SPEC, np.array([]))
+
+
+def test_reduction_at_colliding_nodes_matches_closed_forms():
+    # Nystrom nodes equal to the quadrature nodes make every row collide.
+    # With pv-int T_k(t) / (w(t)(x - t)) dt = -pi U_{k-1}(x), f = T_4 and
+    # K1(x, t) = T_3(x) t give f1 and N1, and the off-node data rows, exactly.
+    T3 = lambda x: 4.0 * np.asarray(x, dtype=float) ** 3 - 3.0 * np.asarray(x, dtype=float)
+    prob = FullProblem(
+        IV,
+        lambda x, t: (12.0 * np.asarray(x, dtype=float) ** 2 - 3.0) * np.asarray(t, dtype=float),
+        lambda x: 32.0 * np.asarray(x, dtype=float) ** 3 - 16.0 * np.asarray(x, dtype=float),
+        K1=lambda x, t: T3(x) * np.asarray(t, dtype=float),
+        f=lambda x: 8.0 * np.asarray(x, dtype=float) ** 4 - 8.0 * np.asarray(x, dtype=float) ** 2 + 1.0,
+    )
+    nodes = chebyshev_nodes(IV, SPEC.m)
+    pref = semicircle(nodes) / np.pi**2
+    f1 = -np.pi * pref * (8.0 * nodes**3 - 4.0 * nodes)
+    N1 = -np.pi * np.outer(pref * (4.0 * nodes**2 - 1.0), nodes)
+    system = fredholm_reduce(prob, SPEC, nodes)
+    assert np.max(np.abs(system.f1 - f1)) <= 1e-11
+    assert np.max(np.abs(system.N1 - N1)) <= 1e-11
+    _, w = chebyshev_nystrom_rule(IV, SPEC.m)
+    values = np.cos(3.0 * nodes)
+    got = nystrom_eval(prob, SPEC, system, w, values, nodes)
+    assert np.max(np.abs(got - (f1 - N1 @ (w * values)))) <= 1e-11
 
 
 def test_rank_one_system_matches_sherman_morrison():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hypersing import SingularMatrixError, lu_solve, residual_norm
+from hypersing.linalg import solve_within_residual
 
 
 def test_identity_solve_returns_rhs():
@@ -84,6 +85,46 @@ def test_refinement_keeps_residual_small():
     scale = np.max(np.abs(rhs))
     assert residual_norm(A, refined, rhs) <= 1e-9 * scale
     assert np.max(np.abs(refined - plain)) <= 1e-8 * np.max(np.abs(plain))
+
+
+def _spy_on_lapack(monkeypatch, spoil):
+    """Record factorizations and solves; add ``spoil(call)`` to each solve."""
+    import scipy.linalg
+
+    factored, solved = [], []
+    real_factor, real_solve = scipy.linalg.lu_factor, scipy.linalg.lu_solve
+
+    def factor(*args, **kwargs):
+        factored.append(args[0])
+        return real_factor(*args, **kwargs)
+
+    def solve(factors, b, **kwargs):
+        solved.append(factors)
+        return real_solve(factors, b, **kwargs) + spoil(len(solved))
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", factor)
+    monkeypatch.setattr(scipy.linalg, "lu_solve", solve)
+    return factored, solved
+
+
+def test_residual_gate_refines_with_the_same_factors(monkeypatch):
+    A = np.array([[4.0, 1.0], [1.0, 3.0]])
+    rhs = np.array([1.0, 2.0])
+    clean = solve_within_residual(A, rhs)
+    assert np.array_equal(clean, lu_solve(A, rhs))
+    # a first solve off by 1e-3 misses the gate; one refinement step repairs it
+    factored, solved = _spy_on_lapack(monkeypatch, lambda call: 1e-3 if call == 1 else 0.0)
+    x = solve_within_residual(A, rhs)
+    assert len(factored) == 1 and len(solved) == 2 and solved[0] is solved[1]
+    assert residual_norm(A, x, rhs) <= 1e-9 * np.max(np.abs(rhs))
+    assert np.max(np.abs(x - clean)) <= 1e-14
+
+
+def test_residual_gate_raises_when_refinement_fails(monkeypatch):
+    factored, solved = _spy_on_lapack(monkeypatch, lambda call: 1e-3)
+    with pytest.raises(ArithmeticError, match="residual"):
+        solve_within_residual(np.array([[4.0, 1.0], [1.0, 3.0]]), np.array([1.0, 2.0]))
+    assert len(factored) == 1 and len(solved) == 2
 
 
 def test_residual_norm_hand_values():
