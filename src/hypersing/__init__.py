@@ -21,6 +21,7 @@ from .quadrature import (
     pv_weighted_matrix,
     chebyshev_finite_part,
     halfline_cosine_integral,
+    halfline_cosine_table,
 )
 from .characteristic import (
     CharacteristicProblem,
@@ -47,6 +48,7 @@ from .crack import (
     crack_symbol,
     symbol_asymptotics,
     regular_kernel,
+    regular_kernel_table,
     solve_crack,
     stress_concentration,
     porosity_sweep,
@@ -59,12 +61,13 @@ __all__ = [
     "SingularMatrixError", "lu_solve", "residual_norm",
     "PVQuadSpec", "TailOrder", "OscIntSpec", "chebyshev_nodes",
     "weighted_integral", "pv_weighted_integral", "pv_weighted_matrix",
-    "chebyshev_finite_part", "halfline_cosine_integral",
+    "chebyshev_finite_part", "halfline_cosine_integral", "halfline_cosine_table",
     "CharacteristicProblem", "assemble_characteristic", "solve_characteristic",
     "invert_characteristic", "convergence_study",
     "FullProblem", "FredholmSystem", "assemble_full", "solve_full_collocation",
     "chebyshev_nystrom_rule", "fredholm_reduce", "solve_fredholm", "nystrom_eval",
     "MaterialParams", "DimensionlessParams", "CrackSolution",
     "derive_dimensionless", "crack_symbol", "symbol_asymptotics",
-    "regular_kernel", "solve_crack", "stress_concentration", "porosity_sweep",
+    "regular_kernel", "regular_kernel_table", "solve_crack", "stress_concentration",
+    "porosity_sweep",
 ]

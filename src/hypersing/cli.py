@@ -99,7 +99,7 @@ _KEYS = {
     "sigma0": (_to_float, "remote tension; sigma0 >= 0"),
     "N_values": (_to_float_list, "comma-separated porosity targets, each in [0, 1) (sweep)"),
     "s_max": (_to_float, "kernel transform truncation; > 0 (default 200)"),
-    "panels_per_period": (_to_int, "oscillation panels per period; integer >= 4 (default 8)"),
+    "panels_per_period": (_to_int, "kernel transform samples per period / 4; integer >= 4 (default 8)"),
     "out": (str, "output CSV path (or pass --out)"),
 }
 

@@ -31,7 +31,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grids import Grid, SampledFunction, build_grid
-from .quadrature import OscIntSpec, TailOrder, halfline_cosine_integral
+from .quadrature import (OscIntSpec, TailOrder, cosine_integral,
+                         halfline_cosine_integral, halfline_cosine_table)
 from .fullkernel import FullProblem, solve_full_collocation
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
     "crack_symbol",
     "symbol_asymptotics",
     "regular_kernel",
+    "regular_kernel_table",
     "solve_crack",
     "stress_concentration",
     "porosity_sweep",
@@ -206,36 +208,10 @@ def symbol_asymptotics(dp: DimensionlessParams):
     return slope, decay
 
 
-def regular_kernel(x, dp: DimensionlessParams, spec: Optional[OscIntSpec] = None):
-    """Regular remainder of the crack kernel at offset x.
-
-    The kernel is ``(1/pi) int_0^inf L(s) cos(s x) ds`` with the
-    divergent linear part assigned its finite-part value
-    ``-slope / (pi x^2)``.  What remains is the transform of
-    ``L(s) - slope * s``, which decays only like 1/s; subtracting the
-    proxy ``-decay * s / (1 + s^2)`` (same tail, vanishing at s = 0)
-    leaves an O(1/s^3) integrand handled by the panel quadrature, and
-    the proxy transform is added back with its own cosine-integral
-    tail.  Discarded pieces are O(1/s^3) tails bounded by
-    ``C / (2 s_max^2)``.
-
-    A scalar x gives a float; an array of offsets gives an array of the
-    same shape, with the symbol asymptotics computed once for all of
-    them.  Each entry equals the scalar call at that offset bitwise.
-
-    Even in x; logarithmically singular at x = 0 whenever the decay
-    coefficient is nonzero, which is why the collocation grids keep all
-    kernel offsets away from zero.  At zero porosity the symbol is
-    exactly linear and the remainder is identically zero.
-    """
-    spec = spec if spec is not None else OscIntSpec()
-    offsets = np.asarray(x, dtype=float)
+def _kernel_split(dp: DimensionlessParams):
+    """Remainder and proxy integrands of the regular kernel, and the decay
+    coefficient that scales the proxy's analytic tail."""
     slope, decay = symbol_asymptotics(dp)
-    if decay == 0.0:
-        return 0.0 if offsets.ndim == 0 else np.zeros(offsets.shape)
-    if np.any(offsets == 0.0):
-        raise ValueError("regular kernel is logarithmically singular at zero offset")
-    from scipy.special import sici  # loaded on first use; routes 1-3 never need it
 
     def remainder(s):
         s = np.asarray(s, dtype=float)
@@ -245,6 +221,41 @@ def regular_kernel(x, dp: DimensionlessParams, spec: Optional[OscIntSpec] = None
         s = np.asarray(s, dtype=float)
         return -decay * s / (1.0 + s * s)
 
+    return remainder, proxy, decay
+
+
+def regular_kernel(x, dp: DimensionlessParams, spec: Optional[OscIntSpec] = None):
+    """Regular remainder of the crack kernel at offset x.
+
+    The kernel is ``(1/pi) int_0^inf L(s) cos(s x) ds`` with the
+    divergent linear part assigned its finite-part value
+    ``-slope / (pi x^2)``.  What remains is the transform of
+    ``L(s) - slope * s``, which decays only like 1/s; subtracting the
+    proxy ``-decay * s / (1 + s^2)`` (same tail, vanishing at s = 0)
+    leaves an O(1/s^3) integrand.  Both pieces go through the
+    trapezoid-with-Gregory cosine rule of ``halfline_cosine_integral``
+    on [0, s_max], and the proxy's tail past s_max is added back as the
+    cosine integral ``decay * Ci(s_max |x|)``.  Discarded pieces are
+    O(1/s^3) tails bounded by ``C / (2 s_max^2)``.
+
+    A scalar x gives a float; an array of offsets gives an array of the
+    same shape, with the symbol asymptotics computed once for all of
+    them.  Each entry equals the scalar call at that offset bitwise.
+    ``regular_kernel_table`` gives the same values at all grid offsets
+    of a crack solve at once.
+
+    Even in x; logarithmically singular at x = 0 whenever the decay
+    coefficient is nonzero, which is why the collocation grids keep all
+    kernel offsets away from zero.  At zero porosity the symbol is
+    exactly linear and the remainder is identically zero.
+    """
+    spec = spec if spec is not None else OscIntSpec()
+    offsets = np.asarray(x, dtype=float)
+    remainder, proxy, decay = _kernel_split(dp)
+    if decay == 0.0:
+        return 0.0 if offsets.ndim == 0 else np.zeros(offsets.shape)
+    if np.any(offsets == 0.0):
+        raise ValueError("regular kernel is logarithmically singular at zero offset")
     proxy_spec = replace(spec, tail=TailOrder.NONE)
 
     def at(u):
@@ -252,11 +263,32 @@ def regular_kernel(x, dp: DimensionlessParams, spec: Optional[OscIntSpec] = None
         prox = halfline_cosine_integral(proxy, u, proxy_spec)
         # analytic tail of the proxy past s_max: -decay * int cos(su)/s ds
         # equals the cosine integral, up to another O(1/s^3) remainder
-        tail = decay * float(sici(spec.s_max * abs(float(u)))[1])
+        tail = decay * float(cosine_integral(spec.s_max * abs(float(u))))
         return float((rem + prox + tail) / np.pi)
 
     out = np.array([at(u) for u in offsets.ravel()]).reshape(offsets.shape)
     return float(out) if out.ndim == 0 else out
+
+
+def regular_kernel_table(h: float, n: int, dp: DimensionlessParams,
+                         spec: Optional[OscIntSpec] = None) -> np.ndarray:
+    """``regular_kernel`` at the n half-odd grid offsets ``(j + 1/2) h``.
+
+    Each piece of the kernel split goes through one
+    ``halfline_cosine_table`` call, which evaluates the same cosine rule
+    at every offset by one FFT, so the cost grows like the sample count
+    plus n log n rather than n times the sample count.  Agrees with the
+    pointwise ``regular_kernel`` to the rule's accuracy, not bitwise:
+    within 4e-11 for half-lengths 1 to 100 and n = 40 to 3200.
+    """
+    spec = spec if spec is not None else OscIntSpec()
+    remainder, proxy, decay = _kernel_split(dp)
+    if decay == 0.0:
+        return np.zeros(int(n))
+    rem = halfline_cosine_table(remainder, h, n, spec)
+    prox = halfline_cosine_table(proxy, h, n, replace(spec, tail=TailOrder.NONE))
+    offsets = (np.arange(rem.size) + 0.5) * h
+    return (rem + prox + decay * cosine_integral(spec.s_max * offsets)) / np.pi
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,9 +312,10 @@ class _OffsetKernel:
     """Difference kernel cached on the O(n) distinct grid offsets.
 
     On a uniform grid every collocation-node distance is a half-odd
-    multiple of h, so K0(x_i - t_j) takes only n distinct magnitudes;
-    evaluating the oscillatory transform once per magnitude makes the
-    assembly cost linear in n rather than quadratic.
+    multiple of h, so K0(x_i - t_j) takes only n distinct magnitudes.
+    The table holds the regular kernel at those magnitudes, all of them
+    from one ``regular_kernel_table`` call (one FFT per kernel piece),
+    and the assembly only indexes it.
     """
 
     def __init__(self, h: float, scale: float, table: np.ndarray):
@@ -349,6 +382,13 @@ def solve_crack(params: MaterialParams, half_length: float, n: int,
     -------
     CrackSolution
 
+    Raises
+    ------
+    ValueError
+        On bad sizes, and when a positive load gives an opening with a
+        negative sample: at porosities N >= 1 - c^2 the symbol is
+        negative near s = 0 and the solve has no physical opening.
+
     Notes
     -----
     Dividing the physical equation by the (negative) hypersingular
@@ -368,7 +408,7 @@ def solve_crack(params: MaterialParams, half_length: float, n: int,
     n = int(n)
     spec = spec if spec is not None else OscIntSpec()
     dp = derive_dimensionless(params)
-    # the full asymptotics (with their fit) run once, inside regular_kernel
+    # the full asymptotics (with their fit) run once, inside regular_kernel_table
     slope = _symbol_slope(dp)
 
     n_p = dp.porosity
@@ -380,8 +420,7 @@ def solve_crack(params: MaterialParams, half_length: float, n: int,
             f"({rhs_raw!r} vs {rhs_reduced!r})")
 
     grid = build_grid(-half_length, half_length, n)
-    offsets = (np.arange(n) + 0.5) * grid.h
-    table = regular_kernel(offsets, dp, spec)
+    table = regular_kernel_table(grid.h, n, dp, spec)
     kernel = _OffsetKernel(h=grid.h, scale=-(np.pi / slope), table=table)
 
     def fprime(x):
@@ -390,6 +429,11 @@ def solve_crack(params: MaterialParams, half_length: float, n: int,
     problem = FullProblem(interval=grid.interval, K0=kernel, fprime=fprime)
     raw = solve_full_collocation(problem, grid)
     opening_values = -raw.values
+    if params.sigma0 > 0.0 and np.any(opening_values < 0.0):
+        raise ValueError(
+            f"crack opening has negative samples (min {opening_values.min():.3g}, "
+            f"max {opening_values.max():.3g}) at porosity {n_p:.6g}; the symbol "
+            f"turns negative near s = 0 once N >= 1 - c^2 = {1.0 - dp.c_sq:.6g}")
     opening = SampledFunction(grid=grid, values=opening_values, site=raw.site)
     tip = _tip_amplitude(grid, opening_values, half_length, side=+1)
     return CrackSolution(grid=grid, opening=opening, params=params,

@@ -9,9 +9,12 @@ Two families:
   identity that the principal value of ``1 / (w(t) (x - t))`` over the
   interval vanishes for every interior x, so subtracting ``f(x)`` from
   the numerator removes the pole without changing the integral.
-* Panel-wise Gauss-Legendre quadrature for half-line cosine transforms
-  ``int_0^inf F(s) cos(s x) ds`` of algebraically decaying integrands,
-  with panels sized to the oscillation period.
+* One uniform-grid cosine rule for half-line cosine transforms
+  ``int_0^s_max F(s) cos(s x) ds`` of algebraically decaying integrands:
+  the trapezoid rule with eight-point Gregory end corrections, on a
+  step sized to the oscillation period.  It is summed directly at one
+  frequency, or at every half-odd grid offset at once by one chirp-z
+  FFT.
 
 The closed-form finite-part transform of the weighted Chebyshev
 polynomials is exposed as an oracle for testing solvers built on top.
@@ -36,16 +39,22 @@ __all__ = [
     "pv_weighted_matrix",
     "chebyshev_finite_part",
     "halfline_cosine_integral",
+    "halfline_cosine_table",
+    "cosine_integral",
 ]
 
-# 4-point Gauss-Legendre rule inside each oscillation panel, bit for bit as
-# scipy.special.roots_legendre(4).  scipy.special loads only where it is used,
-# so routes 1-3 run without its resident memory (3.7 MiB with scipy 1.17).
-_PANEL_RULE = (
-    np.array([-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526]),
-    np.array([0.3478548451374538, 0.6521451548625462, 0.6521451548625462, 0.3478548451374538]),
-)
-_MAX_PANELS = 5_000_000
+# Gregory end weights of the trapezoid rule, eight points at each end,
+# relative to the step: exact for s^m, m < 8, on any grid of 8 or more
+# steps.  The numerators are over 10! = 3628800.
+_GREGORY_ENDS = np.array([1070017, 5537111, 932517, 6527875,
+                          1494755, 4641093, 3349879, 3662753]) / 3628800.0
+_MIN_STEPS = 16             # keeps the two corrected ends apart
+# the step resolves at least cos(8 s): at small |x| the integrand's own
+# scale sets the error (the crack symbol has branch points at s = +-i sqrt(1 - N))
+_FREQUENCY_FLOOR = 8.0
+_MAX_SAMPLES = 20_000_000
+_CHUNK = 8192               # s-grid samples held in memory at once
+_EULER_GAMMA = 0.5772156649015329
 # an x this close to a quadrature node (relative to the interval width)
 # switches the difference quotient to a centered derivative
 _NODE_COLLISION = 1e-12
@@ -74,8 +83,9 @@ class TailOrder(enum.Enum):
 class OscIntSpec:
     """Truncation and resolution for half-line cosine transforms.
 
-    ``s_max`` is the truncation point, ``panels_per_period`` the number
-    of Gauss panels per oscillation period ``2 pi / max(|x|, 1)``.  With
+    ``s_max`` is the truncation point.  The cosine rule samples ``F`` on
+    a uniform grid over [0, s_max] with at least ``4 * panels_per_period``
+    steps per oscillation period ``2 pi / max(|x|, 8)``.  With
     ``tail=TailOrder.INVERSE_CUBE`` the integrand is declared to obey
     ``|F(s)| <= C / s^3`` past ``s_max``, which bounds the discarded
     tail by ``C / (2 s_max^2)``; the declaration is spot-checked by
@@ -226,32 +236,174 @@ def _check_cubic_decay(F, s_max: float) -> None:
             f"s_max={s_max} (s^3 |F| grew from {f1 * s_max**3:.3e} to {f2 * probe**3:.3e})")
 
 
+def _max_step(spec: OscIntSpec, frequency: float) -> float:
+    # 4 * panels_per_period samples per period, as the 4-point panels had
+    return 2.0 * np.pi / (4 * spec.panels_per_period * max(frequency, _FREQUENCY_FLOOR))
+
+
+def _check_sample_count(count: int) -> None:
+    if count > _MAX_SAMPLES:
+        raise ValueError(
+            f"sample count {count} exceeds the supported maximum; "
+            "reduce s_max, panels_per_period, or the frequency")
+
+
+def _gregory_weights(k: np.ndarray, last: int) -> np.ndarray:
+    """Trapezoid-with-Gregory weights, in steps, of nodes k on the grid 0..last."""
+    w = np.ones(k.size)
+    head, tail = k < 8, last - k < 8
+    w[head] = _GREGORY_ENDS[k[head]]
+    w[tail] = _GREGORY_ENDS[last - k[tail]]
+    return w
+
+
+def _grid_chunks(last: int):
+    """Index blocks of the grid 0..last, none longer than _CHUNK."""
+    for k0 in range(0, last + 1, _CHUNK):
+        yield np.arange(k0, min(k0 + _CHUNK, last + 1))
+
+
 def halfline_cosine_integral(F, x, spec: OscIntSpec) -> float:
     """Truncated half-line cosine transform ``int_0^s_max F(s) cos(s x) ds``.
 
-    The range [0, s_max] is split into panels no longer than one
-    ``panels_per_period``-th of the oscillation period
-    ``2 pi / max(|x|, 1)`` and each panel is integrated by fixed-order
-    Gauss-Legendre quadrature.  With ``tail=INVERSE_CUBE`` the discarded
+    The trapezoid rule with eight-point Gregory end corrections on the
+    uniform grid of the fewest steps (at least 16) that divide [0, s_max]
+    into pieces no longer than ``1 / (4 panels_per_period)`` of the period
+    ``2 pi / max(|x|, 8)``.  The cosine sum runs over fixed-size chunks
+    of the grid, so memory does not grow with |x|.  The grid depends
+    only on the spec and |x|.  With ``tail=INVERSE_CUBE`` the discarded
     tail is bounded by ``C / (2 s_max^2)`` where C bounds ``s^3 |F(s)|``
-    past the truncation point, and that decay is spot-checked.
+    past the truncation point, and that decay is spot-checked.  More
+    than 2e7 samples raise ``ValueError``.
     """
     x = float(x)
     if not np.isfinite(x):
         raise ValueError("oscillation frequency x must be finite")
-    max_len = (2.0 * np.pi / max(abs(x), 1.0)) / spec.panels_per_period
-    num_panels = int(np.ceil(spec.s_max / max_len))
-    if num_panels > _MAX_PANELS:
-        raise ValueError(
-            f"panel count {num_panels} exceeds the supported maximum; "
-            "reduce s_max, panels_per_period, or |x|")
-    edges = np.linspace(0.0, spec.s_max, num_panels + 1)
-    gl_nodes, gl_weights = _PANEL_RULE
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    pts = (mid[:, None] + half[:, None] * gl_nodes[None, :]).ravel()
-    wts = (half[:, None] * gl_weights[None, :]).ravel()
-    vals = _sample(F, pts)
+    steps = int(np.ceil(spec.s_max / _max_step(spec, abs(x))))
+    _check_sample_count(steps)
+    last = max(steps, _MIN_STEPS)
+    ds = spec.s_max / last
+    total = 0.0
+    for k in _grid_chunks(last):
+        s = k * ds
+        total += np.dot(_gregory_weights(k, last) * _sample(F, s), np.cos(s * x))
     if spec.tail is TailOrder.INVERSE_CUBE:
         _check_cubic_decay(F, spec.s_max)
-    return float(np.dot(wts, vals * np.cos(pts * x)))
+    return float(ds * total)
+
+
+def _unit_phase(m: np.ndarray, quarter: int) -> np.ndarray:
+    """exp(i pi m / (2 quarter)) for integer m, reduced exactly mod 4 quarter."""
+    return np.exp(1j * (np.pi * (m % (4 * quarter)) / (2 * quarter)))
+
+
+def _fft_length(minimum: int) -> int:
+    """Smallest 2^a 3^b 5^c that is at least minimum."""
+    best = 1 << (minimum - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < minimum:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def halfline_cosine_table(F, h: float, n: int, spec: OscIntSpec) -> np.ndarray:
+    """``int_0^s_max F(s) cos(s u_j) ds`` at every half-odd offset u_j = (j + 1/2) h.
+
+    The same trapezoid-with-Gregory rule as ``halfline_cosine_integral``,
+    on a step ``ds = pi / (M h)`` with the integer M the smallest that
+    meets that function's step bound at the largest offset.  Then
+    ``s_k u_j = pi k (2j + 1) / (2M)``: the phases repeat every 4M samples
+    and change sign every 2M, so the weighted samples are folded, with
+    alternating sign, onto at most 2M residues.  One Bluestein chirp-z
+    transform (``r(2j+1) = r^2 + r + j^2 - (j - r)^2``, all phases as
+    exact integers mod 4M) then gives every offset at once.  The sliver
+    between the last grid node and s_max gets the same rule on 16 steps,
+    summed directly.  The tail check and sample cap are those of
+    ``halfline_cosine_integral``; the values agree with it to rounding
+    and the rule's error, not bitwise.
+    """
+    h = float(h)
+    if not (np.isfinite(h) and h > 0.0):
+        raise ValueError(f"grid step h must be positive and finite, got {h!r}")
+    if int(n) != n or n < 1:
+        raise ValueError(f"offset count must be a positive integer, got {n!r}")
+    n = int(n)
+    u = (np.arange(n) + 0.5) * h
+    # M of the docstring: a quarter of the phase period, in samples
+    quarter = int(max(np.ceil(np.pi / (h * _max_step(spec, u[-1]))),
+                      np.ceil(_MIN_STEPS * np.pi / (h * spec.s_max))))
+    ds = np.pi / (quarter * h)
+    last = int(np.floor(spec.s_max / ds))
+    _check_sample_count(last)
+    period = 2 * quarter
+    folded = np.zeros(min(last + 1, period))
+    for k in _grid_chunks(last):
+        vals = _gregory_weights(k, last) * _sample(F, k * ds)
+        pos = int(k[0])
+        while vals.size:  # split where the phase flips sign, at multiples of 2M
+            r0 = pos % period
+            piece, vals = vals[:period - r0], vals[period - r0:]
+            folded[r0:r0 + piece.size] += -piece if (pos // period) % 2 else piece
+            pos += piece.size
+
+    # chirp-z: sum_r folded_r exp(i pi r (2j+1) / (2M)) as a convolution
+    size = folded.size
+    length = _fft_length(size + n - 1)
+    m = np.arange(max(size, n))
+    down = _unit_phase(-m * m, quarter)
+    chirp = np.zeros(length, dtype=complex)
+    chirp[:n] = down[:n]
+    chirp[length - size + 1:] = down[size - 1:0:-1]
+    r = m[:size]
+    spectrum = np.fft.fft(folded * _unit_phase(r * r + r, quarter), length)
+    conv = np.fft.ifft(spectrum * np.fft.fft(chirp))[:n]
+    out = ds * (down[:n].conj() * conv).real
+
+    s_end = last * ds
+    if s_end < spec.s_max:
+        sub = np.arange(_MIN_STEPS + 1)
+        step = (spec.s_max - s_end) / _MIN_STEPS
+        s = s_end + sub * step
+        w = step * _gregory_weights(sub, _MIN_STEPS) * _sample(F, s)
+        out += np.cos(u[:, None] * s[None, :]) @ w
+    if spec.tail is TailOrder.INVERSE_CUBE:
+        _check_cubic_decay(F, spec.s_max)
+    return out
+
+
+def cosine_integral(x) -> np.ndarray:
+    """Cosine integral ``Ci(x) = -int_x^inf cos(t) / t dt`` for x > 0.
+
+    The power series ``gamma + ln x + sum_k (-x^2)^k / (2k (2k)!)`` for
+    x <= 2.  Beyond, ``Ci = f sin x - g cos x`` with the auxiliary
+    functions from ``exp(ix) E1(ix) = g - i f``, whose continued fraction
+    ``1 / (z + 1 - 1 / (z + 3 - 4 / (z + 5 - ...)))`` at z = ix is summed
+    backward from a fixed depth of 100.  Within 1e-15 of the exact value,
+    relative to ``max(|Ci(x)|, min(1, 1/x))``.
+    """
+    x = np.asarray(x, dtype=float)
+    if np.any(~(x > 0.0)) or not np.all(np.isfinite(x)):
+        raise ValueError("cosine integral needs finite positive arguments")
+    out = np.empty(x.shape)
+    small = x <= 2.0
+    xs = x[small]
+    term, series = np.ones(xs.shape), np.zeros(xs.shape)
+    for k in range(1, 16):
+        term = term * (-xs * xs) / ((2 * k - 1) * (2 * k))
+        series += term / (2 * k)
+    out[small] = _EULER_GAMMA + np.log(xs) + series
+    xl = x[~small]
+    z = 1j * xl
+    frac = np.zeros(xl.shape, dtype=complex)
+    for k in range(100, 0, -1):
+        frac = k * k / (z + (2 * k + 1) - frac)
+    aux = 1.0 / (z + 1.0 - frac)
+    out[~small] = -aux.imag * np.sin(xl) - aux.real * np.cos(xl)
+    return out

@@ -213,6 +213,15 @@ def test_runtime_domain_failures_exit_3(tmp_path, capsys):
     assert "ERROR" in captured.err
 
 
+def test_sign_flipped_crack_exits_3(tmp_path, capsys):
+    # N = 0.8 > 1 - c^2 at b = 10: the solve's opening changes sign
+    code, out = _run(tmp_path, "crack", CRACK_CFG, "half_length=10", f"beta={(2.4) ** 0.5!r}")
+    captured = capsys.readouterr()
+    assert code == EXIT_DOMAIN
+    assert not out.exists()
+    assert "negative samples" in captured.err
+
+
 def test_unreadable_config_exits_5(tmp_path, capsys):
     out = tmp_path / "x.csv"
     code = main(

@@ -18,6 +18,7 @@ from hypersing import (
     derive_dimensionless,
     porosity_sweep,
     regular_kernel,
+    regular_kernel_table,
     solve_crack,
     stress_concentration,
     symbol_asymptotics,
@@ -166,6 +167,59 @@ def test_regular_kernel_array_call_matches_scalar_calls_bitwise():
     assert isinstance(regular_kernel(0.35, dp), float)
     with pytest.raises(ValueError):
         regular_kernel(np.array([0.5, 0.0]), dp)
+
+
+def _with_porosity(n_target, sigma0=1.0):
+    # lam = mu = alpha = xi = 1, so beta^2 = 3 N
+    return MaterialParams(1.0, 1.0, 1.0, math.sqrt(3.0 * n_target), 1.0, sigma0)
+
+
+def _kernel_oracle(dp, u, s_max=200.0):
+    """Regular kernel by adaptive oscillatory quadrature plus scipy's Ci tail."""
+    A, B = symbol_asymptotics(dp)
+    remainder = lambda s: crack_symbol(s, dp) - A * s + B * s / (1.0 + s * s)
+    proxy = lambda s: -B * s / (1.0 + s * s)
+    return (cosine_transform_oracle(remainder, u, s_max)
+            + cosine_transform_oracle(proxy, u, s_max)
+            + B * float(sici(s_max * u)[1])) / np.pi
+
+
+@pytest.mark.parametrize("half_length", (1.0, 10.0, 100.0))
+def test_kernel_table_matches_quadrature_oracle(half_length):
+    for n in (40, 200, 240, 3200):
+        h = 2.0 * half_length / n
+        for n_target in (0.1, 0.35, 0.6, 0.85):
+            dp = derive_dimensionless(_with_porosity(n_target))
+            table = regular_kernel_table(h, n, dp)
+            assert table.shape == (n,)
+            for j in (0, 1, n // 2, n - 1):
+                assert abs(table[j] - _kernel_oracle(dp, (j + 0.5) * h)) <= 1e-9
+
+
+def test_kernel_table_matches_pointwise_kernel():
+    for half_length, n, n_target in ((1.0, 200, 0.35), (10.0, 40, 0.85),
+                                     (100.0, 240, 0.6), (100.0, 40, 0.1)):
+        h = 2.0 * half_length / n
+        dp = derive_dimensionless(_with_porosity(n_target))
+        table = regular_kernel_table(h, n, dp)
+        cells = np.array([0, 1, n // 2, n - 1])
+        pointwise = regular_kernel((cells + 0.5) * h, dp)
+        assert np.max(np.abs(table[cells] - pointwise)) <= 1e-10
+    classical = derive_dimensionless(CLASSICAL)
+    assert np.array_equal(regular_kernel_table(0.1, 20, classical), np.zeros(20))
+
+
+def test_sign_flipped_opening_is_refused():
+    # past N = 1 - c^2 = 2/3 the symbol is negative near s = 0; at b = 10 the
+    # opening dips to several times its maximum below zero, at b = 5 it is
+    # negative everywhere
+    for half_length in (10.0, 5.0):
+        with pytest.raises(ValueError, match="negative samples"):
+            solve_crack(_with_porosity(0.8), half_length, 200)
+    quiet = solve_crack(_with_porosity(0.8, sigma0=0.0), 10.0, 200)
+    assert np.array_equal(quiet.opening.values, np.zeros(200))
+    # at b = 1 the opening stays positive over the whole [0, 0.9) sweep range
+    assert np.all(solve_crack(_with_porosity(0.89), 1.0, 200).opening.values > 0.0)
 
 
 def test_symbol_asymptotics_runs_once_per_crack_solve(monkeypatch):

@@ -12,9 +12,11 @@ from hypersing import (
     chebyshev_finite_part,
     chebyshev_nodes,
     halfline_cosine_integral,
+    halfline_cosine_table,
     pv_weighted_integral,
     weighted_integral,
 )
+from hypersing.quadrature import _gregory_weights, cosine_integral
 from oracles import (
     cosine_transform_oracle,
     finite_part_oracle,
@@ -209,3 +211,91 @@ def test_oscillatory_spec_validation():
         OscIntSpec(s_max=float("inf"))
     with pytest.raises(ValueError):
         OscIntSpec(panels_per_period=3)
+
+
+def test_gregory_end_weights_integrate_low_monomials_exactly():
+    for last in (16, 23, 40):
+        k = np.arange(last + 1)
+        w = _gregory_weights(k, last)
+        for m in range(8):
+            exact = last ** (m + 1) / (m + 1)
+            assert abs(np.dot(w, k.astype(float) ** m) - exact) <= 1e-14 * exact
+        # degree 8 is the first the eight-point ends miss, by a fixed
+        # multiple of 8! whatever the grid length
+        assert abs(np.dot(w, k.astype(float) ** 8) - last**9 / 9) > 100.0
+    # x = 0 and s_max = 1: the rule on the 41-step grid integrates s^7 exactly
+    seventh = lambda s: np.asarray(s, dtype=float) ** 7
+    spec = OscIntSpec(s_max=1.0, tail=TailOrder.NONE)
+    assert halfline_cosine_integral(seventh, 0.0, spec) == pytest.approx(0.125, abs=1e-15)
+
+
+def test_halfline_table_matches_the_direct_sums():
+    F = lambda s: 1.0 / (1.0 + np.asarray(s, dtype=float)) ** 3
+    spec = OscIntSpec()
+    # 2M = 32 (n - 1/2) residues fold the 4e4-2e5 samples when h is large;
+    # at h = 0.01 the grid is shorter than one fold and is used as it is
+    for h, n in ((0.8, 30), (0.07, 64), (0.01, 50), (2.5, 3)):
+        table = halfline_cosine_table(F, h, n, spec)
+        assert table.shape == (n,)
+        # the two grids differ, and at its step bound the rule's error is
+        # about 1e-10 |F(0)|, from the (x ds)^8 term of the end corrections
+        direct = [halfline_cosine_integral(F, (j + 0.5) * h, spec) for j in range(n)]
+        assert np.max(np.abs(table - direct)) <= 3e-10
+        u = (np.arange(n) + 0.5) * h
+        for j in (0, n // 2, n - 1):
+            oracle = cosine_transform_oracle(F, u[j], 200.0)
+            assert table[j] == pytest.approx(oracle, abs=5e-11)
+
+
+def test_halfline_table_validation():
+    F = lambda s: 1.0 / (1.0 + np.asarray(s, dtype=float)) ** 3
+    one = lambda s: np.ones_like(np.asarray(s, dtype=float))
+    spec = OscIntSpec()
+    for h in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            halfline_cosine_table(F, h, 10, spec)
+    for n in (0, 2.5):
+        with pytest.raises(ValueError):
+            halfline_cosine_table(F, 0.1, n, spec)
+    with pytest.raises(ValueError):
+        halfline_cosine_table(one, 0.1, 10, spec)
+    with pytest.raises(ValueError):
+        halfline_cosine_table(F, 1e7, 10, spec)
+    assert halfline_cosine_table(one, 0.1, 10, OscIntSpec(tail=TailOrder.NONE)) == \
+        pytest.approx(np.sin(200.0 * (np.arange(10) + 0.5) * 0.1) / ((np.arange(10) + 0.5) * 0.1),
+                      abs=1e-12)
+
+
+def _ci_scale(x):
+    # |Ci| is below 1 near x = 1 and falls like 1/x; near its zeros the
+    # error is absolute, so it is measured against this envelope
+    return np.minimum(1.0, 1.0 / x)
+
+
+CI_POINTS = np.concatenate([np.geomspace(1e-3, 1e7, 1200), np.linspace(0.05, 60.0, 1200),
+                            np.random.default_rng(3).uniform(1.5, 4.0, 300)])
+
+
+def test_cosine_integral_matches_scipy():
+    from scipy.special import sici
+
+    ref = sici(CI_POINTS)[1]
+    ours = cosine_integral(CI_POINTS)
+    scale = np.maximum(np.abs(ref), _ci_scale(CI_POINTS))
+    # scipy's own error reaches 2.7e-15 of this scale near x = 3.4
+    assert np.max(np.abs(ours - ref) / scale) <= 4e-15
+    away = np.abs(ref) >= _ci_scale(CI_POINTS)
+    assert np.median(np.abs(ours - ref)[away] / np.abs(ref[away])) <= 1e-15
+    assert cosine_integral(np.array([1.0, 2.0])).shape == (2,)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            cosine_integral(bad)
+
+
+def test_cosine_integral_matches_high_precision_values():
+    mpmath = pytest.importorskip("mpmath")
+    xs = CI_POINTS[::7]
+    with mpmath.workdps(40):
+        exact = np.array([float(mpmath.ci(mpmath.mpf(float(x)))) for x in xs])
+    scale = np.maximum(np.abs(exact), _ci_scale(xs))
+    assert np.max(np.abs(cosine_integral(xs) - exact) / scale) <= 1e-15
