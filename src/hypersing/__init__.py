@@ -9,7 +9,7 @@ scalar void-volume-fraction field: crack-opening profiles and porosity
 sweeps of the normalized tip amplitude.
 """
 
-from .grids import Interval, Grid, SampleSite, SampledFunction, build_grid
+from .grids import Interval, Grid, SampledFunction, build_grid
 from .linalg import SingularMatrixError, lu_solve, residual_norm
 from .quadrature import (
     PVQuadSpec,
@@ -57,7 +57,7 @@ from .crack import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Interval", "Grid", "SampleSite", "SampledFunction", "build_grid",
+    "Interval", "Grid", "SampledFunction", "build_grid",
     "SingularMatrixError", "lu_solve", "residual_norm",
     "PVQuadSpec", "TailOrder", "OscIntSpec", "chebyshev_nodes",
     "weighted_integral", "pv_weighted_integral", "pv_weighted_matrix",

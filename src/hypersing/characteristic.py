@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .grids import Grid, Interval, SampledFunction, SampleSite, build_grid
+from .grids import Grid, Interval, SampledFunction, build_grid
 from .linalg import solve_within_residual
 from .quadrature import PVQuadSpec, pv_weighted_integral, _sample
 
@@ -101,7 +101,7 @@ def solve_characteristic(problem: CharacteristicProblem, grid: Grid) -> SampledF
         raise ValueError("problem and grid are built on different intervals")
     values = solve_within_residual(assemble_characteristic(grid),
                                    _sample(problem.fprime, grid.colloc))
-    return SampledFunction(grid=grid, values=values, site=SampleSite.COLLOC)
+    return SampledFunction(grid=grid, values=values)
 
 
 def invert_characteristic(problem: CharacteristicProblem, x,

@@ -11,7 +11,11 @@ so the transform splits into the finite-part of the linear piece,
 which is exactly ``-slope / (pi x^2)``, plus a regular remainder
 evaluated numerically.  Dividing through by the hypersingular
 coefficient puts the problem into the standard collocation form solved
-by :mod:`hypersing.fullkernel`.
+by :mod:`hypersing.fullkernel`.  On the uniform grid every
+collocation offset is a half-odd multiple of the cell width, so the
+regular kernel takes only n distinct values: they are tabled once by
+``regular_kernel_table`` and the collocation matrix reads them through
+a Toeplitz view, never through a kernel callable.
 
 The kernel slope carries the factor ``(1 - N)^2`` that also appears in
 the load term, so the effective right-hand side is porosity
@@ -29,11 +33,12 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import Grid, SampledFunction, build_grid
 from .quadrature import (OscIntSpec, TailOrder, cosine_integral,
                          halfline_cosine_integral, halfline_cosine_table)
-from .fullkernel import FullProblem, solve_full_collocation
+from .fullkernel import _solve_weighted, _weighted_matrix
 
 __all__ = [
     "MaterialParams",
@@ -308,28 +313,17 @@ class CrackSolution:
     tip_coefficient: float
 
 
-class _OffsetKernel:
-    """Difference kernel cached on the O(n) distinct grid offsets.
+def _toeplitz_view(table: np.ndarray) -> np.ndarray:
+    """Read-only n-by-n view of a difference kernel tabled on the grid offsets.
 
-    On a uniform grid every collocation-node distance is a half-odd
-    multiple of h, so K0(x_i - t_j) takes only n distinct magnitudes.
-    The table holds the regular kernel at those magnitudes, all of them
-    from one ``regular_kernel_table`` call (one FFT per kernel piece),
-    and the assembly only indexes it.
+    Midpoint x_i and right node t_j lie ``|j - i + 1/2|`` cells apart,
+    so with ``table[k]`` the kernel at offset ``(k + 1/2) h`` entry
+    (i, j) is ``table[j - i]`` on and above the diagonal and
+    ``table[i - j - 1]`` below it.  Every row is a window of the 2n-entry
+    array ``[table reversed, table]``; nothing of size n-by-n is stored.
     """
-
-    def __init__(self, h: float, scale: float, table: np.ndarray):
-        self.h = h
-        self.scale = scale
-        self.table = np.asarray(table, dtype=float)
-
-    def __call__(self, x, t):
-        u = np.abs(np.asarray(x, dtype=float) - np.asarray(t, dtype=float))
-        idx = np.rint(u / self.h - 0.5).astype(int)
-        if np.any((idx < 0) | (idx >= self.table.size)):
-            raise ValueError("offset outside the cached grid-offset table")
-        out = self.scale * self.table[idx]
-        return out if out.shape else float(out)
+    n = table.size
+    return sliding_window_view(np.concatenate([table[::-1], table]), n)[n:0:-1]
 
 
 def _tip_window(n: int) -> int:
@@ -399,6 +393,10 @@ def solve_crack(params: MaterialParams, half_length: float, n: int,
     negative of the opening; the sign is fixed once against the
     classical limit, where the opening is
     ``sigma0 sqrt(b^2 - x^2) / (2 mu (1 - c^2))``.
+
+    The regular kernel enters as its n-entry offset table scaled by
+    ``-pi / slope`` and read through a Toeplitz view, so no n-by-n array
+    exists before the weighted collocation matrix.
     """
     half_length = float(half_length)
     if not (np.isfinite(half_length) and half_length > 0.0):
@@ -420,21 +418,18 @@ def solve_crack(params: MaterialParams, half_length: float, n: int,
             f"({rhs_raw!r} vs {rhs_reduced!r})")
 
     grid = build_grid(-half_length, half_length, n)
-    table = regular_kernel_table(grid.h, n, dp, spec)
-    kernel = _OffsetKernel(h=grid.h, scale=-(np.pi / slope), table=table)
-
-    def fprime(x):
-        return np.full(np.shape(x), rhs_reduced)
-
-    problem = FullProblem(interval=grid.interval, K0=kernel, fprime=fprime)
-    raw = solve_full_collocation(problem, grid)
+    table = -(np.pi / slope) * regular_kernel_table(grid.h, n, dp, spec)
+    if not np.all(np.isfinite(table)):
+        raise ValueError("crack kernel table has a non-finite value")
+    raw = _solve_weighted(grid, _weighted_matrix(grid, _toeplitz_view(table)),
+                          np.full(n, rhs_reduced))
     opening_values = -raw.values
     if params.sigma0 > 0.0 and np.any(opening_values < 0.0):
         raise ValueError(
             f"crack opening has negative samples (min {opening_values.min():.3g}, "
             f"max {opening_values.max():.3g}) at porosity {n_p:.6g}; the symbol "
             f"turns negative near s = 0 once N >= 1 - c^2 = {1.0 - dp.c_sq:.6g}")
-    opening = SampledFunction(grid=grid, values=opening_values, site=raw.site)
+    opening = SampledFunction(grid=grid, values=opening_values)
     tip = _tip_amplitude(grid, opening_values, half_length, side=+1)
     return CrackSolution(grid=grid, opening=opening, params=params,
                          dimensionless=dp, half_length=half_length,

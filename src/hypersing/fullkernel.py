@@ -33,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grids import Grid, Interval, SampledFunction, SampleSite
+from .grids import Grid, Interval, SampledFunction
 from .linalg import SingularMatrixError, lu_solve, solve_within_residual
 from .quadrature import PVQuadSpec, chebyshev_nodes, pv_weighted_matrix, _sample
 from .characteristic import _check_antiderivative
@@ -128,6 +128,47 @@ def _singular_rows(u, xi, arcsin_steps):
     return out
 
 
+def _weighted_matrix(grid: Grid, kernel: np.ndarray) -> np.ndarray:
+    """Collocation matrix from the sampled kernel ``kernel[i, j] = K0(x_i, t_j)``.
+
+    Returns a new array, ``kernel * W`` plus the singular part; the
+    kernel array itself is only read, so it may be a read-only view.
+    The singular part is exactly centro-symmetric, so only the left
+    half of its rows is formed, ``_BLOCK_ROWS`` at a time, and each
+    block is also added reversed into the mirrored rows.
+    """
+    n = grid.n
+    u, xi = _unit_cell_maps(grid)
+    arcsin_u = np.arcsin(u)
+    # W_j = r^2 * [(u sqrt(1 - u^2) + arcsin u) / 2] across the mapped cell
+    area = 0.5 * (u * np.sqrt((1.0 - u) * (1.0 + u)) + arcsin_u)
+    weights = grid.interval.halfwidth**2 * np.diff(area)
+    matrix = kernel * weights
+    # a sampled kernel passed as a temporary is freed here, before the row
+    # blocks are allocated; kept alive, it doubled the page faults of
+    # repeated route-2 solves at n = 200 and 400
+    del kernel
+    arcsin_steps = np.diff(arcsin_u)
+    half = n // 2
+    for start in range(0, half, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, half)
+        block = _singular_rows(u, xi[start:stop], arcsin_steps)
+        matrix[start:stop] += block
+        matrix[n - stop:n - start] += block[::-1, ::-1]
+    if n % 2:
+        matrix[half] += _singular_rows(u, xi[half:half + 1], arcsin_steps)[0]
+    return matrix
+
+
+def _solve_weighted(grid: Grid, matrix: np.ndarray, rhs: np.ndarray) -> SampledFunction:
+    """Solve for the cell constants of ``phi = g / w`` and return
+    ``g(x_i) = w(x_i) * phi_i`` at the cell midpoints."""
+    phi = solve_within_residual(matrix, rhs)
+    _, xi = _unit_cell_maps(grid)
+    weight = grid.interval.halfwidth * np.sqrt((1.0 - xi) * (1.0 + xi))
+    return SampledFunction(grid=grid, values=weight * phi)
+
+
 def assemble_full(grid: Grid, K0) -> np.ndarray:
     """Collocation matrix of the perturbed equation in the weighted basis.
 
@@ -143,31 +184,13 @@ def assemble_full(grid: Grid, K0) -> np.ndarray:
     ``W_j`` is the exact integral of w over cell j.  The kernel is
     sampled at the right node t_j, never at zero offset.
 
-    The singular part is exactly centro-symmetric, so only the left
-    half of its rows is formed, ``_BLOCK_ROWS`` at a time, and each
-    block is also added reversed into the mirrored rows.  The kernel is
-    sampled before any other n-by-n array exists, so the peak memory is
-    the larger of the kernel's own sampling cost and two n-by-n arrays.
-    The kernel callable may be vectorized over numpy arrays; scalar-only
-    callables are evaluated entry by entry.
+    The callable is sampled into one n-by-n array before the matrix
+    exists, so the peak memory is the larger of the callable's own
+    sampling cost and two n-by-n arrays.  The kernel callable may be
+    vectorized over numpy arrays; scalar-only callables are evaluated
+    entry by entry.
     """
-    n = grid.n
-    u, xi = _unit_cell_maps(grid)
-    arcsin_u = np.arcsin(u)
-    # W_j = r^2 * [(u sqrt(1 - u^2) + arcsin u) / 2] across the mapped cell
-    area = 0.5 * (u * np.sqrt((1.0 - u) * (1.0 + u)) + arcsin_u)
-    weights = grid.interval.halfwidth**2 * np.diff(area)
-    matrix = _sample(K0, grid.colloc[:, None], grid.nodes[None, 1:]) * weights
-    arcsin_steps = np.diff(arcsin_u)
-    half = n // 2
-    for start in range(0, half, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, half)
-        block = _singular_rows(u, xi[start:stop], arcsin_steps)
-        matrix[start:stop] += block
-        matrix[n - stop:n - start] += block[::-1, ::-1]
-    if n % 2:
-        matrix[half] += _singular_rows(u, xi[half:half + 1], arcsin_steps)[0]
-    return matrix
+    return _weighted_matrix(grid, _sample(K0, grid.colloc[:, None], grid.nodes[None, 1:]))
 
 
 def solve_full_collocation(problem: FullProblem, grid: Grid) -> SampledFunction:
@@ -179,11 +202,8 @@ def solve_full_collocation(problem: FullProblem, grid: Grid) -> SampledFunction:
     """
     if problem.interval != grid.interval:
         raise ValueError("problem and grid are built on different intervals")
-    phi = solve_within_residual(assemble_full(grid, problem.K0),
-                                _sample(problem.fprime, grid.colloc))
-    _, xi = _unit_cell_maps(grid)
-    weight = grid.interval.halfwidth * np.sqrt((1.0 - xi) * (1.0 + xi))
-    return SampledFunction(grid=grid, values=weight * phi, site=SampleSite.COLLOC)
+    return _solve_weighted(grid, assemble_full(grid, problem.K0),
+                           _sample(problem.fprime, grid.colloc))
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,12 +9,11 @@ mutate after construction; their arrays are marked read-only.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Interval", "Grid", "SampleSite", "SampledFunction", "build_grid"]
+__all__ = ["Interval", "Grid", "SampledFunction", "build_grid"]
 
 
 @dataclass(frozen=True)
@@ -106,24 +105,12 @@ def build_grid(a, b, n) -> Grid:
     return Grid(interval=interval, n=n_int, h=h, nodes=nodes, colloc=colloc)
 
 
-class SampleSite(enum.Enum):
-    """Where a sampled function lives on a grid."""
-
-    NODES = "nodes"      # values at t_1 .. t_n
-    COLLOC = "colloc"    # values at the cell midpoints x_1 .. x_n
-
-
 @dataclass(frozen=True, eq=False)
 class SampledFunction:
-    """Function values attached to one family of grid points.
-
-    ``values`` has length ``grid.n`` for both sites: node samples start
-    at t_1 (the left endpoint t_0 never carries an unknown).
-    """
+    """Function values at the cell midpoints x_1 .. x_n of a grid."""
 
     grid: Grid
     values: np.ndarray
-    site: SampleSite
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -133,11 +120,7 @@ class SampledFunction:
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        if not isinstance(self.site, SampleSite):
-            raise ValueError("site must be a SampleSite member")
 
     @property
     def points(self) -> np.ndarray:
-        if self.site is SampleSite.NODES:
-            return self.grid.nodes[1:]
         return self.grid.colloc

@@ -1,10 +1,10 @@
 """Dense linear algebra for the collocation systems.
 
 Thin layer over LAPACK's partially pivoted LU factorization (through
-scipy) with explicit singularity detection, an optional single step
-of iterative refinement, and a residual-gated solve that refines with
-its own factors when the first solve misses the bound.  Matrices and
-vectors are plain float arrays; the caller's arrays are never modified.
+scipy) with explicit singularity detection, and a residual-gated solve
+that takes one step of iterative refinement with its own factors when
+the first solve misses the bound.  Matrices and vectors are plain float
+arrays; the caller's arrays are never modified.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def _factor(A, rhs):
     return A, rhs, (lu, piv)
 
 
-def lu_solve(A, rhs, refine: bool = False) -> np.ndarray:
+def lu_solve(A, rhs) -> np.ndarray:
     """Solve ``A x = rhs`` by LU factorization with partial pivoting.
 
     Parameters
@@ -73,8 +73,6 @@ def lu_solve(A, rhs, refine: bool = False) -> np.ndarray:
         Square matrix with finite entries.
     rhs : (n,) array_like
         Right-hand side.
-    refine : bool, optional
-        Apply one step of iterative refinement with the same factors.
 
     Returns
     -------
@@ -88,11 +86,8 @@ def lu_solve(A, rhs, refine: bool = False) -> np.ndarray:
     ValueError
         On non-square input, dimension mismatch, or non-finite entries.
     """
-    A, rhs, factors = _factor(A, rhs)
-    x = scipy.linalg.lu_solve(factors, rhs, check_finite=False)
-    if refine:
-        x = x + scipy.linalg.lu_solve(factors, rhs - A @ x, check_finite=False)
-    return x
+    _, rhs, factors = _factor(A, rhs)
+    return scipy.linalg.lu_solve(factors, rhs, check_finite=False)
 
 
 def solve_within_residual(A, rhs) -> np.ndarray:

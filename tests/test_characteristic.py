@@ -12,7 +12,6 @@ from hypersing import (
     CharacteristicProblem,
     Interval,
     PVQuadSpec,
-    SampleSite,
     assemble_characteristic,
     build_grid,
     convergence_study,
@@ -96,7 +95,6 @@ def test_linear_load_matches_odd_closed_form():
 def test_samples_live_at_cell_midpoints():
     g = build_grid(-1.0, 1.0, 50)
     sol = solve_characteristic(FLAT, g)
-    assert sol.site is SampleSite.COLLOC
     assert np.array_equal(sol.points, g.colloc)
     # attribution check: the same vector read at the right cell nodes is
     # visibly worse against the closed form than at the midpoints

@@ -13,7 +13,8 @@ from hypersing import (
     Interval,
     MaterialParams,
     OscIntSpec,
-    SampleSite,
+    assemble_full,
+    build_grid,
     crack_symbol,
     derive_dimensionless,
     porosity_sweep,
@@ -237,6 +238,68 @@ def test_symbol_asymptotics_runs_once_per_crack_solve(monkeypatch):
     assert len(calls) == 1
 
 
+def _offset_indexed(grid, scale, table):
+    """The kernel callable read by float index recovery, the reference for the view."""
+    def K0(x, t):
+        idx = np.rint(np.abs(x - t) / grid.h - 0.5).astype(int)
+        return scale * table[idx]
+    return K0
+
+
+@pytest.mark.parametrize("n", (7, 8, 240))
+def test_kernel_view_matches_offset_indexing_bitwise(n):
+    from hypersing.crack import _toeplitz_view
+    from hypersing.fullkernel import _weighted_matrix
+
+    dp = derive_dimensionless(POROUS)
+    slope, _ = symbol_asymptotics(dp)
+    scale = -(np.pi / slope)
+    grid = build_grid(-1.0, 1.0, n)
+    table = regular_kernel_table(grid.h, n, dp)
+    view = _toeplitz_view(scale * table)
+    reference = _offset_indexed(grid, scale, table)
+    assert view.shape == (n, n)
+    assert np.array_equal(view, reference(grid.colloc[:, None], grid.nodes[None, 1:]))
+    assert np.array_equal(_weighted_matrix(grid, view), assemble_full(grid, reference))
+
+
+def test_kernel_view_is_read_only_and_left_unwritten(monkeypatch):
+    import hypersing.crack as crack
+
+    seen = []
+    real = crack._weighted_matrix
+
+    def spy(grid, kernel):
+        seen.append((kernel, kernel.copy()))
+        return real(grid, kernel)
+
+    monkeypatch.setattr(crack, "_weighted_matrix", spy)
+    solve_crack(POROUS, 1.0, 41)
+    [(kernel, before)] = seen
+    assert not kernel.flags.writeable
+    with pytest.raises(ValueError):
+        kernel[0, 0] = 0.0
+    assert np.array_equal(kernel, before)
+
+
+def test_non_finite_kernel_table_is_refused(monkeypatch):
+    import hypersing.crack as crack
+
+    real = crack.regular_kernel_table
+
+    def spoiled(h, n, dp, spec=None):
+        table = real(h, n, dp, spec)
+        table[n // 3] = np.nan
+        return table
+
+    monkeypatch.setattr(crack, "regular_kernel_table", spoiled)
+    assembled = []
+    monkeypatch.setattr(crack, "_weighted_matrix", lambda *args: assembled.append(args))
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_crack(POROUS, 1.0, 40)
+    assert not assembled
+
+
 def test_classical_opening_profile_and_amplitude():
     sol = solve_crack(CLASSICAL, 1.0, 200)
     x = sol.opening.points
@@ -276,7 +339,7 @@ def test_porous_opening_symmetric_positive_and_sited():
         gaps[n] = np.max(np.abs(v - v[::-1])) / np.max(np.abs(v))
         assert gaps[n] <= 0.1 * sol.grid.h
         assert np.all(v >= 0.0)
-        assert sol.opening.site is SampleSite.COLLOC
+        assert np.array_equal(sol.opening.points, sol.grid.colloc)
         assert sol.grid.interval == Interval(-1.0, 1.0)
         assert sol.half_length == 1.0
     assert gaps[150] <= 0.7 * gaps[75]

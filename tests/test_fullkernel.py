@@ -72,7 +72,7 @@ def test_zero_kernel_collapses_to_characteristic_bitwise():
             g = build_grid(a, b, n)
             full = solve_full_collocation(FullProblem(iv, kernel_zero, flat_load), g)
             char = solve_characteristic(CharacteristicProblem(iv, flat_load), g)
-            assert full.site is char.site
+            assert np.array_equal(full.points, g.colloc)
             assert np.array_equal(full.points, char.points)
             x = full.points
             assert np.max(np.abs(full.values - np.sqrt((x - a) * (b - x)))) <= 1e-13
@@ -133,6 +133,16 @@ def test_weighted_matrix_is_centro_symmetric_and_block_independent(monkeypatch):
     whole = assemble_full(g, cos_kernel)
     monkeypatch.setattr(fullkernel, "_BLOCK_ROWS", 5)
     assert np.array_equal(assemble_full(g, cos_kernel), whole)
+
+
+def test_assembly_is_the_weighted_matrix_of_the_sampled_kernel():
+    from hypersing.fullkernel import _weighted_matrix
+    from hypersing.quadrature import _sample
+
+    for n in (1, 8, 37):
+        g = build_grid(0.5, 3.5, n)
+        samples = _sample(cos_kernel, g.colloc[:, None], g.nodes[None, 1:])
+        assert np.array_equal(assemble_full(g, cos_kernel), _weighted_matrix(g, samples))
 
 
 def test_kernel_values_must_be_finite():

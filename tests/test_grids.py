@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hypersing import Grid, Interval, SampledFunction, SampleSite, build_grid
+from hypersing import Grid, Interval, SampledFunction, build_grid
 
 
 def test_two_cell_symmetric_interval():
@@ -98,31 +98,26 @@ def test_interval_measures():
         Interval(5.0, 2.0)
 
 
-def test_sampled_function_validates_length_and_site():
+def test_sampled_function_validates_length():
     g = build_grid(0.0, 1.0, 4)
     with pytest.raises(ValueError):
-        SampledFunction(grid=g, values=np.zeros(3), site=SampleSite.COLLOC)
-    with pytest.raises(ValueError):
-        SampledFunction(grid=g, values=np.zeros(4), site="colloc")
+        SampledFunction(grid=g, values=np.zeros(3))
 
 
 def test_sampled_function_copies_and_freezes_values():
     g = build_grid(0.0, 1.0, 4)
     src = np.arange(4.0)
-    sf = SampledFunction(grid=g, values=src, site=SampleSite.COLLOC)
+    sf = SampledFunction(grid=g, values=src)
     src[0] = 99.0
     assert sf.values[0] == 0.0
     with pytest.raises(ValueError):
         sf.values[0] = 1.0
 
 
-def test_sample_points_match_declared_site():
+def test_sample_points_are_cell_midpoints():
     g = build_grid(-1.0, 1.0, 8)
-    at_mid = SampledFunction(grid=g, values=np.zeros(8), site=SampleSite.COLLOC)
-    at_nodes = SampledFunction(grid=g, values=np.zeros(8), site=SampleSite.NODES)
+    at_mid = SampledFunction(grid=g, values=np.zeros(8))
     assert np.array_equal(at_mid.points, g.colloc)
-    # node-sited vectors carry the n interior/right nodes t_1..t_n
-    assert np.array_equal(at_nodes.points, g.nodes[1:])
 
 
 def test_grid_type_is_exported():
