@@ -11,11 +11,16 @@ so the transform splits into the finite-part of the linear piece,
 which is exactly ``-slope / (pi x^2)``, plus a regular remainder
 evaluated numerically.  Dividing through by the hypersingular
 coefficient puts the problem into the standard collocation form solved
-by :mod:`hypersing.fullkernel`.  On the uniform grid every
-collocation offset is a half-odd multiple of the cell width, so the
-regular kernel takes only n distinct values: they are tabled once by
-``regular_kernel_table`` and the collocation matrix reads them through
-a Toeplitz view, never through a kernel callable.
+by :mod:`hypersing.fullkernel`.  On the uniform grid every offset
+between a collocation midpoint and a cell node is a half-odd multiple
+of the cell width, so the regular kernel takes only n distinct values:
+they are tabled once by ``regular_kernel_table``.  Each cell samples
+the kernel at both of its nodes and takes the mean, which makes the
+kernel matrix a symmetric Toeplitz one, read through a view of the n
+node-mean values.  The collocation matrix is then exactly
+centro-symmetric and the load is constant, so the opening is exactly
+reflection-symmetric and only the folded even half of the system, a
+quarter of the matrix, is formed and solved.
 
 The kernel slope carries the factor ``(1 - N)^2`` that also appears in
 the load term, so the effective right-hand side is porosity
@@ -37,8 +42,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import Grid, SampledFunction, build_grid
 from .quadrature import (OscIntSpec, TailOrder, cosine_integral,
-                         halfline_cosine_integral, halfline_cosine_table)
-from .fullkernel import _solve_weighted, _weighted_matrix
+                         halfline_cosine_integral, halfline_cosine_table,
+                         _check_cubic_decay)
+from .fullkernel import _folded_matrix, _solve_weighted
 
 __all__ = [
     "MaterialParams",
@@ -214,19 +220,27 @@ def symbol_asymptotics(dp: DimensionlessParams):
 
 
 def _kernel_split(dp: DimensionlessParams):
-    """Remainder and proxy integrands of the regular kernel, and the decay
-    coefficient that scales the proxy's analytic tail."""
+    """Integrands of the regular kernel and the decay coefficient that
+    scales the proxy's analytic tail.
+
+    Returns the excess ``L(s) - slope * s``, which decays like 1/s, its
+    O(1/s^3) remainder ``excess - proxy`` and the proxy
+    ``-decay * s / (1 + s^2)``.
+    """
     slope, decay = symbol_asymptotics(dp)
 
-    def remainder(s):
+    def excess(s):
         s = np.asarray(s, dtype=float)
-        return crack_symbol(s, dp) - slope * s + decay * s / (1.0 + s * s)
+        return crack_symbol(s, dp) - slope * s
 
     def proxy(s):
         s = np.asarray(s, dtype=float)
         return -decay * s / (1.0 + s * s)
 
-    return remainder, proxy, decay
+    def remainder(s):
+        return excess(s) - proxy(s)
+
+    return excess, remainder, proxy, decay
 
 
 def regular_kernel(x, dp: DimensionlessParams, spec: Optional[OscIntSpec] = None):
@@ -237,11 +251,14 @@ def regular_kernel(x, dp: DimensionlessParams, spec: Optional[OscIntSpec] = None
     ``-slope / (pi x^2)``.  What remains is the transform of
     ``L(s) - slope * s``, which decays only like 1/s; subtracting the
     proxy ``-decay * s / (1 + s^2)`` (same tail, vanishing at s = 0)
-    leaves an O(1/s^3) integrand.  Both pieces go through the
-    trapezoid-with-Gregory cosine rule of ``halfline_cosine_integral``
-    on [0, s_max], and the proxy's tail past s_max is added back as the
-    cosine integral ``decay * Ci(s_max |x|)``.  Discarded pieces are
-    O(1/s^3) tails bounded by ``C / (2 s_max^2)``.
+    leaves an O(1/s^3) remainder.  The rule is linear, so remainder and
+    proxy are integrated as their sum ``L(s) - slope * s``, one pass of
+    the trapezoid-with-Gregory cosine rule of
+    ``halfline_cosine_integral`` on [0, s_max] per offset, and the
+    proxy's tail past s_max is added back as the cosine integral
+    ``decay * Ci(s_max |x|)``.  Discarded pieces are O(1/s^3) tails
+    bounded by ``C / (2 s_max^2)``; with ``tail=INVERSE_CUBE`` the
+    remainder's decay is spot-checked once per call.
 
     A scalar x gives a float; an array of offsets gives an array of the
     same shape, with the symbol asymptotics computed once for all of
@@ -256,20 +273,21 @@ def regular_kernel(x, dp: DimensionlessParams, spec: Optional[OscIntSpec] = None
     """
     spec = spec if spec is not None else OscIntSpec()
     offsets = np.asarray(x, dtype=float)
-    remainder, proxy, decay = _kernel_split(dp)
+    excess, remainder, _, decay = _kernel_split(dp)
     if decay == 0.0:
         return 0.0 if offsets.ndim == 0 else np.zeros(offsets.shape)
     if np.any(offsets == 0.0):
         raise ValueError("regular kernel is logarithmically singular at zero offset")
-    proxy_spec = replace(spec, tail=TailOrder.NONE)
+    if spec.tail is TailOrder.INVERSE_CUBE:
+        _check_cubic_decay(remainder, spec.s_max)
+    whole_spec = replace(spec, tail=TailOrder.NONE)
 
     def at(u):
-        rem = halfline_cosine_integral(remainder, u, spec)
-        prox = halfline_cosine_integral(proxy, u, proxy_spec)
+        body = halfline_cosine_integral(excess, u, whole_spec)
         # analytic tail of the proxy past s_max: -decay * int cos(su)/s ds
         # equals the cosine integral, up to another O(1/s^3) remainder
         tail = decay * float(cosine_integral(spec.s_max * abs(float(u))))
-        return float((rem + prox + tail) / np.pi)
+        return float((body + tail) / np.pi)
 
     out = np.array([at(u) for u in offsets.ravel()]).reshape(offsets.shape)
     return float(out) if out.ndim == 0 else out
@@ -287,7 +305,7 @@ def regular_kernel_table(h: float, n: int, dp: DimensionlessParams,
     within 4e-11 for half-lengths 1 to 100 and n = 40 to 3200.
     """
     spec = spec if spec is not None else OscIntSpec()
-    remainder, proxy, decay = _kernel_split(dp)
+    _, remainder, proxy, decay = _kernel_split(dp)
     if decay == 0.0:
         return np.zeros(int(n))
     rem = halfline_cosine_table(remainder, h, n, spec)
@@ -313,30 +331,32 @@ class CrackSolution:
     tip_coefficient: float
 
 
-def _toeplitz_view(table: np.ndarray) -> np.ndarray:
-    """Read-only n-by-n view of a difference kernel tabled on the grid offsets.
+def _node_mean_view(table: np.ndarray) -> np.ndarray:
+    """Read-only n-by-n view of a difference kernel averaged over both cell nodes.
 
-    Midpoint x_i and right node t_j lie ``|j - i + 1/2|`` cells apart,
-    so with ``table[k]`` the kernel at offset ``(k + 1/2) h`` entry
-    (i, j) is ``table[j - i]`` on and above the diagonal and
-    ``table[i - j - 1]`` below it.  Every row is a window of the 2n-entry
-    array ``[table reversed, table]``; nothing of size n-by-n is stored.
+    With ``table[k]`` the kernel at offset ``(k + 1/2) h``, midpoint x_i
+    lies ``|j - i - 1/2|`` cells from the left node of cell j and
+    ``|j - i + 1/2|`` from its right node.  The mean of the two samples
+    depends on ``k = |j - i|`` alone: ``table[0]`` for k = 0 and
+    ``(table[k] + table[k - 1]) / 2`` beyond, so entry (i, j) is
+    ``mean[|j - i|]``, a symmetric Toeplitz matrix.  Every row is a
+    window of the (2n - 1)-entry array ``[mean reversed, mean[1:]]``;
+    nothing of size n-by-n is stored.
     """
     n = table.size
-    return sliding_window_view(np.concatenate([table[::-1], table]), n)[n:0:-1]
+    mean = np.empty(n)
+    mean[0] = table[0]
+    mean[1:] = 0.5 * (table[1:] + table[:-1])
+    return sliding_window_view(np.concatenate([mean[:0:-1], mean]), n)[::-1]
 
 
-def _tip_window(n: int) -> int:
-    # outer ten percent of the samples, but at least enough for a line fit
-    return max(4, math.ceil(0.1 * n))
-
-
-def _tip_amplitude(grid: Grid, values: np.ndarray, half_length: float,
-                   side: int) -> float:
-    """Fitted amplitude C of values ~ C * sqrt(b^2 - x^2) at one tip.
+def _tip_amplitude(grid: Grid, values: np.ndarray, half_length: float) -> float:
+    """Fitted amplitude C of values ~ C * sqrt(b^2 - x^2) at the right tip.
 
     Least-squares fit of the edge profile over the outer ten percent
-    of samples, skipping the sample nearest the tip.  Minimizing
+    of samples, skipping the sample nearest the tip; the opening is
+    exactly reflection-symmetric, so the left tip gives the same fit up
+    to the order of its sums.  Minimizing
     sum (v_i - C sqrt(b^2 - x_i^2))^2 is the same as a weighted
     least-squares constant fit of the pointwise ratio with weights
     (b^2 - x_i^2); the weighting matters because the raw ratio carries
@@ -344,11 +364,9 @@ def _tip_amplitude(grid: Grid, values: np.ndarray, half_length: float,
     amplifies as samples approach the tip.
     """
     n = grid.n
-    k = _tip_window(n)
-    if side > 0:
-        window = slice(n - k, n - 1)   # midpoints x_{n-k+1} .. x_{n-1}
-    else:
-        window = slice(1, k)           # midpoints x_2 .. x_k
+    # outer ten percent of the samples, but at least enough for a line fit
+    k = max(4, math.ceil(0.1 * n))
+    window = slice(n - k, n - 1)   # midpoints x_{n-k+1} .. x_{n-1}
     x = grid.colloc[window]
     v = values[window]
     if x.size < 3:
@@ -395,8 +413,17 @@ def solve_crack(params: MaterialParams, half_length: float, n: int,
     ``sigma0 sqrt(b^2 - x^2) / (2 mu (1 - c^2))``.
 
     The regular kernel enters as its n-entry offset table scaled by
-    ``-pi / slope`` and read through a Toeplitz view, so no n-by-n array
-    exists before the weighted collocation matrix.
+    ``-pi / slope``, averaged over the two nodes of each cell times the
+    exact cell weight ``W_j``, and read through a symmetric Toeplitz
+    view.  That makes the n-by-n collocation matrix A exactly
+    centro-symmetric, and the constant load is reflection-symmetric, so
+    the solution is too: its first ``r = ceil(n/2)`` cell constants
+    solve the folded system ``B = A[:r, :r] + A[:r, r:] J`` (J the
+    column reversal), and the rest are their mirror image.  B, built
+    row block by row block from the view, is the only dense array of
+    the solve; the pivot and residual gates run on it, and row
+    ``n-1-i`` of the full residual equals row i, so they gate the whole
+    system.  The opening is exactly reflection-symmetric.
     """
     half_length = float(half_length)
     if not (np.isfinite(half_length) and half_length > 0.0):
@@ -421,7 +448,7 @@ def solve_crack(params: MaterialParams, half_length: float, n: int,
     table = -(np.pi / slope) * regular_kernel_table(grid.h, n, dp, spec)
     if not np.all(np.isfinite(table)):
         raise ValueError("crack kernel table has a non-finite value")
-    raw = _solve_weighted(grid, _weighted_matrix(grid, _toeplitz_view(table)),
+    raw = _solve_weighted(grid, _folded_matrix(grid, _node_mean_view(table)),
                           np.full(n, rhs_reduced))
     opening_values = -raw.values
     if params.sigma0 > 0.0 and np.any(opening_values < 0.0):
@@ -430,7 +457,7 @@ def solve_crack(params: MaterialParams, half_length: float, n: int,
             f"max {opening_values.max():.3g}) at porosity {n_p:.6g}; the symbol "
             f"turns negative near s = 0 once N >= 1 - c^2 = {1.0 - dp.c_sq:.6g}")
     opening = SampledFunction(grid=grid, values=opening_values)
-    tip = _tip_amplitude(grid, opening_values, half_length, side=+1)
+    tip = _tip_amplitude(grid, opening_values, half_length)
     return CrackSolution(grid=grid, opening=opening, params=params,
                          dimensionless=dp, half_length=half_length,
                          tip_coefficient=tip)

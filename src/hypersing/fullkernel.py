@@ -11,7 +11,10 @@ collocated at the cell midpoints.  The finite-part cell integrals of
 ``w / (x - t)^2`` are exact (product integration against the known
 square-root edge behaviour), and the regular part is the right-node
 kernel sample times the exact cell weight, ``K0(x_i, t_j) * W_j`` with
-``W_j`` the integral of w over cell j.  Alternatively, when K0 has an
+``W_j`` the integral of w over cell j.  A caller whose sampled kernel
+is exactly centro-symmetric and whose load is reflection-symmetric (the
+crack solve) forms and solves only the folded even half of the system,
+a quarter of the matrix.  Alternatively, when K0 has an
 antiderivative K1 in its first argument (K0 = dK1/dx) and fprime has
 antiderivative f, applying the inversion operator of the characteristic
 equation converts the problem into a second-kind Fredholm equation
@@ -128,6 +131,21 @@ def _singular_rows(u, xi, arcsin_steps):
     return out
 
 
+def _cell_parts(grid: Grid):
+    """Mapped nodes u and midpoints xi, the exact cell weights ``W_j``
+    and the per-cell arcsin steps of ``_singular_rows``.
+
+    ``W_j = r^2 * [(u sqrt(1 - u^2) + arcsin u) / 2]`` across the mapped
+    cell, the integral of w over cell j; exactly reflection-symmetric,
+    ``W_j = W_{n-1-j}``, because u is.
+    """
+    u, xi = _unit_cell_maps(grid)
+    arcsin_u = np.arcsin(u)
+    area = 0.5 * (u * np.sqrt((1.0 - u) * (1.0 + u)) + arcsin_u)
+    weights = grid.interval.halfwidth**2 * np.diff(area)
+    return u, xi, weights, np.diff(arcsin_u)
+
+
 def _weighted_matrix(grid: Grid, kernel: np.ndarray) -> np.ndarray:
     """Collocation matrix from the sampled kernel ``kernel[i, j] = K0(x_i, t_j)``.
 
@@ -135,20 +153,18 @@ def _weighted_matrix(grid: Grid, kernel: np.ndarray) -> np.ndarray:
     kernel array itself is only read, so it may be a read-only view.
     The singular part is exactly centro-symmetric, so only the left
     half of its rows is formed, ``_BLOCK_ROWS`` at a time, and each
-    block is also added reversed into the mirrored rows.
+    block is also added reversed into the mirrored rows.  A kernel that
+    is itself centro-symmetric therefore gives an exactly
+    centro-symmetric matrix, whose even half ``_folded_matrix`` forms
+    on its own.
     """
     n = grid.n
-    u, xi = _unit_cell_maps(grid)
-    arcsin_u = np.arcsin(u)
-    # W_j = r^2 * [(u sqrt(1 - u^2) + arcsin u) / 2] across the mapped cell
-    area = 0.5 * (u * np.sqrt((1.0 - u) * (1.0 + u)) + arcsin_u)
-    weights = grid.interval.halfwidth**2 * np.diff(area)
+    u, xi, weights, arcsin_steps = _cell_parts(grid)
     matrix = kernel * weights
     # a sampled kernel passed as a temporary is freed here, before the row
     # blocks are allocated; kept alive, it doubled the page faults of
     # repeated route-2 solves at n = 200 and 400
     del kernel
-    arcsin_steps = np.diff(arcsin_u)
     half = n // 2
     for start in range(0, half, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, half)
@@ -160,10 +176,52 @@ def _weighted_matrix(grid: Grid, kernel: np.ndarray) -> np.ndarray:
     return matrix
 
 
+def _folded_matrix(grid: Grid, kernel) -> np.ndarray:
+    """Even half ``B = A[:r, :r] + A[:r, r:] J`` of a centro-symmetric system.
+
+    A is the matrix ``_weighted_matrix`` would build from ``kernel``,
+    which must be exactly centro-symmetric (``kernel[i, j] ==
+    kernel[n-1-i, n-1-j]``, as a symmetric Toeplitz kernel is); J
+    reverses columns and ``r = ceil(n/2)``.  For a reflection-symmetric
+    right-hand side the solution is symmetric too, ``phi_j =
+    phi_{n-1-j}``, so its first r constants solve ``B y = rhs[:r]``.
+    Only rows 0 .. r-1 of the kernel are read, ``_BLOCK_ROWS`` at a
+    time, each with its singular part (their midpoints lie in the left
+    half); the returned r-by-r array is the only dense array formed.
+    """
+    n = grid.n
+    r = n - n // 2
+    u, xi, weights, arcsin_steps = _cell_parts(grid)
+    folded = np.empty((r, r))
+    for start in range(0, r, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, r)
+        rows = _singular_rows(u, xi[start:stop], arcsin_steps)
+        rows += kernel[start:stop] * weights
+        folded[start:stop] = rows[:, :r]
+        folded[start:stop, :n - r] += rows[:, r:][:, ::-1]
+    return folded
+
+
 def _solve_weighted(grid: Grid, matrix: np.ndarray, rhs: np.ndarray) -> SampledFunction:
     """Solve for the cell constants of ``phi = g / w`` and return
-    ``g(x_i) = w(x_i) * phi_i`` at the cell midpoints."""
-    phi = solve_within_residual(matrix, rhs)
+    ``g(x_i) = w(x_i) * phi_i`` at the cell midpoints.
+
+    An n-by-n matrix is solved as it is.  A ``ceil(n/2)``-row one is the
+    folded even half from ``_folded_matrix``: it is solved, with the
+    pivot and residual gates of ``solve_within_residual``, against the
+    first rows of ``rhs``, which must be reflection-symmetric, and the
+    constants are mirrored back to all n cells.
+    """
+    n = grid.n
+    r = matrix.shape[0]
+    if r == n:
+        phi = solve_within_residual(matrix, rhs)
+    else:
+        if r != n - n // 2 or not np.array_equal(rhs, rhs[::-1]):
+            raise ValueError("a folded system needs ceil(n/2) rows and a "
+                             "reflection-symmetric right-hand side")
+        half = solve_within_residual(matrix, rhs[:r])
+        phi = np.concatenate([half, half[:n - r][::-1]])
     _, xi = _unit_cell_maps(grid)
     weight = grid.interval.halfwidth * np.sqrt((1.0 - xi) * (1.0 + xi))
     return SampledFunction(grid=grid, values=weight * phi)

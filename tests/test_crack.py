@@ -3,6 +3,7 @@ opening profiles, tip amplitudes, porosity sweep."""
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,17 +14,21 @@ from hypersing import (
     Interval,
     MaterialParams,
     OscIntSpec,
+    TailOrder,
     assemble_full,
     build_grid,
     crack_symbol,
     derive_dimensionless,
+    halfline_cosine_integral,
     porosity_sweep,
     regular_kernel,
     regular_kernel_table,
+    residual_norm,
     solve_crack,
     stress_concentration,
     symbol_asymptotics,
 )
+from hypersing.quadrature import cosine_integral
 from oracles import cosine_transform_oracle
 
 CLASSICAL = MaterialParams(1.0, 1.0, 1.0, 0.0, 1.0, 1.0)
@@ -170,6 +175,22 @@ def test_regular_kernel_array_call_matches_scalar_calls_bitwise():
         regular_kernel(np.array([0.5, 0.0]), dp)
 
 
+def test_pointwise_kernel_matches_the_two_integrand_split():
+    # the remainder and the proxy integrated apart, as regular_kernel did
+    # before it integrated their sum in one pass
+    spec = OscIntSpec()
+    for n_target in (0.1, 0.4, 0.6):
+        dp = derive_dimensionless(_with_porosity(n_target))
+        slope, decay = symbol_asymptotics(dp)
+        remainder = lambda s: crack_symbol(s, dp) - slope * s + decay * s / (1.0 + s * s)
+        proxy = lambda s: -decay * s / (1.0 + s * s)
+        for u in (0.005, 0.3, 2.5, 40.0):
+            split = (halfline_cosine_integral(remainder, u, spec)
+                     + halfline_cosine_integral(proxy, u, replace(spec, tail=TailOrder.NONE))
+                     + decay * float(cosine_integral(spec.s_max * u))) / np.pi
+            assert abs(regular_kernel(u, dp, spec) - split) <= 1e-15 * max(1.0, abs(split))
+
+
 def _with_porosity(n_target, sigma0=1.0):
     # lam = mu = alpha = xi = 1, so beta^2 = 3 N
     return MaterialParams(1.0, 1.0, 1.0, math.sqrt(3.0 * n_target), 1.0, sigma0)
@@ -238,17 +259,32 @@ def test_symbol_asymptotics_runs_once_per_crack_solve(monkeypatch):
     assert len(calls) == 1
 
 
-def _offset_indexed(grid, scale, table):
-    """The kernel callable read by float index recovery, the reference for the view."""
+def _node_mean_indexed(grid, scale, table):
+    """The kernel callable read by float index recovery at both nodes of the
+    cell whose right node is t, and averaged: the reference for the view."""
+    def at(x, t):
+        return scale * table[np.rint(np.abs(x - t) / grid.h - 0.5).astype(int)]
+
     def K0(x, t):
-        idx = np.rint(np.abs(x - t) / grid.h - 0.5).astype(int)
-        return scale * table[idx]
+        return (at(x, t - grid.h) + at(x, t)) / 2
     return K0
+
+
+def _crack_system(n, half_length, material=POROUS):
+    """Grid, node-mean kernel view and load of solve_crack's collocation system."""
+    from hypersing.crack import _node_mean_view
+
+    dp = derive_dimensionless(material)
+    slope, _ = symbol_asymptotics(dp)
+    grid = build_grid(-half_length, half_length, n)
+    table = -(np.pi / slope) * regular_kernel_table(grid.h, n, dp)
+    rhs = np.full(n, np.pi * material.sigma0 / (2.0 * material.mu * (1.0 - dp.c_sq)))
+    return grid, _node_mean_view(table), rhs
 
 
 @pytest.mark.parametrize("n", (7, 8, 240))
 def test_kernel_view_matches_offset_indexing_bitwise(n):
-    from hypersing.crack import _toeplitz_view
+    from hypersing.crack import _node_mean_view
     from hypersing.fullkernel import _weighted_matrix
 
     dp = derive_dimensionless(POROUS)
@@ -256,24 +292,88 @@ def test_kernel_view_matches_offset_indexing_bitwise(n):
     scale = -(np.pi / slope)
     grid = build_grid(-1.0, 1.0, n)
     table = regular_kernel_table(grid.h, n, dp)
-    view = _toeplitz_view(scale * table)
-    reference = _offset_indexed(grid, scale, table)
+    view = _node_mean_view(scale * table)
+    reference = _node_mean_indexed(grid, scale, table)
     assert view.shape == (n, n)
     assert np.array_equal(view, reference(grid.colloc[:, None], grid.nodes[None, 1:]))
+    assert np.array_equal(view, view.T)
     assert np.array_equal(_weighted_matrix(grid, view), assemble_full(grid, reference))
+
+
+@pytest.mark.parametrize("n, half_length", ((7, 1.0), (8, 1.0), (241, 10.0)))
+def test_crack_matrix_is_exactly_centro_symmetric(n, half_length):
+    from hypersing.fullkernel import _weighted_matrix
+
+    grid, view, _ = _crack_system(n, half_length)
+    matrix = _weighted_matrix(grid, view)
+    assert np.array_equal(matrix, matrix[::-1, ::-1])
+
+
+@pytest.mark.parametrize("n, half_length", ((7, 1.0), (8, 1.0), (241, 10.0),
+                                            (400, 1.0), (240, 100.0)))
+def test_folded_solve_matches_full_lu(n, half_length):
+    from hypersing.fullkernel import _folded_matrix, _solve_weighted, _weighted_matrix
+
+    grid, view, rhs = _crack_system(n, half_length)
+    matrix = _weighted_matrix(grid, view)
+    r = n - n // 2
+    folded = _folded_matrix(grid, view)
+    expect = matrix[:r, :r].copy()
+    expect[:, :n - r] += matrix[:r, r:][:, ::-1]
+    assert np.array_equal(folded, expect)
+    half = _solve_weighted(grid, folded, rhs).values
+    full = _solve_weighted(grid, matrix, rhs).values
+    assert np.max(np.abs(half - full)) <= 1e-12 * np.max(np.abs(full))
+
+
+def test_folded_solve_refuses_an_asymmetric_load():
+    from hypersing.fullkernel import _folded_matrix, _solve_weighted
+
+    grid, view, rhs = _crack_system(9, 1.0)
+    folded = _folded_matrix(grid, view)
+    skewed = rhs.copy()
+    skewed[-1] *= 2.0
+    with pytest.raises(ValueError, match="reflection-symmetric"):
+        _solve_weighted(grid, folded, skewed)
+    with pytest.raises(ValueError, match="ceil"):
+        _solve_weighted(grid, folded[:-1, :-1], rhs)
+
+
+@pytest.mark.parametrize("n", (40, 41))
+def test_mirrored_solution_passes_the_full_residual_gate(n):
+    from hypersing.fullkernel import _weighted_matrix
+
+    grid, view, rhs = _crack_system(n, 1.0)
+    sol = solve_crack(POROUS, 1.0, n)
+    weight = np.sqrt(1.0 - grid.colloc**2)
+    phi = -sol.opening.values / weight
+    assert residual_norm(_weighted_matrix(grid, view), phi, rhs) <= 1e-9 * rhs[0]
+
+
+@pytest.mark.parametrize("n", (150, 151))
+def test_classical_opening_equals_the_full_solve(n):
+    # at zero porosity the kernel vanishes and the full matrix is the
+    # singular part alone, as it was before the folded solve
+    from hypersing.fullkernel import _solve_weighted, _weighted_matrix
+
+    material = MaterialParams(1.3, 0.8, 1.0, 0.0, 1.0, 1.7)
+    grid, _, rhs = _crack_system(n, 2.0, material)
+    full = -_solve_weighted(grid, _weighted_matrix(grid, np.zeros((n, n))), rhs).values
+    opening = solve_crack(material, 2.0, n).opening.values
+    assert np.max(np.abs(opening - full)) <= 1e-12 * np.max(full)
 
 
 def test_kernel_view_is_read_only_and_left_unwritten(monkeypatch):
     import hypersing.crack as crack
 
     seen = []
-    real = crack._weighted_matrix
+    real = crack._folded_matrix
 
     def spy(grid, kernel):
         seen.append((kernel, kernel.copy()))
         return real(grid, kernel)
 
-    monkeypatch.setattr(crack, "_weighted_matrix", spy)
+    monkeypatch.setattr(crack, "_folded_matrix", spy)
     solve_crack(POROUS, 1.0, 41)
     [(kernel, before)] = seen
     assert not kernel.flags.writeable
@@ -294,7 +394,7 @@ def test_non_finite_kernel_table_is_refused(monkeypatch):
 
     monkeypatch.setattr(crack, "regular_kernel_table", spoiled)
     assembled = []
-    monkeypatch.setattr(crack, "_weighted_matrix", lambda *args: assembled.append(args))
+    monkeypatch.setattr(crack, "_folded_matrix", lambda *args: assembled.append(args))
     with pytest.raises(ValueError, match="non-finite"):
         solve_crack(POROUS, 1.0, 40)
     assert not assembled
@@ -329,20 +429,18 @@ def test_classical_opening_has_exact_reflection_symmetry():
 
 
 def test_porous_opening_symmetric_positive_and_sited():
-    # the difference kernel is sampled at the right cell node, which skews
-    # the matrix by one half-cell; the induced asymmetry is O(h) and sits
-    # well below the discretization error itself
-    gaps = {}
+    # the kernel is averaged over both cell nodes, so the matrix is exactly
+    # centro-symmetric and the mirrored folded solution exactly symmetric
     for n in (75, 150):
         sol = solve_crack(POROUS, 1.0, n)
         v = sol.opening.values
-        gaps[n] = np.max(np.abs(v - v[::-1])) / np.max(np.abs(v))
-        assert gaps[n] <= 0.1 * sol.grid.h
+        assert np.array_equal(v, v[::-1])
         assert np.all(v >= 0.0)
         assert np.array_equal(sol.opening.points, sol.grid.colloc)
         assert sol.grid.interval == Interval(-1.0, 1.0)
         assert sol.half_length == 1.0
-    assert gaps[150] <= 0.7 * gaps[75]
+    v = solve_crack(_with_porosity(0.35), 100.0, 240).opening.values
+    assert np.array_equal(v, v[::-1])
 
 
 def test_effective_load_agrees_between_both_reductions():
@@ -367,17 +465,14 @@ def _mirror_tip_fit(sol):
 
 
 def test_left_and_right_tip_fits_agree():
-    # exact in the classical limit; O(h) apart once the porous kernel's
-    # right-node sampling breaks strict matrix symmetry
+    # the opening is exactly symmetric, so the two fits differ only by the
+    # order of their sums
     sol = solve_crack(CLASSICAL, 1.0, 140)
     assert _mirror_tip_fit(sol) == pytest.approx(sol.tip_coefficient, abs=1e-6)
-    gaps = {}
     for n in (75, 150):
         porous = solve_crack(POROUS, 1.0, n)
         gap = abs(_mirror_tip_fit(porous) - porous.tip_coefficient)
-        assert gap <= 0.1 * porous.grid.h * porous.tip_coefficient
-        gaps[n] = gap
-    assert gaps[150] <= 0.7 * gaps[75]
+        assert gap <= 1e-12 * porous.tip_coefficient
 
 
 def test_edge_ratio_bounded_over_fit_window():

@@ -53,7 +53,7 @@ from hypersing import MaterialParams, solve_crack, stress_concentration  # noqa:
 
 POROSITY = 0.35
 HALF_LENGTH = 1.0
-SIZES = (400, 800, 1600, 3200)
+SIZES = (400, 800, 1600, 3200, 6400)
 
 
 def _rss_mib() -> float:
@@ -126,8 +126,9 @@ def main(argv=None):
     rows = [measure(n, args.repeats) for n in SIZES]
     record = {
         "topic": "crack_assembly",
-        "layer": "crack.solve_crack end to end (offset table, Toeplitz view, "
-                 "fullkernel._weighted_matrix, LU solve), one fresh process per run",
+        "layer": "crack.solve_crack end to end (offset table, node-mean Toeplitz view, "
+                 "fullkernel._folded_matrix, LU solve of the folded half), "
+                 "one fresh process per run",
         "material": {"lam": 1.0, "mu": 1.0, "alpha": 1.0, "xi": 1.0, "sigma0": 1.0,
                      "porosity": POROSITY},
         "half_length": HALF_LENGTH,
