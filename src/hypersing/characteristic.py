@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .grids import Grid, Interval, SampledFunction, build_grid
-from .linalg import solve_within_residual
+from .linalg import lu_solve
 from .quadrature import PVQuadSpec, pv_weighted_integral, _sample
 
 __all__ = [
@@ -99,8 +99,7 @@ def solve_characteristic(problem: CharacteristicProblem, grid: Grid) -> SampledF
     """
     if problem.interval != grid.interval:
         raise ValueError("problem and grid are built on different intervals")
-    values = solve_within_residual(assemble_characteristic(grid),
-                                   _sample(problem.fprime, grid.colloc))
+    values = lu_solve(assemble_characteristic(grid), _sample(problem.fprime, grid.colloc))
     return SampledFunction(grid=grid, values=values)
 
 

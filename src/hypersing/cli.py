@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -78,6 +78,8 @@ def _to_choice(choices):
     return convert
 
 
+_DEFAULT_SPEC = OscIntSpec()
+
 # key -> (converter, constraint description shown in --help)
 _KEYS = {
     "command": (_to_choice(_COMMANDS), "one of " + ", ".join(_COMMANDS)),
@@ -98,8 +100,9 @@ _KEYS = {
     "xi": (_to_float, "void compliance; xi > 0"),
     "sigma0": (_to_float, "remote tension; sigma0 >= 0"),
     "N_values": (_to_float_list, "comma-separated porosity targets, each in [0, 1) (sweep)"),
-    "s_max": (_to_float, "kernel transform truncation; > 0 (default 200)"),
-    "panels_per_period": (_to_int, "kernel transform samples per period / 4; integer >= 4 (default 8)"),
+    "s_max": (_to_float, f"kernel transform truncation; > 0 (default {_DEFAULT_SPEC.s_max:g})"),
+    "panels_per_period": (_to_int, "kernel transform samples per period / 4; integer >= 4 "
+                                   f"(default {_DEFAULT_SPEC.panels_per_period})"),
     "out": (str, "output CSV path (or pass --out)"),
 }
 
@@ -111,17 +114,21 @@ _REQUIRED = {
     "sweep": ("half_length", "n", "lam", "mu", "alpha", "xi", "sigma0", "N_values"),
 }
 
+_SPEC_KEYS = ("s_max", "panels_per_period")
 _MATERIAL_KEYS = ("lam", "mu", "alpha", "beta", "xi", "sigma0")
 
 
 @dataclass
 class RunConfig:
-    """Validated inputs for one CLI run."""
+    """Validated inputs for one CLI run.
+
+    ``interval`` is set whenever both a and b are; ``material`` only
+    for crack and sweep runs.
+    """
 
     command: str
     out: str
-    a: Optional[float] = None
-    b: Optional[float] = None
+    interval: Optional[Interval] = None
     n: Optional[int] = None
     n_list: Optional[list] = None
     rhs: Optional[str] = None
@@ -130,22 +137,17 @@ class RunConfig:
     kernel: str = "cos_product"
     kernel_scale: float = 1.0
     half_length: Optional[float] = None
-    lam: Optional[float] = None
-    mu: Optional[float] = None
-    alpha: Optional[float] = None
-    beta: Optional[float] = None
-    xi: Optional[float] = None
-    sigma0: Optional[float] = None
     N_values: Optional[list] = None
-    s_max: float = 200.0
-    panels_per_period: int = 8
+    spec: OscIntSpec = _DEFAULT_SPEC
+    material: Optional[MaterialParams] = None
 
 
 def parse_config(text: str, overrides=()) -> RunConfig:
     """Parse and validate config text plus ``key=value`` override strings.
 
     Collects every failure (unknown keys, parse errors, missing keys,
-    constraint violations) and raises a single ``ConfigError`` listing
+    constraint violations, and the ``ValueError`` of each domain object
+    built from the keys) and raises a single ``ConfigError`` listing
     all of them; later assignments to the same key win.
     """
     failures = []
@@ -170,6 +172,13 @@ def parse_config(text: str, overrides=()) -> RunConfig:
         except ValueError as exc:
             failures.append(f"{key}: {exc}")
 
+    def build(label, cls, *args, **kwargs):
+        try:
+            return cls(*args, **kwargs)
+        except ValueError as exc:
+            failures.append(f"{label}: {exc}")
+            return None
+
     for lineno, line in enumerate(text.splitlines(), start=1):
         absorb(line, f"line {lineno}")
     for i, item in enumerate(overrides, start=1):
@@ -186,74 +195,66 @@ def parse_config(text: str, overrides=()) -> RunConfig:
             if key not in raw:
                 failures.append(f"{key}: missing required key for command {command!r}")
 
-    def have(*keys):
-        return all(raw.get(k) is not None for k in keys)
-
-    if have("a", "b") and not raw["a"] < raw["b"]:
-        failures.append(f"a/b: need a < b, got a={raw['a']!r}, b={raw['b']!r}")
-    if have("n"):
+    a, b = raw.pop("a", None), raw.pop("b", None)
+    interval = None if a is None or b is None else build("a/b", Interval, a, b)
+    if "n" in raw:
         floor = 10 if command in ("crack", "sweep") else 1
         if raw["n"] < floor:
             failures.append(f"n: must be >= {floor} for command {command!r}, got {raw['n']!r}")
-    if have("n_list"):
+    if "n_list" in raw:
         lst = raw["n_list"]
         if len(lst) == 0 or any(v < 1 for v in lst) \
                 or any(y <= x for x, y in zip(lst, lst[1:])):
             failures.append(f"n_list: must be strictly increasing positive integers, got {lst!r}")
-    if have("rhs_degree") and raw["rhs_degree"] < 0:
+    if "rhs_degree" in raw and raw["rhs_degree"] < 0:
         failures.append(f"rhs_degree: must be >= 0, got {raw['rhs_degree']!r}")
-    if have("half_length") and not raw["half_length"] > 0.0:
+    if "half_length" in raw and not raw["half_length"] > 0.0:
         failures.append(f"half_length: must be positive, got {raw['half_length']!r}")
-    if have("s_max") and not raw["s_max"] > 0.0:
-        failures.append(f"s_max: must be positive, got {raw['s_max']!r}")
-    if have("panels_per_period") and raw["panels_per_period"] < 4:
-        failures.append(f"panels_per_period: must be >= 4, got {raw['panels_per_period']!r}")
-    if have("N_values"):
+    spec = build("/".join(_SPEC_KEYS), OscIntSpec,
+                 **{k: raw.pop(k) for k in _SPEC_KEYS if k in raw})
+    if "N_values" in raw:
         bad = [v for v in raw["N_values"] if not 0.0 <= v < 1.0]
         if bad:
             failures.append(f"N_values: every target must lie in [0, 1), got {bad!r}")
-    if command in ("crack", "sweep") and all(k in raw for k in _REQUIRED[command]):
-        material = {k: raw[k] for k in _MATERIAL_KEYS if k in raw}
-        material.setdefault("beta", 0.0)
-        try:
-            MaterialParams(**material)
-        except ValueError as exc:
-            failures.append(f"material constants: {exc}")
+    constants = {"beta": 0.0, **{k: raw.pop(k) for k in _MATERIAL_KEYS if k in raw}}
+    material = None
+    if command in ("crack", "sweep") and len(constants) == len(_MATERIAL_KEYS):
+        material = build("material constants", MaterialParams, **constants)
 
     if failures:
         raise ConfigError(failures)
-
-    known = {f.name for f in fields(RunConfig)}
-    return RunConfig(**{k: v for k, v in raw.items() if k in known})
+    return RunConfig(**raw, interval=interval, spec=spec, material=material)
 
 
 @dataclass
 class ResultTable:
-    """Rectangular numeric table with named columns."""
+    """Numeric table with named columns.
+
+    ``rows`` takes any array_like of shape (m, len(columns)) and is held
+    as one float64 array.
+    """
 
     columns: list
-    rows: list = field(default_factory=list)
+    rows: np.ndarray = ()
 
     def __post_init__(self):
         if len(self.columns) == 0:
             raise ValueError("table needs at least one column")
         width = len(self.columns)
-        cleaned = []
-        for i, row in enumerate(self.rows):
-            row = tuple(float(v) for v in row)
-            if len(row) != width:
-                raise ValueError(f"row {i} has {len(row)} entries, expected {width}")
-            if not all(np.isfinite(v) for v in row):
-                raise ValueError(f"row {i} contains non-finite entries")
-            cleaned.append(row)
-        self.rows = cleaned
+        rows = np.asarray(self.rows, dtype=float)
+        if rows.shape == (0,):
+            rows = rows.reshape(0, width)
+        if rows.ndim != 2 or rows.shape[1] != width:
+            raise ValueError(f"rows must form {width} columns, got shape {rows.shape}")
+        if not np.isfinite(rows).all():
+            raise ValueError("table contains non-finite entries")
+        self.rows = rows
 
     def to_csv(self) -> str:
         # 17 significant digits round-trips float64 exactly
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(format(v, ".17g") for v in row))
-        return "\n".join(lines) + "\n"
+        line = ",".join(["%.17g"] * len(self.columns)) + "\n"
+        return ",".join(self.columns) + "\n" + "".join(
+            line % tuple(row) for row in self.rows.tolist())
 
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
@@ -266,12 +267,13 @@ class ResultTable:
         if not lines:
             raise ValueError(f"empty CSV file: {path}")
         columns = lines[0].split(",")
-        rows = [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
         return cls(columns=columns, rows=rows)
 
 
-def _rhs_functions(config: RunConfig, interval: Interval):
+def _rhs_functions(config: RunConfig):
     """Built-in rhs family: returns (fprime, exact_solution)."""
+    interval = config.interval
     scale = config.rhs_scale
     mid, hw = interval.midpoint, interval.halfwidth
 
@@ -306,43 +308,30 @@ def _kernel_functions(config: RunConfig):
     return lambda x, t: scale * np.cos(np.asarray(x, dtype=float) * np.asarray(t, dtype=float))
 
 
-def _material(config: RunConfig) -> MaterialParams:
-    return MaterialParams(lam=config.lam, mu=config.mu, alpha=config.alpha,
-                          beta=config.beta if config.beta is not None else 0.0,
-                          xi=config.xi, sigma0=config.sigma0)
-
-
 def run(config: RunConfig) -> ResultTable:
     """Execute one validated run and write its CSV table."""
-    if config.command == "characteristic":
-        interval = Interval(config.a, config.b)
-        fprime, _ = _rhs_functions(config, interval)
-        grid = build_grid(config.a, config.b, config.n)
-        sol = solve_characteristic(CharacteristicProblem(interval, fprime), grid)
-        table = ResultTable(columns=["t", "g"], rows=list(zip(sol.points, sol.values)))
-    elif config.command == "full":
-        interval = Interval(config.a, config.b)
-        fprime, _ = _rhs_functions(config, interval)
-        kernel = _kernel_functions(config)
-        grid = build_grid(config.a, config.b, config.n)
-        sol = solve_full_collocation(FullProblem(interval, kernel, fprime), grid)
-        table = ResultTable(columns=["t", "g"], rows=list(zip(sol.points, sol.values)))
+    interval = config.interval
+    if config.command in ("characteristic", "full"):
+        fprime, _ = _rhs_functions(config)
+        grid = build_grid(interval.a, interval.b, config.n)
+        if config.command == "characteristic":
+            sol = solve_characteristic(CharacteristicProblem(interval, fprime), grid)
+        else:
+            problem = FullProblem(interval, _kernel_functions(config), fprime)
+            sol = solve_full_collocation(problem, grid)
+        table = ResultTable(["t", "g"], np.column_stack((sol.points, sol.values)))
     elif config.command == "convergence":
-        interval = Interval(config.a, config.b)
-        fprime, exact = _rhs_functions(config, interval)
-        study = convergence_study(CharacteristicProblem(interval, fprime),
-                                  config.n_list, exact)
-        table = ResultTable(columns=["n", "max_error"], rows=study)
+        fprime, exact = _rhs_functions(config)
+        study = convergence_study(CharacteristicProblem(interval, fprime), config.n_list, exact)
+        table = ResultTable(["n", "max_error"], study)
     elif config.command == "crack":
-        spec = OscIntSpec(s_max=config.s_max, panels_per_period=config.panels_per_period)
-        sol = solve_crack(_material(config), config.half_length, config.n, spec)
-        table = ResultTable(columns=["x", "opening"],
-                            rows=list(zip(sol.opening.points, sol.opening.values)))
+        sol = solve_crack(config.material, config.half_length, config.n, config.spec)
+        table = ResultTable(["x", "opening"],
+                            np.column_stack((sol.opening.points, sol.opening.values)))
     elif config.command == "sweep":
-        spec = OscIntSpec(s_max=config.s_max, panels_per_period=config.panels_per_period)
-        rows = porosity_sweep(_material(config), config.N_values,
-                              config.half_length, config.n, spec)
-        table = ResultTable(columns=["N", "opening0", "tip_coeff"], rows=rows)
+        rows = porosity_sweep(config.material, config.N_values,
+                              config.half_length, config.n, config.spec)
+        table = ResultTable(["N", "opening0", "tip_coeff"], rows)
     else:
         raise ValueError(f"unknown command {config.command!r}")
     table.write(config.out)

@@ -37,7 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grids import Grid, Interval, SampledFunction
-from .linalg import SingularMatrixError, lu_solve, solve_within_residual
+from .linalg import SingularMatrixError, lu_solve
 from .quadrature import PVQuadSpec, chebyshev_nodes, pv_weighted_matrix, _sample
 from .characteristic import _check_antiderivative
 
@@ -82,8 +82,16 @@ class FullProblem:
                                   "FullProblem: K1 against K0")
 
 
-# rows of the singular part formed at once; bounds its temporaries
-_BLOCK_ROWS = 256
+# entries of one row block of the singular part, which bounds its
+# temporaries whatever n is
+_BLOCK_ENTRIES = 2**18
+
+
+def _row_blocks(rows: int, n: int):
+    """(start, stop) row ranges covering ``rows`` rows of n + 1 node
+    columns each, at most ``_BLOCK_ENTRIES`` entries a block."""
+    step = max(1, _BLOCK_ENTRIES // (n + 1))
+    return [(start, min(start + step, rows)) for start in range(0, rows, step)]
 
 
 def _unit_cell_maps(grid: Grid):
@@ -152,7 +160,7 @@ def _weighted_matrix(grid: Grid, kernel: np.ndarray) -> np.ndarray:
     Returns a new array, ``kernel * W`` plus the singular part; the
     kernel array itself is only read, so it may be a read-only view.
     The singular part is exactly centro-symmetric, so only the left
-    half of its rows is formed, ``_BLOCK_ROWS`` at a time, and each
+    half of its rows is formed, in blocks of ``_row_blocks``, and each
     block is also added reversed into the mirrored rows.  A kernel that
     is itself centro-symmetric therefore gives an exactly
     centro-symmetric matrix, whose even half ``_folded_matrix`` forms
@@ -166,8 +174,7 @@ def _weighted_matrix(grid: Grid, kernel: np.ndarray) -> np.ndarray:
     # repeated route-2 solves at n = 200 and 400
     del kernel
     half = n // 2
-    for start in range(0, half, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, half)
+    for start, stop in _row_blocks(half, n):
         block = _singular_rows(u, xi[start:stop], arcsin_steps)
         matrix[start:stop] += block
         matrix[n - stop:n - start] += block[::-1, ::-1]
@@ -185,16 +192,16 @@ def _folded_matrix(grid: Grid, kernel) -> np.ndarray:
     reverses columns and ``r = ceil(n/2)``.  For a reflection-symmetric
     right-hand side the solution is symmetric too, ``phi_j =
     phi_{n-1-j}``, so its first r constants solve ``B y = rhs[:r]``.
-    Only rows 0 .. r-1 of the kernel are read, ``_BLOCK_ROWS`` at a
-    time, each with its singular part (their midpoints lie in the left
-    half); the returned r-by-r array is the only dense array formed.
+    Only rows 0 .. r-1 of the kernel are read, in blocks of
+    ``_row_blocks``, each with its singular part (their midpoints lie in
+    the left half); the returned r-by-r array is the only dense array
+    formed.
     """
     n = grid.n
     r = n - n // 2
     u, xi, weights, arcsin_steps = _cell_parts(grid)
     folded = np.empty((r, r))
-    for start in range(0, r, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, r)
+    for start, stop in _row_blocks(r, n):
         rows = _singular_rows(u, xi[start:stop], arcsin_steps)
         rows += kernel[start:stop] * weights
         folded[start:stop] = rows[:, :r]
@@ -207,20 +214,20 @@ def _solve_weighted(grid: Grid, matrix: np.ndarray, rhs: np.ndarray) -> SampledF
     ``g(x_i) = w(x_i) * phi_i`` at the cell midpoints.
 
     An n-by-n matrix is solved as it is.  A ``ceil(n/2)``-row one is the
-    folded even half from ``_folded_matrix``: it is solved, with the
-    pivot and residual gates of ``solve_within_residual``, against the
+    folded even half from ``_folded_matrix``: it is solved against the
     first rows of ``rhs``, which must be reflection-symmetric, and the
-    constants are mirrored back to all n cells.
+    constants are mirrored back to all n cells.  Either way the solve
+    passes the pivot and residual gates of ``lu_solve``.
     """
     n = grid.n
     r = matrix.shape[0]
     if r == n:
-        phi = solve_within_residual(matrix, rhs)
+        phi = lu_solve(matrix, rhs)
     else:
         if r != n - n // 2 or not np.array_equal(rhs, rhs[::-1]):
             raise ValueError("a folded system needs ceil(n/2) rows and a "
                              "reflection-symmetric right-hand side")
-        half = solve_within_residual(matrix, rhs[:r])
+        half = lu_solve(matrix, rhs[:r])
         phi = np.concatenate([half, half[:n - r][::-1]])
     _, xi = _unit_cell_maps(grid)
     weight = grid.interval.halfwidth * np.sqrt((1.0 - xi) * (1.0 + xi))

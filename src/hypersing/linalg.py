@@ -1,10 +1,10 @@
 """Dense linear algebra for the collocation systems.
 
 Thin layer over LAPACK's partially pivoted LU factorization (through
-scipy) with explicit singularity detection, and a residual-gated solve
-that takes one step of iterative refinement with its own factors when
-the first solve misses the bound.  Matrices and vectors are plain float
-arrays; the caller's arrays are never modified.
+scipy) with explicit singularity detection and a residual gate: a
+solve that misses the bound takes one step of iterative refinement
+with its own factors.  Matrices and vectors are plain float arrays;
+the caller's arrays are never modified.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-__all__ = ["SingularMatrixError", "lu_solve", "solve_within_residual", "residual_norm"]
+__all__ = ["SingularMatrixError", "lu_solve", "residual_norm"]
 
 
 class SingularMatrixError(ValueError):
@@ -39,33 +39,16 @@ def _as_vector(v) -> np.ndarray:
     return v
 
 
-def _factor(A, rhs):
-    """Validated system plus its LU factors; refuses tiny pivots."""
-    A = _as_matrix(A)
-    rhs = _as_vector(rhs)
-    n, m = A.shape
-    if n != m:
-        raise ValueError(f"matrix must be square, got {n}x{m}")
-    if rhs.shape[0] != n:
-        raise ValueError(
-            f"dimension mismatch: matrix is {n}x{n}, rhs has length {rhs.shape[0]}")
-    norm_a = float(np.max(np.abs(A).sum(axis=1))) if n else 0.0
-    with warnings.catch_warnings():
-        # LAPACK flags exact zero pivots with a warning; the threshold
-        # test below turns those into errors.
-        warnings.simplefilter("ignore")
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-    smallest_pivot = float(np.min(np.abs(np.diag(lu))))
-    threshold = n * np.finfo(float).eps * norm_a
-    if smallest_pivot <= threshold:
-        raise SingularMatrixError(
-            "matrix is singular to working precision "
-            f"(pivot {smallest_pivot:.3e} <= threshold {threshold:.3e})")
-    return A, rhs, (lu, piv)
+def _residual(A, x, rhs) -> float:
+    return float(np.max(np.abs(A @ x - rhs))) if rhs.size else 0.0
 
 
 def lu_solve(A, rhs) -> np.ndarray:
-    """Solve ``A x = rhs`` by LU factorization with partial pivoting.
+    """Solve ``A x = rhs`` by LU factorization with partial pivoting,
+    holding the residual to ``1e-9 ||rhs||_inf``.
+
+    A first solve that misses the bound gets one step of iterative
+    refinement with the same factors.
 
     Parameters
     ----------
@@ -83,29 +66,39 @@ def lu_solve(A, rhs) -> np.ndarray:
     SingularMatrixError
         If the smallest pivot magnitude is at or below
         ``n * eps * ||A||_inf``.
+    ArithmeticError
+        If the max-norm residual still exceeds the bound after refinement.
     ValueError
         On non-square input, dimension mismatch, or non-finite entries.
     """
-    _, rhs, factors = _factor(A, rhs)
-    return scipy.linalg.lu_solve(factors, rhs, check_finite=False)
-
-
-def solve_within_residual(A, rhs) -> np.ndarray:
-    """Solve ``A x = rhs`` like ``lu_solve``, holding the residual to 1e-9 ``||rhs||_inf``.
-
-    A first solve that misses the bound gets one step of iterative
-    refinement with the same factors; if the max-norm residual still
-    exceeds the bound, raises ``ArithmeticError``.
-    """
-    A, rhs, factors = _factor(A, rhs)
+    A = _as_matrix(A)
+    rhs = _as_vector(rhs)
+    n, m = A.shape
+    if n != m:
+        raise ValueError(f"matrix must be square, got {n}x{m}")
+    if rhs.shape[0] != n:
+        raise ValueError(
+            f"dimension mismatch: matrix is {n}x{n}, rhs has length {rhs.shape[0]}")
+    norm_a = float(np.max(np.abs(A).sum(axis=1))) if n else 0.0
+    with warnings.catch_warnings():
+        # LAPACK flags exact zero pivots with a warning; the threshold
+        # test below turns those into errors.
+        warnings.simplefilter("ignore")
+        factors = scipy.linalg.lu_factor(A, check_finite=False)
+    smallest_pivot = float(np.min(np.abs(np.diag(factors[0]))))
+    threshold = n * np.finfo(float).eps * norm_a
+    if smallest_pivot <= threshold:
+        raise SingularMatrixError(
+            "matrix is singular to working precision "
+            f"(pivot {smallest_pivot:.3e} <= threshold {threshold:.3e})")
     x = scipy.linalg.lu_solve(factors, rhs, check_finite=False)
     tol = 1e-9 * float(np.max(np.abs(rhs)))
-    if residual_norm(A, x, rhs) > tol:
+    if _residual(A, x, rhs) > tol:
         x = x + scipy.linalg.lu_solve(factors, rhs - A @ x, check_finite=False)
-        resid = residual_norm(A, x, rhs)
+        resid = _residual(A, x, rhs)
         if resid > tol:
             raise ArithmeticError(
-                f"collocation residual {resid:.3e} exceeds tolerance {tol:.3e}")
+                f"solve residual {resid:.3e} exceeds tolerance {tol:.3e}")
     return x
 
 
@@ -116,6 +109,4 @@ def residual_norm(A, x, rhs) -> float:
     rhs = _as_vector(rhs)
     if A.shape[1] != x.shape[0] or A.shape[0] != rhs.shape[0]:
         raise ValueError("dimension mismatch in residual evaluation")
-    if rhs.size == 0:
-        return 0.0
-    return float(np.max(np.abs(A @ x - rhs)))
+    return _residual(A, x, rhs)

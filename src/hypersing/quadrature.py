@@ -97,11 +97,14 @@ class OscIntSpec:
     tail: TailOrder = TailOrder.INVERSE_CUBE
 
     def __post_init__(self):
+        problems = []
         if not (np.isfinite(self.s_max) and self.s_max > 0):
-            raise ValueError(f"s_max must be positive and finite, got {self.s_max!r}")
+            problems.append(f"s_max must be positive and finite, got {self.s_max!r}")
         if int(self.panels_per_period) != self.panels_per_period or self.panels_per_period < 4:
-            raise ValueError(
+            problems.append(
                 f"panels_per_period must be an integer >= 4, got {self.panels_per_period!r}")
+        if problems:
+            raise ValueError("; ".join(problems))
         object.__setattr__(self, "s_max", float(self.s_max))
         object.__setattr__(self, "panels_per_period", int(self.panels_per_period))
 

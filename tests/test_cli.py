@@ -35,7 +35,7 @@ def _run(tmp_path, command, text, *sets, out_name="out.csv"):
 def test_parse_minimal_config():
     cfg = parse_config(CHAR_CFG, overrides=("command=characteristic", "out=res.csv"))
     assert cfg.command == "characteristic"
-    assert cfg.a == -1.0 and cfg.b == 1.0 and cfg.n == 40
+    assert cfg.interval.a == -1.0 and cfg.interval.b == 1.0 and cfg.n == 40
     assert cfg.rhs == "constant_pi"
 
 
@@ -108,7 +108,18 @@ def test_result_table_round_trips_float64_exactly(tmp_path):
     table.write(path)
     back = ResultTable.read(path)
     assert back.columns == ["u", "v"]
-    assert back.rows == rows
+    assert back.rows.tolist() == [list(row) for row in rows]
+
+
+def test_result_table_csv_literal():
+    table = ResultTable(["x", "y"], np.array([[0.1, -0.0], [1e-300, 25.0], [1.0 / 3.0, -2.5]]))
+    assert table.to_csv() == (
+        "x,y\n"
+        "0.10000000000000001,-0\n"
+        "1e-300,25\n"
+        "0.33333333333333331,-2.5\n"
+    )
+    assert ResultTable(["x"]).to_csv() == "x\n"
 
 
 def test_characteristic_run_writes_expected_profile(tmp_path):
@@ -202,6 +213,23 @@ def test_config_failures_exit_2_and_write_nothing(tmp_path, capsys):
     assert not out.exists()
     assert captured.out == ""
     assert "ERROR config:" in captured.err
+
+
+def test_domain_object_failures_are_collected_with_the_rest(tmp_path, capsys):
+    sets = ("a=1", "b=-1", "s_max=0", "panels_per_period=3", "mu=-1")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(CRACK_CFG, overrides=("command=crack", "out=res.csv") + sets)
+    failures = exc.value.failures
+    assert len(failures) == 3
+    assert failures[0].startswith("a/b: ")
+    assert failures[1].startswith("s_max/panels_per_period: ")
+    assert "s_max" in failures[1].split(": ", 1)[1]
+    assert "panels_per_period" in failures[1].split(": ", 1)[1]
+    assert failures[2].startswith("material constants: ") and "mu" in failures[2]
+    code, out = _run(tmp_path, "crack", CRACK_CFG, *sets)
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+    assert capsys.readouterr().err.count("ERROR config:") == 3
 
 
 def test_runtime_domain_failures_exit_3(tmp_path, capsys):

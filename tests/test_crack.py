@@ -114,6 +114,24 @@ def test_asymptote_coefficients_frozen_values():
     assert B == pytest.approx(0.036, abs=1e-12)
 
 
+def test_symbol_tail_off_its_expansion_is_refused(monkeypatch):
+    import hypersing.crack as crack
+
+    real = crack.crack_symbol
+    # an extra 0.01 / s shifts the fitted decay coefficient by 0.01, 28% of 0.036
+    monkeypatch.setattr(crack, "crack_symbol",
+                        lambda s, dp: real(s, dp) + 0.01 / np.maximum(s, 1.0))
+    with pytest.raises(ValueError, match="decay coefficient"):
+        symbol_asymptotics(derive_dimensionless(POROUS))
+
+
+def test_symbol_fit_rounding_at_tiny_porosity_is_accepted():
+    # N = 1e-12, c^2 = 1/5: the fit's rounding error, 1.4e-11, is a hundred
+    # times the closed-form decay 1.5e-13
+    dp = derive_dimensionless(MaterialParams(3.0, 1.0, 1.0, math.sqrt(5e-12), 1.0, 1.0))
+    assert symbol_asymptotics(dp)[1] == 0.75 * dp.porosity * dp.c_sq * (1.0 - dp.porosity) ** 2
+
+
 def test_symbol_remainder_decays_cubically():
     dp = derive_dimensionless(POROUS)
     A, B = symbol_asymptotics(dp)

@@ -131,7 +131,9 @@ def test_weighted_matrix_is_centro_symmetric_and_block_independent(monkeypatch):
     M = assemble_full(g, kernel_zero)
     assert np.array_equal(M, M[::-1, ::-1])
     whole = assemble_full(g, cos_kernel)
-    monkeypatch.setattr(fullkernel, "_BLOCK_ROWS", 5)
+    # blocks of 5 rows of 38 node columns
+    monkeypatch.setattr(fullkernel, "_BLOCK_ENTRIES", 5 * 38)
+    assert fullkernel._row_blocks(18, 37)[:2] == [(0, 5), (5, 10)]
     assert np.array_equal(assemble_full(g, cos_kernel), whole)
 
 

@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hypersing import SingularMatrixError, lu_solve, residual_norm
-from hypersing.linalg import solve_within_residual
 
 
 def test_identity_solve_returns_rhs():
@@ -78,8 +78,6 @@ def test_repeated_solves_are_bitwise_deterministic():
 
 def _spy_on_lapack(monkeypatch, spoil):
     """Record factorizations and solves; add ``spoil(call)`` to each solve."""
-    import scipy.linalg
-
     factored, solved = [], []
     real_factor, real_solve = scipy.linalg.lu_factor, scipy.linalg.lu_solve
 
@@ -99,11 +97,11 @@ def _spy_on_lapack(monkeypatch, spoil):
 def test_residual_gate_refines_with_the_same_factors(monkeypatch):
     A = np.array([[4.0, 1.0], [1.0, 3.0]])
     rhs = np.array([1.0, 2.0])
-    clean = solve_within_residual(A, rhs)
-    assert np.array_equal(clean, lu_solve(A, rhs))
+    clean = lu_solve(A, rhs)
+    assert np.max(np.abs(clean - scipy.linalg.solve(A, rhs))) <= 1e-15
     # a first solve off by 1e-3 misses the gate; one refinement step repairs it
     factored, solved = _spy_on_lapack(monkeypatch, lambda call: 1e-3 if call == 1 else 0.0)
-    x = solve_within_residual(A, rhs)
+    x = lu_solve(A, rhs)
     assert len(factored) == 1 and len(solved) == 2 and solved[0] is solved[1]
     assert residual_norm(A, x, rhs) <= 1e-9 * np.max(np.abs(rhs))
     assert np.max(np.abs(x - clean)) <= 1e-14
@@ -112,7 +110,7 @@ def test_residual_gate_refines_with_the_same_factors(monkeypatch):
 def test_residual_gate_raises_when_refinement_fails(monkeypatch):
     factored, solved = _spy_on_lapack(monkeypatch, lambda call: 1e-3)
     with pytest.raises(ArithmeticError, match="residual"):
-        solve_within_residual(np.array([[4.0, 1.0], [1.0, 3.0]]), np.array([1.0, 2.0]))
+        lu_solve(np.array([[4.0, 1.0], [1.0, 3.0]]), np.array([1.0, 2.0]))
     assert len(factored) == 1 and len(solved) == 2
 
 
@@ -133,3 +131,43 @@ def test_residual_norm_validates_shapes():
         residual_norm(np.eye(3), np.ones(2), np.ones(3))
     with pytest.raises(ValueError):
         residual_norm(np.eye(3), np.ones(3), np.ones(4))
+
+
+def test_every_solve_route_factors_through_one_gated_lu_solve(monkeypatch):
+    import hypersing.characteristic as characteristic
+    import hypersing.fullkernel as fullkernel
+    from hypersing import (CharacteristicProblem, FullProblem, Interval, MaterialParams,
+                           build_grid, chebyshev_nystrom_rule, fredholm_reduce,
+                           solve_characteristic, solve_crack, solve_fredholm,
+                           solve_full_collocation)
+    from hypersing.quadrature import PVQuadSpec
+
+    calls = []
+
+    def spy(A, rhs):
+        calls.append(np.shape(A))
+        return lu_solve(A, rhs)
+
+    for module in (characteristic, fullkernel):
+        monkeypatch.setattr(module, "lu_solve", spy)
+    iv = Interval(-1.0, 1.0)
+    grid = build_grid(-1.0, 1.0, 20)
+    fprime = lambda x: np.full(np.shape(x), -np.pi)
+    K0 = lambda x, t: np.cos(x * t)
+    # K1 = x t is an antiderivative in x of the kernel t
+    problem = FullProblem(iv, lambda x, t: t + 0.0 * x, fprime, K1=lambda x, t: x * t,
+                          f=lambda x: -np.pi * np.asarray(x, dtype=float))
+    nodes, weights = chebyshev_nystrom_rule(iv, 12)
+    material = MaterialParams(lam=1.0, mu=1.0, alpha=1.0, beta=0.8, xi=1.0, sigma0=1.0)
+    runs = {
+        "characteristic": lambda: solve_characteristic(CharacteristicProblem(iv, fprime), grid),
+        "full": lambda: solve_full_collocation(FullProblem(iv, K0, fprime), grid),
+        "crack": lambda: solve_crack(material, 1.0, 20),
+        "fredholm": lambda: solve_fredholm(
+            fredholm_reduce(problem, PVQuadSpec(), nodes), weights),
+    }
+    for name, solve in runs.items():
+        calls.clear()
+        solve()
+        assert len(calls) == 1, name
+    assert calls == [(12, 12)]
