@@ -10,7 +10,7 @@ sweeps of the normalized tip amplitude.
 """
 
 from .grids import Interval, Grid, SampledFunction, build_grid
-from .linalg import SingularMatrixError, lu_solve, residual_norm
+from .linalg import ResidualError, SingularMatrixError, lu_solve, residual_norm
 from .quadrature import (
     PVQuadSpec,
     TailOrder,
@@ -22,6 +22,7 @@ from .quadrature import (
     chebyshev_finite_part,
     halfline_cosine_integral,
     halfline_cosine_table,
+    halfline_cosine_tables,
 )
 from .characteristic import (
     CharacteristicProblem,
@@ -58,10 +59,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Interval", "Grid", "SampledFunction", "build_grid",
-    "SingularMatrixError", "lu_solve", "residual_norm",
+    "SingularMatrixError", "ResidualError", "lu_solve", "residual_norm",
     "PVQuadSpec", "TailOrder", "OscIntSpec", "chebyshev_nodes",
     "weighted_integral", "pv_weighted_integral", "pv_weighted_matrix",
     "chebyshev_finite_part", "halfline_cosine_integral", "halfline_cosine_table",
+    "halfline_cosine_tables",
     "CharacteristicProblem", "assemble_characteristic", "solve_characteristic",
     "invert_characteristic", "convergence_study",
     "FullProblem", "FredholmSystem", "assemble_full", "solve_full_collocation",

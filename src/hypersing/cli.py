@@ -4,8 +4,8 @@ Config files are UTF-8 text, one ``key=value`` per line, with ``#``
 comments and blank lines ignored.  ``--set key=value`` overrides config
 entries (repeatable, last one wins).  Results land as CSV on the output
 path only; diagnostics go to stderr.  Exit codes: 0 success, 2 config
-problems, 3 invalid values or solver domain errors, 4 singular matrix,
-5 I/O failure.
+problems, 3 invalid values or solver domain errors, 4 singular matrix
+or a solve residual over its tolerance, 5 I/O failure.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .grids import Interval, build_grid
-from .linalg import SingularMatrixError
+from .linalg import ResidualError, SingularMatrixError
 from .quadrature import OscIntSpec
 from .characteristic import CharacteristicProblem, convergence_study, solve_characteristic
 from .fullkernel import FullProblem, solve_full_collocation
@@ -390,6 +390,9 @@ def main(argv=None) -> int:
         run(config)
     except SingularMatrixError as exc:
         _fail("singular-matrix", str(exc))
+        return EXIT_SINGULAR
+    except ResidualError as exc:
+        _fail("residual", str(exc))
         return EXIT_SINGULAR
     except OSError as exc:
         _fail("io", str(exc))

@@ -14,7 +14,10 @@ coefficient puts the problem into the standard collocation form solved
 by :mod:`hypersing.fullkernel`.  On the uniform grid every offset
 between a collocation midpoint and a cell node is a half-odd multiple
 of the cell width, so the regular kernel takes only n distinct values:
-they are tabled once by ``regular_kernel_table``.  Each cell samples
+they are tabled once by ``regular_kernel_table``, whose material-free
+pieces (the chirp-z plan of the grid, the proxy's transform and its
+cosine-integral tail) a porosity sweep builds once for all its targets
+before it transforms each target's remainder in turn.  Each cell samples
 the kernel at both of its nodes and takes the mean, which makes the
 kernel matrix a symmetric Toeplitz one, read through a view of the n
 node-mean values.  The collocation matrix is then exactly
@@ -41,7 +44,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import Grid, SampledFunction, build_grid
 from .quadrature import (OscIntSpec, TailOrder, cosine_integral,
-                         halfline_cosine_integral, halfline_cosine_table,
+                         halfline_cosine_integral, halfline_cosine_tables,
                          _check_cubic_decay)
 from .fullkernel import _folded_matrix, _solve_weighted
 
@@ -223,8 +226,8 @@ def _kernel_split(dp: DimensionlessParams):
     """Integrands of the regular kernel and the decay coefficient that
     scales the proxy's analytic tail.
 
-    Returns the excess ``L(s) - slope * s``, which decays like 1/s, its
-    O(1/s^3) remainder ``excess - proxy`` and the proxy
+    Returns the excess ``L(s) - slope * s``, which decays like 1/s, and
+    its O(1/s^3) remainder ``excess - proxy`` with the proxy
     ``-decay * s / (1 + s^2)``.
     """
     slope, decay = symbol_asymptotics(dp)
@@ -240,7 +243,7 @@ def _kernel_split(dp: DimensionlessParams):
     def remainder(s):
         return excess(s) - proxy(s)
 
-    return excess, remainder, proxy, decay
+    return excess, remainder, decay
 
 
 def regular_kernel(x, dp: DimensionlessParams, spec: Optional[OscIntSpec] = None):
@@ -273,7 +276,7 @@ def regular_kernel(x, dp: DimensionlessParams, spec: Optional[OscIntSpec] = None
     """
     spec = spec if spec is not None else OscIntSpec()
     offsets = np.asarray(x, dtype=float)
-    excess, remainder, _, decay = _kernel_split(dp)
+    excess, remainder, decay = _kernel_split(dp)
     if decay == 0.0:
         return 0.0 if offsets.ndim == 0 else np.zeros(offsets.shape)
     if np.any(offsets == 0.0):
@@ -293,25 +296,64 @@ def regular_kernel(x, dp: DimensionlessParams, spec: Optional[OscIntSpec] = None
     return float(out) if out.ndim == 0 else out
 
 
+def _proxy_shape(s):
+    # the proxy per unit decay coefficient: the same for every material
+    s = np.asarray(s, dtype=float)
+    return -s / (1.0 + s * s)
+
+
+def _kernel_tables(h: float, n: int, dps: Sequence[DimensionlessParams],
+                   spec: OscIntSpec) -> np.ndarray:
+    """``regular_kernel_table`` of several materials on one grid, one row each.
+
+    Only the O(1/s^3) remainders depend on the material.  The live ones
+    (nonzero decay) and the material-free proxy shape ``-s / (1 + s^2)``
+    go through one ``halfline_cosine_tables`` call, which builds the
+    grid's chirp-z plan and sliver once and transforms the integrands one
+    at a time; ``Ci(s_max u_j)`` is computed once.  Row k is then
+    ``(rem_k + decay_k (shape + Ci)) / pi``, and a classical material's
+    row is zero.  With ``tail=INVERSE_CUBE`` each remainder's decay is
+    spot-checked on its own.
+    """
+    out = np.zeros((len(dps), int(n)))
+    live, remainders, decays = [], [], []
+    for k, dp in enumerate(dps):
+        _, remainder, decay = _kernel_split(dp)
+        if decay != 0.0:
+            live.append(k)
+            remainders.append(remainder)
+            decays.append(decay)
+    if not live:
+        return out
+    if spec.tail is TailOrder.INVERSE_CUBE:
+        for remainder in remainders:
+            _check_cubic_decay(remainder, spec.s_max)
+    *rems, shape = halfline_cosine_tables(remainders + [_proxy_shape], h, n,
+                                          replace(spec, tail=TailOrder.NONE))
+    offsets = (np.arange(out.shape[1]) + 0.5) * h
+    proxy = shape + cosine_integral(spec.s_max * offsets)
+    for k, rem, decay in zip(live, rems, decays):
+        out[k] = (rem + decay * proxy) / np.pi
+    return out
+
+
 def regular_kernel_table(h: float, n: int, dp: DimensionlessParams,
                          spec: Optional[OscIntSpec] = None) -> np.ndarray:
     """``regular_kernel`` at the n half-odd grid offsets ``(j + 1/2) h``.
 
-    Each piece of the kernel split goes through one
-    ``halfline_cosine_table`` call, which evaluates the same cosine rule
-    at every offset by one FFT, so the cost grows like the sample count
-    plus n log n rather than n times the sample count.  Agrees with the
+    The O(1/s^3) remainder and the proxy shape ``-s / (1 + s^2)`` go
+    through one ``halfline_cosine_tables`` call, which evaluates the same
+    cosine rule at every offset by one FFT per integrand with one shared
+    chirp-z plan, so the cost grows like the sample count plus n log n
+    rather than n times the sample count.  The proxy's tail past s_max
+    is the cosine integral, as in ``regular_kernel``.  Agrees with the
     pointwise ``regular_kernel`` to the rule's accuracy, not bitwise:
-    within 4e-11 for half-lengths 1 to 100 and n = 40 to 3200.
+    within 4e-11 for half-lengths 1 to 100 and n = 40 to 3200.  A
+    porosity sweep tables all its targets in one such call, and each of
+    its rows equals this function's value bitwise.
     """
     spec = spec if spec is not None else OscIntSpec()
-    _, remainder, proxy, decay = _kernel_split(dp)
-    if decay == 0.0:
-        return np.zeros(int(n))
-    rem = halfline_cosine_table(remainder, h, n, spec)
-    prox = halfline_cosine_table(proxy, h, n, replace(spec, tail=TailOrder.NONE))
-    offsets = (np.arange(rem.size) + 0.5) * h
-    return (rem + prox + decay * cosine_integral(spec.s_max * offsets)) / np.pi
+    return _kernel_tables(h, n, [dp], spec)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -425,17 +467,27 @@ def solve_crack(params: MaterialParams, half_length: float, n: int,
     ``n-1-i`` of the full residual equals row i, so they gate the whole
     system.  The opening is exactly reflection-symmetric.
     """
+    grid = _crack_grid(half_length, n)
+    dp = derive_dimensionless(params)
+    # the full asymptotics (with their fit) run once, inside regular_kernel_table
+    return _solve_tabled(params, dp, grid, regular_kernel_table(grid.h, grid.n, dp, spec))
+
+
+def _crack_grid(half_length: float, n: int) -> Grid:
     half_length = float(half_length)
     if not (np.isfinite(half_length) and half_length > 0.0):
         raise ValueError(f"crack half-length must be positive, got {half_length!r}")
     if int(n) != n or n < 10:
         raise ValueError(f"crack solves need an integer n >= 10, got {n!r}")
-    n = int(n)
-    spec = spec if spec is not None else OscIntSpec()
-    dp = derive_dimensionless(params)
-    # the full asymptotics (with their fit) run once, inside regular_kernel_table
-    slope = _symbol_slope(dp)
+    return build_grid(-half_length, half_length, int(n))
 
+
+def _solve_tabled(params: MaterialParams, dp: DimensionlessParams, grid: Grid,
+                  kernel_table: np.ndarray) -> CrackSolution:
+    """The crack solve of ``solve_crack`` from its regular-kernel offset table on."""
+    n = grid.n
+    half_length = grid.interval.b
+    slope = _symbol_slope(dp)
     n_p = dp.porosity
     rhs_raw = np.pi * (1.0 - n_p) ** 2 * params.sigma0 / (2.0 * params.mu * slope)
     rhs_reduced = np.pi * params.sigma0 / (2.0 * params.mu * (1.0 - dp.c_sq))
@@ -444,8 +496,7 @@ def solve_crack(params: MaterialParams, half_length: float, n: int,
             "porosity factor failed to cancel between load and kernel slope "
             f"({rhs_raw!r} vs {rhs_reduced!r})")
 
-    grid = build_grid(-half_length, half_length, n)
-    table = -(np.pi / slope) * regular_kernel_table(grid.h, n, dp, spec)
+    table = -(np.pi / slope) * kernel_table
     if not np.all(np.isfinite(table)):
         raise ValueError("crack kernel table has a non-finite value")
     raw = _solve_weighted(grid, _folded_matrix(grid, _node_mean_view(table)),
@@ -487,15 +538,27 @@ def porosity_sweep(base: MaterialParams, porosities: Sequence[float],
     from ``beta = sqrt(N xi (lam + 2 mu))`` while every other constant
     of ``base`` is kept.  Returns a list of tuples
     ``(N, opening_at_center, normalized_tip_amplitude)``.
+
+    Every target is checked before any work starts.  The kernel tables
+    of all targets come from one ``_kernel_tables`` call, which builds
+    the grid's chirp-z plan, the proxy transform and its cosine-integral
+    tail once; each target is then solved as ``solve_crack`` solves it,
+    and each row equals ``solve_crack`` with ``stress_concentration`` at
+    that target bitwise.
     """
-    rows = []
-    for n_target in porosities:
-        n_target = float(n_target)
+    spec = spec if spec is not None else OscIntSpec()
+    targets = [float(n_target) for n_target in porosities]
+    for n_target in targets:
         if not 0.0 <= n_target < 1.0:
             raise ValueError(f"porosity targets must lie in [0, 1), got {n_target!r}")
-        beta = math.sqrt(n_target * base.xi * (base.lam + 2.0 * base.mu))
-        params = replace(base, beta=beta)
-        sol = solve_crack(params, half_length, n, spec)
+    grid = _crack_grid(half_length, n)
+    materials = [replace(base, beta=math.sqrt(n_target * base.xi * (base.lam + 2.0 * base.mu)))
+                 for n_target in targets]
+    dps = [derive_dimensionless(params) for params in materials]
+    rows = []
+    for n_target, params, dp, table in zip(targets, materials, dps,
+                                           _kernel_tables(grid.h, grid.n, dps, spec)):
+        sol = _solve_tabled(params, dp, grid, table)
         opening0 = float(np.interp(0.0, sol.opening.points, sol.opening.values))
         rows.append((n_target, opening0, stress_concentration(sol)))
     return rows

@@ -14,11 +14,15 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-__all__ = ["SingularMatrixError", "lu_solve", "residual_norm"]
+__all__ = ["SingularMatrixError", "ResidualError", "lu_solve", "residual_norm"]
 
 
 class SingularMatrixError(ValueError):
     """A pivot fell at or below the working-precision threshold."""
+
+
+class ResidualError(ArithmeticError):
+    """A solve's residual stayed over its tolerance after refinement."""
 
 
 def _as_matrix(A) -> np.ndarray:
@@ -66,8 +70,9 @@ def lu_solve(A, rhs) -> np.ndarray:
     SingularMatrixError
         If the smallest pivot magnitude is at or below
         ``n * eps * ||A||_inf``.
-    ArithmeticError
-        If the max-norm residual still exceeds the bound after refinement.
+    ResidualError
+        If the max-norm residual still exceeds the bound after
+        refinement.  It is an ``ArithmeticError``.
     ValueError
         On non-square input, dimension mismatch, or non-finite entries.
     """
@@ -97,7 +102,7 @@ def lu_solve(A, rhs) -> np.ndarray:
         x = x + scipy.linalg.lu_solve(factors, rhs - A @ x, check_finite=False)
         resid = _residual(A, x, rhs)
         if resid > tol:
-            raise ArithmeticError(
+            raise ResidualError(
                 f"solve residual {resid:.3e} exceeds tolerance {tol:.3e}")
     return x
 

@@ -14,7 +14,7 @@ Two families:
   the trapezoid rule with eight-point Gregory end corrections, on a
   step sized to the oscillation period.  It is summed directly at one
   frequency, or at every half-odd grid offset at once by one chirp-z
-  FFT.
+  FFT, whose plan is shared by every integrand on the same grid.
 
 The closed-form finite-part transform of the weighted Chebyshev
 polynomials is exposed as an oracle for testing solvers built on top.
@@ -40,6 +40,7 @@ __all__ = [
     "chebyshev_finite_part",
     "halfline_cosine_integral",
     "halfline_cosine_table",
+    "halfline_cosine_tables",
     "cosine_integral",
 ]
 
@@ -316,21 +317,32 @@ def _fft_length(minimum: int) -> int:
     return best
 
 
-def halfline_cosine_table(F, h: float, n: int, spec: OscIntSpec) -> np.ndarray:
-    """``int_0^s_max F(s) cos(s u_j) ds`` at every half-odd offset u_j = (j + 1/2) h.
+def _folded_samples(F, ds: float, last: int, period: int) -> np.ndarray:
+    """Gregory-weighted samples of F on the grid 0..last, folded with
+    alternating sign onto the residues mod period (the phase flips sign
+    every period samples)."""
+    folded = np.zeros(min(last + 1, period))
+    for k in _grid_chunks(last):
+        vals = _gregory_weights(k, last) * _sample(F, k * ds)
+        pos = int(k[0])
+        while vals.size:  # split where the phase flips sign, at multiples of 2M
+            r0 = pos % period
+            piece, vals = vals[:period - r0], vals[period - r0:]
+            folded[r0:r0 + piece.size] += -piece if (pos // period) % 2 else piece
+            pos += piece.size
+    return folded
 
-    The same trapezoid-with-Gregory rule as ``halfline_cosine_integral``,
-    on a step ``ds = pi / (M h)`` with the integer M the smallest that
-    meets that function's step bound at the largest offset.  Then
-    ``s_k u_j = pi k (2j + 1) / (2M)``: the phases repeat every 4M samples
-    and change sign every 2M, so the weighted samples are folded, with
-    alternating sign, onto at most 2M residues.  One Bluestein chirp-z
-    transform (``r(2j+1) = r^2 + r + j^2 - (j - r)^2``, all phases as
-    exact integers mod 4M) then gives every offset at once.  The sliver
-    between the last grid node and s_max gets the same rule on 16 steps,
-    summed directly.  The tail check and sample cap are those of
-    ``halfline_cosine_integral``; the values agree with it to rounding
-    and the rule's error, not bitwise.
+
+def halfline_cosine_tables(Fs, h: float, n: int, spec: OscIntSpec) -> np.ndarray:
+    """``halfline_cosine_table`` of several integrands on one grid, one row each.
+
+    Everything that depends only on h, n and the spec is built once: the
+    step ``ds``, the sample count, the chirp-z phases and the transform of
+    the chirp, and the sliver's nodes, weights and cosine matrix.  The
+    integrands are then sampled, folded and transformed one at a time, so
+    memory does not grow with their number beyond the K-by-n result.  Row
+    k equals ``halfline_cosine_table(Fs[k], h, n, spec)`` bitwise; with
+    ``tail=INVERSE_CUBE`` every integrand's decay is spot-checked.
     """
     h = float(h)
     if not (np.isfinite(h) and h > 0.0):
@@ -346,39 +358,59 @@ def halfline_cosine_table(F, h: float, n: int, spec: OscIntSpec) -> np.ndarray:
     last = int(np.floor(spec.s_max / ds))
     _check_sample_count(last)
     period = 2 * quarter
-    folded = np.zeros(min(last + 1, period))
-    for k in _grid_chunks(last):
-        vals = _gregory_weights(k, last) * _sample(F, k * ds)
-        pos = int(k[0])
-        while vals.size:  # split where the phase flips sign, at multiples of 2M
-            r0 = pos % period
-            piece, vals = vals[:period - r0], vals[period - r0:]
-            folded[r0:r0 + piece.size] += -piece if (pos // period) % 2 else piece
-            pos += piece.size
 
     # chirp-z: sum_r folded_r exp(i pi r (2j+1) / (2M)) as a convolution
-    size = folded.size
+    size = min(last + 1, period)
     length = _fft_length(size + n - 1)
     m = np.arange(max(size, n))
     down = _unit_phase(-m * m, quarter)
     chirp = np.zeros(length, dtype=complex)
     chirp[:n] = down[:n]
     chirp[length - size + 1:] = down[size - 1:0:-1]
+    chirp_spectrum = np.fft.fft(chirp)
     r = m[:size]
-    spectrum = np.fft.fft(folded * _unit_phase(r * r + r, quarter), length)
-    conv = np.fft.ifft(spectrum * np.fft.fft(chirp))[:n]
-    out = ds * (down[:n].conj() * conv).real
+    up = _unit_phase(r * r + r, quarter)
+    unchirp = down[:n].conj()
 
     s_end = last * ds
-    if s_end < spec.s_max:
+    sliver = s_end < spec.s_max
+    if sliver:
         sub = np.arange(_MIN_STEPS + 1)
         step = (spec.s_max - s_end) / _MIN_STEPS
         s = s_end + sub * step
-        w = step * _gregory_weights(sub, _MIN_STEPS) * _sample(F, s)
-        out += np.cos(u[:, None] * s[None, :]) @ w
-    if spec.tail is TailOrder.INVERSE_CUBE:
-        _check_cubic_decay(F, spec.s_max)
+        sliver_weights = step * _gregory_weights(sub, _MIN_STEPS)
+        sliver_cosines = np.cos(u[:, None] * s[None, :])
+
+    out = np.empty((len(Fs), n))
+    for row, F in zip(out, Fs):
+        spectrum = np.fft.fft(_folded_samples(F, ds, last, period) * up, length)
+        conv = np.fft.ifft(spectrum * chirp_spectrum)[:n]
+        row[:] = ds * (unchirp * conv).real
+        if sliver:
+            row += sliver_cosines @ (sliver_weights * _sample(F, s))
+        if spec.tail is TailOrder.INVERSE_CUBE:
+            _check_cubic_decay(F, spec.s_max)
     return out
+
+
+def halfline_cosine_table(F, h: float, n: int, spec: OscIntSpec) -> np.ndarray:
+    """``int_0^s_max F(s) cos(s u_j) ds`` at every half-odd offset u_j = (j + 1/2) h.
+
+    The same trapezoid-with-Gregory rule as ``halfline_cosine_integral``,
+    on a step ``ds = pi / (M h)`` with the integer M the smallest that
+    meets that function's step bound at the largest offset.  Then
+    ``s_k u_j = pi k (2j + 1) / (2M)``: the phases repeat every 4M samples
+    and change sign every 2M, so the weighted samples are folded, with
+    alternating sign, onto at most 2M residues.  One Bluestein chirp-z
+    transform (``r(2j+1) = r^2 + r + j^2 - (j - r)^2``, all phases as
+    exact integers mod 4M) then gives every offset at once.  The sliver
+    between the last grid node and s_max gets the same rule on 16 steps,
+    summed directly.  The tail check and sample cap are those of
+    ``halfline_cosine_integral``; the values agree with it to rounding
+    and the rule's error, not bitwise.  The one-integrand case of
+    ``halfline_cosine_tables``.
+    """
+    return halfline_cosine_tables([F], h, n, spec)[0]
 
 
 def cosine_integral(x) -> np.ndarray:

@@ -8,6 +8,7 @@ from hypersing.cli import (
     EXIT_DOMAIN,
     EXIT_IO,
     EXIT_OK,
+    EXIT_SINGULAR,
     ConfigError,
     ResultTable,
     main,
@@ -248,6 +249,22 @@ def test_sign_flipped_crack_exits_3(tmp_path, capsys):
     assert code == EXIT_DOMAIN
     assert not out.exists()
     assert "negative samples" in captured.err
+
+
+def test_residual_gate_failure_exits_4(tmp_path, capsys, monkeypatch):
+    import scipy.linalg
+
+    real = scipy.linalg.lu_solve
+    # every solve, the refinement step included, lands 1e-3 off
+    monkeypatch.setattr(scipy.linalg, "lu_solve",
+                        lambda factors, b, **kwargs: real(factors, b, **kwargs) + 1e-3)
+    code, out = _run(tmp_path, "characteristic", CHAR_CFG)
+    captured = capsys.readouterr()
+    assert code == EXIT_SINGULAR
+    assert not out.exists()
+    assert captured.out == ""
+    assert captured.err.startswith("ERROR residual: solve residual")
+    assert captured.err.count("\n") == 1
 
 
 def test_unreadable_config_exits_5(tmp_path, capsys):

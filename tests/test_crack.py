@@ -543,8 +543,93 @@ def test_porosity_sweep_repeats_identical_targets():
     assert rows[0] == rows[1]
 
 
-def test_porosity_sweep_validates_targets():
-    with pytest.raises(ValueError):
-        porosity_sweep(CLASSICAL, (0.0, 1.0), 1.0, 40)
-    with pytest.raises(ValueError):
-        porosity_sweep(CLASSICAL, (-0.1,), 1.0, 40)
+def test_porosity_sweep_validates_targets(monkeypatch):
+    import hypersing.crack as crack
+
+    tabled = []
+    real = crack._kernel_tables
+    monkeypatch.setattr(crack, "_kernel_tables", lambda *args: tabled.append(args) or real(*args))
+    # a bad target anywhere in the list is refused before any table is built
+    for targets in ((0.0, 1.0), (-0.1,), (0.3, 0.5, float("nan"))):
+        with pytest.raises(ValueError, match="porosity targets"):
+            porosity_sweep(CLASSICAL, targets, 1.0, 40)
+    for half_length, n in ((0.0, 40), (1.0, 9)):
+        with pytest.raises(ValueError):
+            porosity_sweep(CLASSICAL, (0.3,), half_length, n)
+    assert not tabled
+
+
+SWEEP_TARGETS = (0.0, 0.05, 0.2, 0.35, 0.5, 0.62)
+
+
+@pytest.mark.parametrize("half_length, n", ((1.0, 200), (100.0, 240)))
+def test_porosity_sweep_rows_equal_single_solves_bitwise(half_length, n):
+    rows = porosity_sweep(CLASSICAL, SWEEP_TARGETS, half_length, n)
+    for n_target, (got_target, center, ratio) in zip(SWEEP_TARGETS, rows):
+        sol = solve_crack(_with_porosity(n_target), half_length, n)
+        assert got_target == n_target
+        assert center == float(np.interp(0.0, sol.opening.points, sol.opening.values))
+        assert ratio == stress_concentration(sol)
+
+
+def test_porosity_sweep_shares_the_table_geometry(monkeypatch):
+    import hypersing.crack as crack
+
+    ci_calls, decay_checks = [], []
+    real_ci, real_check = crack.cosine_integral, crack._check_cubic_decay
+
+    def counted_ci(x):
+        ci_calls.append(np.shape(x))
+        return real_ci(x)
+
+    def counted_check(F, s_max):
+        decay_checks.append(F)
+        return real_check(F, s_max)
+
+    monkeypatch.setattr(crack, "cosine_integral", counted_ci)
+    monkeypatch.setattr(crack, "_check_cubic_decay", counted_check)
+    targets = [0.0] + [0.03 * k for k in range(1, 20)]
+    rows = porosity_sweep(CLASSICAL, targets, 1.0, 200)
+    assert len(rows) == 20
+    assert ci_calls == [(200,)]
+    # one spot check per porous target, each on its own remainder
+    assert len(decay_checks) == 19 and len(set(map(id, decay_checks))) == 19
+
+
+def test_porosity_sweep_memory_does_not_grow_per_target():
+    import tracemalloc
+
+    def peak(count):
+        targets = list(np.linspace(0.02, 0.62, count))
+        tracemalloc.start()
+        try:
+            porosity_sweep(CLASSICAL, targets, 1.0, 200)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # warm-up
+    # the targets are transformed one at a time: 40 targets hold only their
+    # n-entry tables beyond what 2 hold, not 40 transforms at once
+    assert peak(40) - peak(2) <= 256 * 1024
+
+
+def test_non_finite_sweep_table_is_refused(monkeypatch):
+    import hypersing.crack as crack
+
+    real = crack._kernel_tables
+
+    def spoiled(h, n, dps, spec):
+        tables = real(h, n, dps, spec)
+        tables[-1, n // 3] = np.inf
+        return tables
+
+    monkeypatch.setattr(crack, "_kernel_tables", spoiled)
+    assembled = []
+    real_folded = crack._folded_matrix
+    monkeypatch.setattr(crack, "_folded_matrix",
+                        lambda *args: assembled.append(args) or real_folded(*args))
+    with pytest.raises(ValueError, match="non-finite"):
+        porosity_sweep(CLASSICAL, (0.2, 0.4), 1.0, 40)
+    # the first target solved; the spoiled second one was refused before assembly
+    assert len(assembled) == 1

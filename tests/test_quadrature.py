@@ -13,6 +13,7 @@ from hypersing import (
     chebyshev_nodes,
     halfline_cosine_integral,
     halfline_cosine_table,
+    halfline_cosine_tables,
     pv_weighted_integral,
     weighted_integral,
 )
@@ -245,6 +246,44 @@ def test_halfline_table_matches_the_direct_sums():
         for j in (0, n // 2, n - 1):
             oracle = cosine_transform_oracle(F, u[j], 200.0)
             assert table[j] == pytest.approx(oracle, abs=5e-11)
+
+
+TABLE_INTEGRANDS = (
+    lambda s: 1.0 / (1.0 + np.asarray(s, dtype=float)) ** 3,
+    lambda s: np.exp(-np.asarray(s, dtype=float)),
+    lambda s: np.asarray(s, dtype=float) / (1.0 + np.asarray(s, dtype=float) ** 2) ** 2,
+)
+
+
+def test_halfline_tables_rows_equal_the_one_integrand_table_bitwise():
+    spec = OscIntSpec()
+    for h, n in ((0.8, 30), (0.07, 64), (0.01, 50), (2.5, 3), (200.0 / 240, 240)):
+        tables = halfline_cosine_tables(TABLE_INTEGRANDS, h, n, spec)
+        assert tables.shape == (len(TABLE_INTEGRANDS), n)
+        for row, F in zip(tables, TABLE_INTEGRANDS):
+            assert np.array_equal(row, halfline_cosine_table(F, h, n, spec))
+    assert halfline_cosine_tables([], 0.1, 10, spec).shape == (0, 10)
+    # every integrand's declared decay is checked, not only the first one's
+    one = lambda s: np.ones_like(np.asarray(s, dtype=float))
+    with pytest.raises(ValueError, match="decay"):
+        halfline_cosine_tables([TABLE_INTEGRANDS[0], one], 0.1, 10, spec)
+
+
+def test_halfline_tables_build_the_chirp_phases_once(monkeypatch):
+    import hypersing.quadrature as quadrature
+
+    calls = []
+    real = quadrature._unit_phase
+
+    def counted(m, quarter):
+        calls.append(quarter)
+        return real(m, quarter)
+
+    monkeypatch.setattr(quadrature, "_unit_phase", counted)
+    for count in (1, 3, 8):
+        calls.clear()
+        halfline_cosine_tables(TABLE_INTEGRANDS[:1] * count, 0.07, 64, OscIntSpec())
+        assert len(calls) == 2
 
 
 def test_halfline_table_validation():
