@@ -183,7 +183,40 @@ def _weighted_matrix(grid: Grid, kernel: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def _folded_matrix(grid: Grid, kernel) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class _SingularHalf:
+    """Grid-only part of a folded system, shared by every kernel on the grid.
+
+    ``parts`` is the ``_cell_parts`` tuple of the grid and ``rows`` holds
+    rows 0 .. r-1 of the unfolded singular part, ``r = ceil(n/2)``, an
+    r-by-n array; every array is read-only.
+    """
+
+    parts: tuple
+    rows: np.ndarray
+
+
+def _singular_half(grid: Grid) -> _SingularHalf:
+    """The finite-part rows ``_folded_matrix`` needs, built once for a grid.
+
+    The rows are those ``_folded_matrix`` forms block by block, filled
+    into one preallocated r-by-n array in the same ``_row_blocks``
+    blocks, so the temporaries stay one block.  The array costs
+    ``8 r n`` bytes: 160 KB at n = 200, 39 MiB at n = 3200.
+    """
+    n = grid.n
+    r = n - n // 2
+    parts = _cell_parts(grid)
+    u, xi, _, arcsin_steps = parts
+    rows = np.empty((r, n))
+    for start, stop in _row_blocks(r, n):
+        rows[start:stop] = _singular_rows(u, xi[start:stop], arcsin_steps)
+    for arr in parts + (rows,):
+        arr.setflags(write=False)
+    return _SingularHalf(parts=parts, rows=rows)
+
+
+def _folded_matrix(grid: Grid, kernel, half: Optional[_SingularHalf] = None) -> np.ndarray:
     """Even half ``B = A[:r, :r] + A[:r, r:] J`` of a centro-symmetric system.
 
     A is the matrix ``_weighted_matrix`` would build from ``kernel``,
@@ -194,15 +227,20 @@ def _folded_matrix(grid: Grid, kernel) -> np.ndarray:
     phi_{n-1-j}``, so its first r constants solve ``B y = rhs[:r]``.
     Only rows 0 .. r-1 of the kernel are read, in blocks of
     ``_row_blocks``, each with its singular part (their midpoints lie in
-    the left half); the returned r-by-r array is the only dense array
-    formed.
+    the left half).  Without ``half`` the singular rows are formed per
+    block and the returned r-by-r array is the only dense array formed;
+    with the grid's ``_singular_half`` they are read from it, which gives
+    the same sum ``S + K W`` and so the same matrix bitwise.
     """
     n = grid.n
     r = n - n // 2
-    u, xi, weights, arcsin_steps = _cell_parts(grid)
+    u, xi, weights, arcsin_steps = _cell_parts(grid) if half is None else half.parts
     folded = np.empty((r, r))
     for start, stop in _row_blocks(r, n):
-        rows = _singular_rows(u, xi[start:stop], arcsin_steps)
+        if half is None:
+            rows = _singular_rows(u, xi[start:stop], arcsin_steps)
+        else:
+            rows = half.rows[start:stop].copy()
         rows += kernel[start:stop] * weights
         folded[start:stop] = rows[:, :r]
         folded[start:stop, :n - r] += rows[:, r:][:, ::-1]

@@ -357,6 +357,29 @@ def test_folded_solve_refuses_an_asymmetric_load():
         _solve_weighted(grid, folded[:-1, :-1], rhs)
 
 
+@pytest.mark.parametrize("half_length", (1.0, 10.0, 100.0))
+@pytest.mark.parametrize("n", (7, 8, 241, 400, 800))
+def test_shared_singular_half_gives_the_folded_matrix_bitwise(n, half_length):
+    from hypersing.fullkernel import _folded_matrix, _row_blocks, _singular_half
+
+    grid, view, _ = _crack_system(n, half_length)
+    half = _singular_half(grid)
+    r = n - n // 2
+    assert half.rows.shape == (r, n)
+    if n == 800:
+        assert len(_row_blocks(r, n)) > 1
+    assert np.array_equal(_folded_matrix(grid, view, half), _folded_matrix(grid, view))
+
+
+def test_shared_singular_half_is_read_only():
+    from hypersing.fullkernel import _singular_half
+
+    half = _singular_half(build_grid(-1.0, 1.0, 41))
+    for arr in half.parts + (half.rows,):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 @pytest.mark.parametrize("n", (40, 41))
 def test_mirrored_solution_passes_the_full_residual_gate(n):
     from hypersing.fullkernel import _weighted_matrix
@@ -612,6 +635,61 @@ def test_porosity_sweep_memory_does_not_grow_per_target():
     # the targets are transformed one at a time: 40 targets hold only their
     # n-entry tables beyond what 2 hold, not 40 transforms at once
     assert peak(40) - peak(2) <= 256 * 1024
+
+
+def test_porosity_sweep_builds_the_singular_rows_once(monkeypatch):
+    import hypersing.fullkernel as fullkernel
+
+    rows_built = []
+    real = fullkernel._singular_rows
+
+    def counted(u, xi, arcsin_steps):
+        rows_built.append(xi.size)
+        return real(u, xi, arcsin_steps)
+
+    monkeypatch.setattr(fullkernel, "_singular_rows", counted)
+    targets = list(np.linspace(0.02, 0.62, 20))
+    assert len(porosity_sweep(CLASSICAL, targets, 1.0, 200)) == 20
+    # r = 100 rows for the whole sweep, where each target once formed its own
+    assert sum(rows_built) == 100
+
+
+def test_single_solve_builds_no_shared_singular_half(monkeypatch):
+    import hypersing.crack as crack
+
+    built = []
+    real = crack._singular_half
+    monkeypatch.setattr(crack, "_singular_half", lambda grid: built.append(grid) or real(grid))
+    solve_crack(POROUS, 1.0, 41)
+    assert not built
+    porosity_sweep(CLASSICAL, (0.2, 0.4), 1.0, 41)
+    assert len(built) == 1
+
+
+def test_porosity_sweep_memory_is_a_single_solve_plus_the_singular_half():
+    import tracemalloc
+
+    n = 800
+    r = n - n // 2
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def sweep():
+        porosity_sweep(CLASSICAL, (0.2, 0.4), 1.0, n)
+
+    def single():
+        solve_crack(_with_porosity(0.4), 1.0, n)
+
+    sweep(), single()  # warm-up
+    # the sweep holds one r-by-n array of finite-part rows beyond what a
+    # single solve holds
+    assert peak(sweep) <= peak(single) + 8 * r * n + 256 * 1024
 
 
 def test_non_finite_sweep_table_is_refused(monkeypatch):

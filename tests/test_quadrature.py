@@ -199,6 +199,28 @@ def test_halfline_rejects_undeclared_slow_decay():
         halfline_cosine_integral(lin, 1.0, OscIntSpec())
 
 
+def test_scalar_only_integrands_pass_the_decay_check():
+    import math
+
+    scalar = lambda s: 1.0 / (1.0 + math.pow(s, 3))
+    vector = lambda s: 1.0 / (1.0 + np.asarray(s, dtype=float) ** 3)
+    spec = OscIntSpec()
+    assert halfline_cosine_integral(scalar, 0.5, spec) == \
+        pytest.approx(halfline_cosine_integral(vector, 0.5, spec), abs=1e-14)
+    assert np.allclose(halfline_cosine_table(scalar, 0.1, 10, spec),
+                       halfline_cosine_table(vector, 0.1, 10, spec), rtol=0.0, atol=1e-14)
+    # a 1/s tail still fails the check when the callable only takes floats
+    slow = lambda s: 1.0 / math.sqrt(1.0 + math.pow(s, 2))
+    with pytest.raises(ValueError, match="decay"):
+        halfline_cosine_integral(slow, 0.5, spec)
+    with pytest.raises(ValueError, match="decay"):
+        halfline_cosine_table(slow, 0.1, 10, spec)
+    # and a tail that is not finite past s_max is refused
+    blown = lambda s: np.where(np.asarray(s) > 300.0, np.inf, vector(s))
+    with pytest.raises(ValueError, match="non-finite"):
+        halfline_cosine_integral(blown, 0.5, spec)
+
+
 def test_halfline_panel_budget_is_capped():
     F = lambda s: 1.0 / (1.0 + np.asarray(s, dtype=float)) ** 3
     with pytest.raises(ValueError):

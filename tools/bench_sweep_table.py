@@ -2,6 +2,7 @@
 """Time a porosity sweep layer by layer over its target count; write BENCH_sweep_table.json.
 
     python3 tools/bench_sweep_table.py [--out BENCH_sweep_table.json] [--repeats 5]
+        [--previous BENCH_sweep_table.json]
 
 Run from the root of a checkout.  For half-length and size (b, n) =
 (1, 200) and (100, 240), and K = 1, 5, 20 and 80 porous targets spread
@@ -14,19 +15,27 @@ records per K:
   ``halfline_cosine_tables`` call with no integrand);
   ``transforms_s``, the rest of the kernel tables of all K targets (the
   symbol fits, the K remainder transforms, the one proxy transform and
-  its one cosine-integral tail); ``fold_lu_s``, the folded assembly and
-  the gated LU solve of every target; ``tip_fit_s``, every target's tip
-  fit; and ``other_s``, what the sweep spends outside those four;
+  its one cosine-integral tail); ``singular_half_s``, the grid's
+  finite-part rows, built once per sweep; ``fold_lu_s``, the folded
+  assembly and the gated LU solve of every target; ``tip_fit_s``, every
+  target's tip fit; and ``other_s``, what the sweep spends outside those
+  five;
 * ``tracemalloc_peak_kib``: the peak of Python-tracked allocations
   during one sweep, after a warm-up sweep;
 * a SHA-256 of the rows as float64 bytes, which must agree across the
-  repeats, and whether every row equals ``solve_crack`` plus
+  repeats, next to the one the ``--previous`` file (by default the
+  committed ``BENCH_sweep_table.json``) holds for the same case, or null;
+  and whether every row equals ``solve_crack`` plus
   ``stress_concentration`` at its target bitwise.
 
+The script exits with status 1, after writing its file, when some sweep
+differs from its single solves.  A digest that differs from the previous
+one is only recorded: other numpy builds may round differently.
+
 The layer times come from wrappers put around the crack module's
-private ``_kernel_tables``, ``_folded_matrix``, ``_solve_weighted`` and
-``_tip_amplitude`` for one instrumented sweep per repeat; ``sweep_s``
-comes from sweeps run without them.  The BLAS pool is pinned to one
+private ``_kernel_tables``, ``_singular_half``, ``_folded_matrix``,
+``_solve_weighted`` and ``_tip_amplitude`` for one instrumented sweep per
+repeat; ``sweep_s`` comes from sweeps run without them.  The BLAS pool is pinned to one
 thread through the environment before numpy loads, and the file records
 that setting with the versions.
 """
@@ -64,7 +73,8 @@ from hypersing import (MaterialParams, OscIntSpec, TailOrder, build_grid,  # noq
 BASE = MaterialParams(1.0, 1.0, 1.0, 0.0, 1.0, 1.0)
 CASES = ((1.0, 200), (100.0, 240))
 TARGET_COUNTS = (1, 5, 20, 80)
-LAYERS = ("_kernel_tables", "_folded_matrix", "_solve_weighted", "_tip_amplitude")
+LAYERS = ("_kernel_tables", "_singular_half", "_folded_matrix", "_solve_weighted",
+          "_tip_amplitude")
 
 
 def _targets(count: int) -> list:
@@ -151,9 +161,11 @@ def measure(half_length: float, n: int, count: int, repeats: int) -> dict:
         "geometry_s": geometry_s,
         "transforms_s": med["_kernel_tables"] - geometry_s,
         "transforms_s_per_target": (med["_kernel_tables"] - geometry_s) / count,
+        "singular_half_s": med["_singular_half"],
         "fold_lu_s": fold_lu,
         "tip_fit_s": med["_tip_amplitude"],
-        "other_s": med["sweep"] - med["_kernel_tables"] - fold_lu - med["_tip_amplitude"],
+        "other_s": med["sweep"] - med["_kernel_tables"] - med["_singular_half"] - fold_lu
+                   - med["_tip_amplitude"],
         "instrumented_sweep_s": med["sweep"],
         "tracemalloc_peak_kib": _tracemalloc_peak_kib(targets, half_length, n),
         "repeats": repeats,
@@ -163,27 +175,46 @@ def measure(half_length: float, n: int, count: int, repeats: int) -> dict:
     }
 
 
+def _previous_digests(path: Path) -> dict:
+    """rows_sha256 by (half_length, n, targets) from an earlier record, if any."""
+    if not path.is_file():
+        return {}
+    return {(case["half_length"], case["n"], row["targets"]): row["rows_sha256"]
+            for case in json.loads(path.read_text())["cases"] for row in case["curve"]}
+
+
+def _against(row) -> str:
+    if row["previous_rows_sha256"] is None:
+        return "with no previous digest"
+    return "as before" if row["rows_sha256"] == row["previous_rows_sha256"] else "CHANGED"
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=str(ROOT / "BENCH_sweep_table.json"))
     parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--previous", default=str(ROOT / "BENCH_sweep_table.json"))
     args = parser.parse_args(argv)
 
+    previous = _previous_digests(Path(args.previous))
     cases = []
     for half_length, n in CASES:
         curve = [measure(half_length, n, count, args.repeats) for count in TARGET_COUNTS]
         cases.append({"half_length": half_length, "n": n, "curve": curve})
         for row in curve:
+            row["previous_rows_sha256"] = previous.get((half_length, n, row["targets"]))
             print(f"b={half_length:g} n={n} K={row['targets']}: sweep {row['sweep_s']:.4f} s "
                   f"({1e3 * row['sweep_s_per_target']:.2f} ms/target; geometry "
                   f"{1e3 * row['geometry_s']:.2f} ms, transforms "
-                  f"{1e3 * row['transforms_s_per_target']:.2f} ms/target), "
-                  f"peak {row['tracemalloc_peak_kib']:.0f} KiB")
+                  f"{1e3 * row['transforms_s_per_target']:.2f} ms/target, singular half "
+                  f"{1e3 * row['singular_half_s']:.2f} ms), "
+                  f"peak {row['tracemalloc_peak_kib']:.0f} KiB, rows {_against(row)}")
     record = {
         "topic": "sweep_table",
         "layer": "crack.porosity_sweep: one crack._kernel_tables call for all targets "
-                 "(quadrature.halfline_cosine_tables with the grid's chirp-z plan built once), "
-                 "then per target fullkernel._folded_matrix, the gated LU and the tip fit",
+                 "(quadrature.halfline_cosine_tables with the grid's chirp-z plan built once) "
+                 "and one fullkernel._singular_half, then per target "
+                 "fullkernel._folded_matrix, the gated LU and the tip fit",
         "material": {"lam": 1.0, "mu": 1.0, "alpha": 1.0, "xi": 1.0, "sigma0": 1.0},
         "targets": "K porosities evenly spaced over [0.02, 0.62]; N = 0.35 for K = 1",
         "blas_threads": {var: os.environ[var] for var in BLAS_VARS},
@@ -193,6 +224,10 @@ def main(argv=None):
         "cases": cases,
     }
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
+    unequal = [(case["half_length"], case["n"], row["targets"])
+               for case in cases for row in case["curve"] if not row["rows_equal_single_solves"]]
+    if unequal:
+        sys.exit(f"sweep rows differ from single solves at (b, n, K) = {unequal}")
 
 
 if __name__ == "__main__":
