@@ -24,9 +24,9 @@ node-mean values.  The collocation matrix is then exactly
 centro-symmetric and the load is constant, so the opening is exactly
 reflection-symmetric and only the folded even half of the system, a
 quarter of the matrix, is formed and solved.  Its finite-part rows
-depend only on the grid, so a sweep builds them once, as one
-ceil(n/2)-by-n array (160 KB at n = 200, 39 MiB at n = 3200), and adds
-each target's kernel to them.
+depend only on the grid, so a sweep on a grid of n <= 1024 cells builds
+them once, as one ceil(n/2)-by-n array (160 KB at n = 200, at most
+4 MiB), and adds each target's kernel to them.
 
 The kernel slope carries the factor ``(1 - N)^2`` that also appears in
 the load term, so the effective right-hand side is porosity
@@ -49,7 +49,7 @@ from .grids import Grid, SampledFunction, build_grid
 from .quadrature import (OscIntSpec, TailOrder, cosine_integral,
                          halfline_cosine_integral, halfline_cosine_tables,
                          _check_cubic_decay)
-from .fullkernel import _SingularHalf, _folded_matrix, _singular_half, _solve_weighted
+from .fullkernel import _folded_matrix, _singular_half, _solve_weighted
 
 __all__ = [
     "MaterialParams",
@@ -485,10 +485,10 @@ def _crack_grid(half_length: float, n: int) -> Grid:
 
 def _solve_tabled(params: MaterialParams, dp: DimensionlessParams, grid: Grid,
                   kernel_table: np.ndarray,
-                  half: Optional[_SingularHalf] = None) -> CrackSolution:
+                  singular: Optional[np.ndarray] = None) -> CrackSolution:
     """The crack solve of ``solve_crack`` from its regular-kernel offset table on.
 
-    ``half``, the grid's ``_singular_half``, lets a sweep share the
+    ``singular``, the grid's ``_singular_half``, lets a sweep share the
     finite-part rows across its targets; the folded matrix is the same
     bitwise with or without it.
     """
@@ -507,8 +507,7 @@ def _solve_tabled(params: MaterialParams, dp: DimensionlessParams, grid: Grid,
     if not np.all(np.isfinite(table)):
         raise ValueError("crack kernel table has a non-finite value")
     view = _node_mean_view(table)
-    matrix = (_folded_matrix(grid, view) if half is None
-              else _folded_matrix(grid, view, half))
+    matrix = _folded_matrix(grid, view, singular)
     raw = _solve_weighted(grid, matrix, np.full(n, rhs_reduced))
     opening_values = -raw.values
     if params.sigma0 > 0.0 and np.any(opening_values < 0.0):
@@ -538,6 +537,13 @@ def stress_concentration(solution: CrackSolution) -> float:
     return float(solution.tip_coefficient / classical)
 
 
+# Largest shared finite-part array a sweep builds.  Up to n = 1024 it
+# leaves a 4-target sweep's tracemalloc and RSS peaks where they were
+# without it (the kernel tables set them); at n = 3200 its 39 MiB took
+# the RSS peak from 103 to 142 MiB for a 10% faster sweep.
+_SHARED_SINGULAR_MAX_BYTES = 4 << 20
+
+
 def porosity_sweep(base: MaterialParams, porosities: Sequence[float],
                    half_length: float, n: int,
                    spec: Optional[OscIntSpec] = None):
@@ -552,12 +558,12 @@ def porosity_sweep(base: MaterialParams, porosities: Sequence[float],
     of all targets come from one ``_kernel_tables`` call, which builds
     the grid's chirp-z plan, the proxy transform and its cosine-integral
     tail once.  The finite-part rows of the folded system depend only on
-    the grid, so they are built once too (``_singular_half``), after the
-    tables: the sweep holds one ceil(n/2)-by-n array for them, 160 KB at
-    n = 200 and 39 MiB at n = 3200, which a single ``solve_crack`` does
-    not.  Each target is then solved as ``solve_crack`` solves it, and
-    each row equals ``solve_crack`` with ``stress_concentration`` at that
-    target bitwise.
+    the grid, so while they fit in ``_SHARED_SINGULAR_MAX_BYTES`` (n <=
+    1024) they are built once too (``_singular_half``), after the
+    tables, as one ceil(n/2)-by-n array, 160 KB at n = 200; on a larger
+    grid each target forms them block by block.  Each target is then
+    solved as ``solve_crack`` solves it, and each row equals
+    ``solve_crack`` with ``stress_concentration`` at that target bitwise.
     """
     spec = spec if spec is not None else OscIntSpec()
     targets = [float(n_target) for n_target in porosities]
@@ -569,10 +575,12 @@ def porosity_sweep(base: MaterialParams, porosities: Sequence[float],
                  for n_target in targets]
     dps = [derive_dimensionless(params) for params in materials]
     tables = _kernel_tables(grid.h, grid.n, dps, spec)
-    half = _singular_half(grid)
+    r = grid.n - grid.n // 2
+    singular = (_singular_half(grid) if 8 * r * grid.n <= _SHARED_SINGULAR_MAX_BYTES
+                else None)
     rows = []
     for n_target, params, dp, table in zip(targets, materials, dps, tables):
-        sol = _solve_tabled(params, dp, grid, table, half)
+        sol = _solve_tabled(params, dp, grid, table, singular)
         opening0 = float(np.interp(0.0, sol.opening.points, sol.opening.values))
         rows.append((n_target, opening0, stress_concentration(sol)))
     return rows

@@ -183,40 +183,27 @@ def _weighted_matrix(grid: Grid, kernel: np.ndarray) -> np.ndarray:
     return matrix
 
 
-@dataclass(frozen=True, eq=False)
-class _SingularHalf:
-    """Grid-only part of a folded system, shared by every kernel on the grid.
+def _singular_half(grid: Grid) -> np.ndarray:
+    """Rows 0 .. r-1 of the unfolded singular part, ``r = ceil(n/2)``.
 
-    ``parts`` is the ``_cell_parts`` tuple of the grid and ``rows`` holds
-    rows 0 .. r-1 of the unfolded singular part, ``r = ceil(n/2)``, an
-    r-by-n array; every array is read-only.
-    """
-
-    parts: tuple
-    rows: np.ndarray
-
-
-def _singular_half(grid: Grid) -> _SingularHalf:
-    """The finite-part rows ``_folded_matrix`` needs, built once for a grid.
-
-    The rows are those ``_folded_matrix`` forms block by block, filled
-    into one preallocated r-by-n array in the same ``_row_blocks``
-    blocks, so the temporaries stay one block.  The array costs
-    ``8 r n`` bytes: 160 KB at n = 200, 39 MiB at n = 3200.
+    These are the finite-part rows ``_folded_matrix`` forms block by
+    block; they depend only on the grid, so several kernels on one grid
+    may share them.  They are filled into one preallocated r-by-n array
+    in the same ``_row_blocks`` blocks, so the temporaries stay one
+    block, and the array is returned read-only.  It costs ``8 r n``
+    bytes: 160 KB at n = 200, 4 MiB at n = 1024.
     """
     n = grid.n
     r = n - n // 2
-    parts = _cell_parts(grid)
-    u, xi, _, arcsin_steps = parts
+    u, xi, _, arcsin_steps = _cell_parts(grid)
     rows = np.empty((r, n))
     for start, stop in _row_blocks(r, n):
         rows[start:stop] = _singular_rows(u, xi[start:stop], arcsin_steps)
-    for arr in parts + (rows,):
-        arr.setflags(write=False)
-    return _SingularHalf(parts=parts, rows=rows)
+    rows.setflags(write=False)
+    return rows
 
 
-def _folded_matrix(grid: Grid, kernel, half: Optional[_SingularHalf] = None) -> np.ndarray:
+def _folded_matrix(grid: Grid, kernel, singular: Optional[np.ndarray] = None) -> np.ndarray:
     """Even half ``B = A[:r, :r] + A[:r, r:] J`` of a centro-symmetric system.
 
     A is the matrix ``_weighted_matrix`` would build from ``kernel``,
@@ -227,20 +214,20 @@ def _folded_matrix(grid: Grid, kernel, half: Optional[_SingularHalf] = None) -> 
     phi_{n-1-j}``, so its first r constants solve ``B y = rhs[:r]``.
     Only rows 0 .. r-1 of the kernel are read, in blocks of
     ``_row_blocks``, each with its singular part (their midpoints lie in
-    the left half).  Without ``half`` the singular rows are formed per
-    block and the returned r-by-r array is the only dense array formed;
-    with the grid's ``_singular_half`` they are read from it, which gives
-    the same sum ``S + K W`` and so the same matrix bitwise.
+    the left half).  Without ``singular`` the singular rows are formed
+    per block and the returned r-by-r array is the only dense array
+    formed; given the grid's ``_singular_half`` they are copied from it,
+    which gives the same sum ``S + K W`` and so the same matrix bitwise.
     """
     n = grid.n
     r = n - n // 2
-    u, xi, weights, arcsin_steps = _cell_parts(grid) if half is None else half.parts
+    u, xi, weights, arcsin_steps = _cell_parts(grid)
     folded = np.empty((r, r))
     for start, stop in _row_blocks(r, n):
-        if half is None:
+        if singular is None:
             rows = _singular_rows(u, xi[start:stop], arcsin_steps)
         else:
-            rows = half.rows[start:stop].copy()
+            rows = singular[start:stop].copy()
         rows += kernel[start:stop] * weights
         folded[start:stop] = rows[:, :r]
         folded[start:stop, :n - r] += rows[:, r:][:, ::-1]

@@ -363,21 +363,20 @@ def test_shared_singular_half_gives_the_folded_matrix_bitwise(n, half_length):
     from hypersing.fullkernel import _folded_matrix, _row_blocks, _singular_half
 
     grid, view, _ = _crack_system(n, half_length)
-    half = _singular_half(grid)
+    singular = _singular_half(grid)
     r = n - n // 2
-    assert half.rows.shape == (r, n)
+    assert singular.shape == (r, n)
     if n == 800:
         assert len(_row_blocks(r, n)) > 1
-    assert np.array_equal(_folded_matrix(grid, view, half), _folded_matrix(grid, view))
+    assert np.array_equal(_folded_matrix(grid, view, singular), _folded_matrix(grid, view))
 
 
 def test_shared_singular_half_is_read_only():
     from hypersing.fullkernel import _singular_half
 
-    half = _singular_half(build_grid(-1.0, 1.0, 41))
-    for arr in half.parts + (half.rows,):
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
+    singular = _singular_half(build_grid(-1.0, 1.0, 41))
+    with pytest.raises(ValueError):
+        singular[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("n", (40, 41))
@@ -410,9 +409,9 @@ def test_kernel_view_is_read_only_and_left_unwritten(monkeypatch):
     seen = []
     real = crack._folded_matrix
 
-    def spy(grid, kernel):
+    def spy(grid, kernel, singular=None):
         seen.append((kernel, kernel.copy()))
-        return real(grid, kernel)
+        return real(grid, kernel, singular)
 
     monkeypatch.setattr(crack, "_folded_matrix", spy)
     solve_crack(POROUS, 1.0, 41)
@@ -664,6 +663,22 @@ def test_single_solve_builds_no_shared_singular_half(monkeypatch):
     assert not built
     porosity_sweep(CLASSICAL, (0.2, 0.4), 1.0, 41)
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("n, shared", ((1024, True), (1026, False)))
+def test_porosity_sweep_shares_the_singular_rows_only_within_the_budget(monkeypatch, n, shared):
+    import hypersing.crack as crack
+
+    built = []
+    real = crack._singular_half
+    monkeypatch.setattr(crack, "_singular_half", lambda grid: built.append(grid) or real(grid))
+    # 8 r n bytes is exactly 4 MiB at n = 1024 and just over it at n = 1026,
+    # where each target forms its rows block by block as solve_crack does
+    [(_, center, ratio)] = porosity_sweep(CLASSICAL, (0.3,), 1.0, n)
+    assert len(built) == int(shared)
+    sol = solve_crack(_with_porosity(0.3), 1.0, n)
+    assert center == float(np.interp(0.0, sol.opening.points, sol.opening.values))
+    assert ratio == stress_concentration(sol)
 
 
 def test_porosity_sweep_memory_is_a_single_solve_plus_the_singular_half():

@@ -2,7 +2,6 @@
 """Time a porosity sweep layer by layer over its target count; write BENCH_sweep_table.json.
 
     python3 tools/bench_sweep_table.py [--out BENCH_sweep_table.json] [--repeats 5]
-        [--previous BENCH_sweep_table.json]
 
 Run from the root of a checkout.  For half-length and size (b, n) =
 (1, 200) and (100, 240), and K = 1, 5, 20 and 80 porous targets spread
@@ -23,14 +22,11 @@ records per K:
 * ``tracemalloc_peak_kib``: the peak of Python-tracked allocations
   during one sweep, after a warm-up sweep;
 * a SHA-256 of the rows as float64 bytes, which must agree across the
-  repeats, next to the one the ``--previous`` file (by default the
-  committed ``BENCH_sweep_table.json``) holds for the same case, or null;
-  and whether every row equals ``solve_crack`` plus
-  ``stress_concentration`` at its target bitwise.
-
-The script exits with status 1, after writing its file, when some sweep
-differs from its single solves.  A digest that differs from the previous
-one is only recorded: other numpy builds may round differently.
+  repeats, next to the one the checkout's ``BENCH_sweep_table.json``
+  held for the same case before this run, or null; and whether every
+  row equals ``solve_crack`` plus ``stress_concentration`` at its target
+  bitwise.  A digest that differs from the previous one is only
+  recorded: other numpy builds may round differently.
 
 The layer times come from wrappers put around the crack module's
 private ``_kernel_tables``, ``_singular_half``, ``_folded_matrix``,
@@ -175,8 +171,9 @@ def measure(half_length: float, n: int, count: int, repeats: int) -> dict:
     }
 
 
-def _previous_digests(path: Path) -> dict:
-    """rows_sha256 by (half_length, n, targets) from an earlier record, if any."""
+def _previous_digests() -> dict:
+    """rows_sha256 by (half_length, n, targets) from the checkout's record, if any."""
+    path = ROOT / "BENCH_sweep_table.json"
     if not path.is_file():
         return {}
     return {(case["half_length"], case["n"], row["targets"]): row["rows_sha256"]
@@ -193,10 +190,9 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=str(ROOT / "BENCH_sweep_table.json"))
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--previous", default=str(ROOT / "BENCH_sweep_table.json"))
     args = parser.parse_args(argv)
 
-    previous = _previous_digests(Path(args.previous))
+    previous = _previous_digests()
     cases = []
     for half_length, n in CASES:
         curve = [measure(half_length, n, count, args.repeats) for count in TARGET_COUNTS]
@@ -224,10 +220,6 @@ def main(argv=None):
         "cases": cases,
     }
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
-    unequal = [(case["half_length"], case["n"], row["targets"])
-               for case in cases for row in case["curve"] if not row["rows_equal_single_solves"]]
-    if unequal:
-        sys.exit(f"sweep rows differ from single solves at (b, n, K) = {unequal}")
 
 
 if __name__ == "__main__":
