@@ -23,10 +23,11 @@ kernel matrix a symmetric Toeplitz one, read through a view of the n
 node-mean values.  The collocation matrix is then exactly
 centro-symmetric and the load is constant, so the opening is exactly
 reflection-symmetric and only the folded even half of the system, a
-quarter of the matrix, is formed and solved.  Its finite-part rows
-depend only on the grid, so a sweep on a grid of n <= 1024 cells builds
-them once, as one ceil(n/2)-by-n array (160 KB at n = 200, at most
-4 MiB), and adds each target's kernel to them.
+quarter of the matrix, is formed and solved: it is factored in place, and
+its residual gate re-forms it chunk by chunk.  Its finite-part block
+depends only on the grid, so a sweep on a grid of n <= 1448 cells builds
+it once, as one ceil(n/2)-square array (80 KB at n = 200, at most
+4 MiB), adds each target's kernel to it and takes each residual from it.
 
 The kernel slope carries the factor ``(1 - N)^2`` that also appears in
 the load term, so the effective right-hand side is porosity
@@ -49,7 +50,7 @@ from .grids import Grid, SampledFunction, build_grid
 from .quadrature import (OscIntSpec, TailOrder, cosine_integral,
                          halfline_cosine_integral, halfline_cosine_tables,
                          _check_cubic_decay)
-from .fullkernel import _folded_matrix, _singular_half, _solve_weighted
+from .fullkernel import _folded_singular, _solve_folded
 
 __all__ = [
     "MaterialParams",
@@ -462,11 +463,14 @@ def solve_crack(params: MaterialParams, half_length: float, n: int,
     centro-symmetric, and the constant load is reflection-symmetric, so
     the solution is too: its first ``r = ceil(n/2)`` cell constants
     solve the folded system ``B = A[:r, :r] + A[:r, r:] J`` (J the
-    column reversal), and the rest are their mirror image.  B, built
-    row block by row block from the view, is the only dense array of
-    the solve; the pivot and residual gates run on it, and row
-    ``n-1-i`` of the full residual equals row i, so they gate the whole
-    system.  The opening is exactly reflection-symmetric.
+    column reversal), and the rest are their mirror image.  B is built
+    chunk by chunk from the view and the closed-form folded finite-part
+    block, in its own memory map, and factored in place, so it is the
+    only dense array of the solve and its pages go back to the system
+    when the solve returns.  The pivot gate runs on B before the
+    factorization; the residual gate takes B x from B's chunks re-formed.
+    Row ``n-1-i`` of the full residual equals row i, so the gates cover
+    the whole system.  The opening is exactly reflection-symmetric.
     """
     grid = _crack_grid(half_length, n)
     dp = derive_dimensionless(params)
@@ -488,9 +492,9 @@ def _solve_tabled(params: MaterialParams, dp: DimensionlessParams, grid: Grid,
                   singular: Optional[np.ndarray] = None) -> CrackSolution:
     """The crack solve of ``solve_crack`` from its regular-kernel offset table on.
 
-    ``singular``, the grid's ``_singular_half``, lets a sweep share the
-    finite-part rows across its targets; the folded matrix is the same
-    bitwise with or without it.
+    ``singular``, the grid's ``_folded_singular``, lets a sweep share the
+    folded finite-part block across its targets; the folded matrix is the
+    same bitwise with or without it.
     """
     n = grid.n
     half_length = grid.interval.b
@@ -506,9 +510,7 @@ def _solve_tabled(params: MaterialParams, dp: DimensionlessParams, grid: Grid,
     table = -(np.pi / slope) * kernel_table
     if not np.all(np.isfinite(table)):
         raise ValueError("crack kernel table has a non-finite value")
-    view = _node_mean_view(table)
-    matrix = _folded_matrix(grid, view, singular)
-    raw = _solve_weighted(grid, matrix, np.full(n, rhs_reduced))
+    raw = _solve_folded(grid, _node_mean_view(table), np.full(n, rhs_reduced), singular)
     opening_values = -raw.values
     if params.sigma0 > 0.0 and np.any(opening_values < 0.0):
         raise ValueError(
@@ -537,10 +539,11 @@ def stress_concentration(solution: CrackSolution) -> float:
     return float(solution.tip_coefficient / classical)
 
 
-# Largest shared finite-part array a sweep builds.  Up to n = 1024 it
-# leaves a 4-target sweep's tracemalloc and RSS peaks where they were
-# without it (the kernel tables set them); at n = 3200 its 39 MiB took
-# the RSS peak from 103 to 142 MiB for a 10% faster sweep.
+# Largest shared folded finite-part block a sweep builds, r^2 floats for
+# n <= 1448.  A block of unfolded rows (r by n) under the same budget,
+# up to n = 1024, left a 4-target sweep's tracemalloc and RSS peaks where
+# they were without it; at n = 3200 its 39 MiB took the RSS peak from
+# 103 to 142 MiB for a 10% faster sweep.
 _SHARED_SINGULAR_MAX_BYTES = 4 << 20
 
 
@@ -557,11 +560,12 @@ def porosity_sweep(base: MaterialParams, porosities: Sequence[float],
     Every target is checked before any work starts.  The kernel tables
     of all targets come from one ``_kernel_tables`` call, which builds
     the grid's chirp-z plan, the proxy transform and its cosine-integral
-    tail once.  The finite-part rows of the folded system depend only on
-    the grid, so while they fit in ``_SHARED_SINGULAR_MAX_BYTES`` (n <=
-    1024) they are built once too (``_singular_half``), after the
-    tables, as one ceil(n/2)-by-n array, 160 KB at n = 200; on a larger
-    grid each target forms them block by block.  Each target is then
+    tail once.  The folded finite-part block depends only on the grid, so
+    while it fits in ``_SHARED_SINGULAR_MAX_BYTES`` (n <= 1448) it is
+    built once too (``_folded_singular``), after the tables, as one
+    ceil(n/2)-square array, 80 KB at n = 200; each target adds its kernel
+    to it and takes its residual gate's ``S x`` from it.  On a larger
+    grid each target forms it chunk by chunk.  Each target is then
     solved as ``solve_crack`` solves it, and each row equals
     ``solve_crack`` with ``stress_concentration`` at that target bitwise.
     """
@@ -576,8 +580,7 @@ def porosity_sweep(base: MaterialParams, porosities: Sequence[float],
     dps = [derive_dimensionless(params) for params in materials]
     tables = _kernel_tables(grid.h, grid.n, dps, spec)
     r = grid.n - grid.n // 2
-    singular = (_singular_half(grid) if 8 * r * grid.n <= _SHARED_SINGULAR_MAX_BYTES
-                else None)
+    singular = _folded_singular(grid) if 8 * r * r <= _SHARED_SINGULAR_MAX_BYTES else None
     rows = []
     for n_target, params, dp, table in zip(targets, materials, dps, tables):
         sol = _solve_tabled(params, dp, grid, table, singular)

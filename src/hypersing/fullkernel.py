@@ -14,7 +14,9 @@ kernel sample times the exact cell weight, ``K0(x_i, t_j) * W_j`` with
 ``W_j`` the integral of w over cell j.  A caller whose sampled kernel
 is exactly centro-symmetric and whose load is reflection-symmetric (the
 crack solve) forms and solves only the folded even half of the system,
-a quarter of the matrix.  Alternatively, when K0 has an
+a quarter of the matrix.  Its finite-part part is evaluated in closed
+form, it is factored in place, and the residual gate re-forms it chunk
+by chunk, so no copy of it is kept.  Alternatively, when K0 has an
 antiderivative K1 in its first argument (K0 = dK1/dx) and fprime has
 antiderivative f, applying the inversion operator of the characteristic
 equation converts the problem into a second-kind Fredholm equation
@@ -31,13 +33,15 @@ problem down both paths is the strongest available end-to-end check.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import Grid, Interval, SampledFunction
-from .linalg import SingularMatrixError, lu_solve
+from .linalg import SingularMatrixError, _solve_in_place, lu_solve
 from .quadrature import PVQuadSpec, chebyshev_nodes, pv_weighted_matrix, _sample
 from .characteristic import _check_antiderivative
 
@@ -163,7 +167,7 @@ def _weighted_matrix(grid: Grid, kernel: np.ndarray) -> np.ndarray:
     half of its rows is formed, in blocks of ``_row_blocks``, and each
     block is also added reversed into the mirrored rows.  A kernel that
     is itself centro-symmetric therefore gives an exactly
-    centro-symmetric matrix, whose even half ``_folded_matrix`` forms
+    centro-symmetric matrix, whose even half ``_FoldedSystem`` forms
     on its own.
     """
     n = grid.n
@@ -183,83 +187,257 @@ def _weighted_matrix(grid: Grid, kernel: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def _singular_half(grid: Grid) -> np.ndarray:
-    """Rows 0 .. r-1 of the unfolded singular part, ``r = ceil(n/2)``.
+# entries of one column chunk of the folded system, which keeps a chunk's
+# temporaries in cache whatever n is
+_FOLD_CHUNK_ENTRIES = 2**15
 
-    These are the finite-part rows ``_folded_matrix`` forms block by
-    block; they depend only on the grid, so several kernels on one grid
-    may share them.  They are filled into one preallocated r-by-n array
-    in the same ``_row_blocks`` blocks, so the temporaries stay one
-    block, and the array is returned read-only.  It costs ``8 r n``
-    bytes: 160 KB at n = 200, 4 MiB at n = 1024.
+
+def _fold_chunks(r: int):
+    """(start, stop) column ranges covering r columns of r rows each, at
+    most ``_FOLD_CHUNK_ENTRIES`` entries a chunk."""
+    step = max(1, _FOLD_CHUNK_ENTRIES // r)
+    return [(start, min(start + step, r)) for start in range(0, r, step)]
+
+
+def _singular_fold(grid: Grid):
+    """Columns of the folded finite-part block ``S = A[:r, :r] + A[:r, r:] J``.
+
+    Returns ``columns(start, stop, out)``, which writes columns
+    start .. stop-1 of S as the rows of ``out``, a (stop - start)-by-r
+    array, for a chunk of ``_fold_chunks``.  A is the singular part of
+    ``_weighted_matrix`` and ``r = ceil(n/2)``.  Cell n-1-j mirrors cell
+    j, so with the antiderivative F of ``_singular_rows`` and ``u_{n-k}
+    = -u_k``, entry (i, j) is ``E(u_{j+1}) - E(u_j)`` for the odd part
+
+        E(u; xi) = F(u; xi) - F(-u; xi)
+                 = 2 u omega / (xi^2 - u^2) - 2 arcsin u
+                   + (xi / s) ln[N1 |xi + u| / (N2 |u - xi|)],
+
+    ``N1 = (1 + xi) - xi (1 + u) + s omega`` and ``N2 = 1 + xi u + s omega``,
+    taken at the left-half nodes u_0 .. u_{r-1} with ``E(u_r) := 0``
+    (u_r = 0 for even n; for odd n this makes the middle column, whose
+    cell is its own mirror, ``-E(u_{r-1})``).  With ``u = cos a`` and
+    ``xi = cos b``, ``N1 = 2 sin^2((a + b)/2)`` and ``N2 = 2 cos^2((a - b)/2)``,
+    so ``N1 / N2 = ((alpha + beta) / (1 + alpha beta))^2`` for the
+    half-angle cotangents ``alpha = sqrt((1 + u) / (1 - u))`` and ``beta =
+    sqrt((1 + xi) / (1 - xi))``, both nonnegative.  On the uniform grid
+    these, omega and s come from integers without the rounding of u and
+    xi, and ``xi_i - u_j = (2(i - j) + 1) / n`` and ``xi_i + u_j =
+    (2(i + j) + 1 - 2n) / n``, so the factors built from them come from
+    O(n) tables read as Toeplitz and Hankel views.  Each entry costs one
+    logarithm and one division.  Within 6e-14 of 40-digit arithmetic
+    relative to ``max(1, |entry|)`` at n = 3200.  The temporaries are
+    two chunk-sized arrays allocated once, as fresh ones for every chunk
+    cost a page fault per 4 KiB.
     """
     n = grid.n
     r = n - n // 2
-    u, xi, _, arcsin_steps = _cell_parts(grid)
-    rows = np.empty((r, n))
-    for start, stop in _row_blocks(r, n):
-        rows[start:stop] = _singular_rows(u, xi[start:stop], arcsin_steps)
-    rows.setflags(write=False)
-    return rows
+    k = np.arange(r, dtype=float)
+    u = (2.0 * k - n) / n
+    omega = np.sqrt(4.0 * k * (n - k)) / n
+    xi = (2.0 * k + 1.0 - n) / n
+    s = np.sqrt((2.0 * k + 1.0) * (2.0 * (n - k) - 1.0)) / n
+    alpha = np.sqrt(k / (n - k))[:, None]
+    beta = np.sqrt((2.0 * k + 1.0) / (2.0 * (n - k) - 1.0))
+    log_scale = 2.0 * xi / s
+    # -2 arcsin u, as an angle whose sine and cosine are both accurate
+    node_term = (-2.0 * np.arctan2(u, omega))[:, None]
+    node_scale = (2.0 * u * omega)[:, None]
+    # entry (j, i) of a view is the table at i - j + r - 1, or at i + j
+    gap = 2.0 * np.arange(-(r - 1), r) + 1.0          # n (xi_i - u_j)
+    span = 2.0 * np.arange(2 * r - 1) + 1.0 - 2.0 * n  # n (xi_i + u_j), negative
+    inv_gap = sliding_window_view(n / gap, r)[::-1]
+    inv_root_gap = sliding_window_view(1.0 / np.sqrt(np.abs(gap)), r)[::-1]
+    inv_span = sliding_window_view(n / span, r)
+    root_span = sliding_window_view(np.sqrt(-span), r)
+    work = np.empty((2, _fold_chunks(r)[0][1] + 1, r))
+
+    def columns(start, stop, out):
+        j = slice(start, min(stop + 1, r))  # E at one node past the chunk
+        odd, den = work[:, :j.stop - start]
+        # (xi / s) ln[N1 |xi + u| / (N2 |u - xi|)] as 2 (xi / s) ln of its root
+        np.add(alpha[j], beta, out=odd)
+        np.multiply(alpha[j], beta, out=den)
+        den += 1.0
+        odd *= root_span[j]
+        odd *= inv_root_gap[j]
+        odd /= den
+        np.log(odd, out=odd)
+        odd *= log_scale
+        np.multiply(inv_gap[j], inv_span[j], out=den)
+        den *= node_scale[j]
+        odd += den
+        odd += node_term[j]
+        np.subtract(odd[1:], odd[:-1], out=out[:len(odd) - 1])
+        if stop == r:
+            np.negative(odd[-1], out=out[-1])
+
+    return columns
 
 
-def _folded_matrix(grid: Grid, kernel, singular: Optional[np.ndarray] = None) -> np.ndarray:
-    """Even half ``B = A[:r, :r] + A[:r, r:] J`` of a centro-symmetric system.
+def _folded_singular(grid: Grid) -> np.ndarray:
+    """The whole folded finite-part block S of ``_singular_fold``, r by r,
+    Fortran-ordered and read-only.
+
+    It depends only on the grid, so several kernels on one grid may
+    share it; it is filled in the chunks of ``_fold_chunks``, as
+    ``_FoldedSystem`` forms them, so a sum with it equals the one
+    formed per chunk bitwise.  It costs ``8 r^2`` bytes: 80 KB at
+    n = 200, 4 MiB at n = 1448.
+    """
+    r = grid.n - grid.n // 2
+    columns = _singular_fold(grid)
+    out = np.empty((r, r), order="F")
+    for start, stop in _fold_chunks(r):
+        columns(start, stop, out.T[start:stop])
+    out.setflags(write=False)
+    return out
+
+
+def _kernel_fold(kernel, weights, start: int, stop: int, out) -> np.ndarray:
+    """Write columns start .. stop-1 of the folded kernel part as the
+    rows of ``out`` and return it: ``W_j (kernel[i, j] + kernel[i,
+    n-1-j])`` for rows i < r, with the mirror term left out of the
+    middle column of an odd grid, which is its own mirror."""
+    n = kernel.shape[1]
+    r = n - n // 2
+    np.copyto(out, kernel[:r, start:stop].T)
+    mirrored = min(stop, n - r)
+    if start < mirrored:
+        out[:mirrored - start] += kernel[:r, n - mirrored:n - start].T[::-1]
+    out *= weights[start:stop, None]
+    return out
+
+
+class _FoldedSystem:
+    """The folded even half B of a centro-symmetric system, formed
+    chunk by chunk, as often as needed.
 
     A is the matrix ``_weighted_matrix`` would build from ``kernel``,
     which must be exactly centro-symmetric (``kernel[i, j] ==
-    kernel[n-1-i, n-1-j]``, as a symmetric Toeplitz kernel is); J
-    reverses columns and ``r = ceil(n/2)``.  For a reflection-symmetric
-    right-hand side the solution is symmetric too, ``phi_j =
-    phi_{n-1-j}``, so its first r constants solve ``B y = rhs[:r]``.
-    Only rows 0 .. r-1 of the kernel are read, in blocks of
-    ``_row_blocks``, each with its singular part (their midpoints lie in
-    the left half).  Without ``singular`` the singular rows are formed
-    per block and the returned r-by-r array is the only dense array
-    formed; given the grid's ``_singular_half`` they are copied from it,
-    which gives the same sum ``S + K W`` and so the same matrix bitwise.
+    kernel[n-1-i, n-1-j]``, as a symmetric Toeplitz kernel is), and
+    ``B = A[:r, :r] + A[:r, r:] J`` with J the column reversal and
+    ``r = ceil(n/2)``.  For a reflection-symmetric right-hand side the
+    solution is symmetric too, ``phi_j = phi_{n-1-j}``, so its first r
+    constants solve ``B y = rhs[:r]``.  A chunk of ``_fold_chunks`` is
+    the folded singular part (``_singular_fold``, or the grid's
+    ``_folded_singular`` when given, which gives the same chunk
+    bitwise) plus the folded kernel part of ``_kernel_fold``; only rows
+    0 .. r-1 of the kernel are read.  Equals the fold of
+    ``_weighted_matrix`` to rounding, not bitwise.
+    """
+
+    def __init__(self, grid: Grid, kernel, singular: Optional[np.ndarray] = None):
+        self.r = grid.n - grid.n // 2
+        self.kernel, self.singular = kernel, singular
+        self.weights = _cell_parts(grid)[2]
+        self.columns = _singular_fold(grid) if singular is None else None
+        self.chunks = _fold_chunks(self.r)
+        self.spare = np.empty((self.chunks[0][1], self.r))
+
+    def fill(self, start: int, stop: int, out) -> np.ndarray:
+        """Write columns start .. stop-1 of B as the rows of ``out``."""
+        if self.singular is None:
+            self.columns(start, stop, out)
+        else:
+            np.copyto(out, self.singular.T[start:stop])
+        out += _kernel_fold(self.kernel, self.weights, start, stop,
+                            self.spare[:stop - start])
+        return out
+
+    def matrix(self, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """B, written into ``out`` when given, else into a new array;
+        Fortran-ordered, the order in which LAPACK factors in place and
+        in which each chunk is one contiguous stretch."""
+        if out is None:
+            out = np.empty((self.r, self.r), order="F")
+        for start, stop in self.chunks:
+            self.fill(start, stop, out.T[start:stop])
+        return out
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """B x from re-formed chunks, or, with a shared singular block S,
+        as ``S x`` plus the re-formed kernel chunks."""
+        if self.singular is not None:
+            out = self.singular @ x
+            for start, stop in self.chunks:
+                out += x[start:stop] @ _kernel_fold(self.kernel, self.weights, start, stop,
+                                                    self.spare[:stop - start])
+            return out
+        out = np.zeros(self.r)
+        chunk = np.empty_like(self.spare)
+        for start, stop in self.chunks:
+            out += x[start:stop] @ self.fill(start, stop, chunk[:stop - start])
+        return out
+
+
+# Smallest folded matrix given its own memory map; numpy's allocator
+# advises huge pages from the same size on
+_MAPPED_MIN_BYTES = 4 << 20
+
+
+def _mapped_matrix(r: int) -> np.ndarray:
+    """An r-by-r Fortran-ordered float array whose pages go back to the
+    operating system as soon as it is dropped.
+
+    From ``_MAPPED_MIN_BYTES`` on it lives in its own anonymous memory
+    map, advised to use huge pages as numpy advises its large arrays:
+    faulting in 20 MB of fresh 4 KiB pages took 10.6 ms against 4.0 ms
+    with huge pages, on a 2-CPU x86-64 virtual machine.  A heap block
+    of that size may stay resident after it is freed: once the allocator
+    has freed one mapping it raises its mapping threshold, and the next
+    block of the same size comes from the heap, which it keeps.  A
+    smaller array comes from numpy, as a fresh map would cost more than
+    the solve it serves.
+    """
+    nbytes = 8 * r * r
+    if nbytes < _MAPPED_MIN_BYTES:
+        return np.empty((r, r), order="F")
+    buffer = mmap.mmap(-1, nbytes)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        try:
+            buffer.madvise(mmap.MADV_HUGEPAGE)
+        except OSError:  # a kernel without transparent huge pages
+            pass
+    return np.ndarray((r, r), dtype=float, buffer=buffer, order="F")
+
+
+def _solve_folded(grid: Grid, kernel, rhs: np.ndarray,
+                  singular: Optional[np.ndarray] = None) -> SampledFunction:
+    """``_solve_weighted`` for a centro-symmetric system, at half size.
+
+    Forms the folded matrix B of ``_FoldedSystem`` in a
+    ``_mapped_matrix`` and factors it in place, so B is the only r-by-r
+    array of the solve besides a shared singular block, and its pages
+    are returned when the solve returns.  ``rhs`` must be
+    reflection-symmetric; the first r cell constants are solved for and
+    mirrored back to all n cells.  The pivot and residual gates are
+    those of ``lu_solve``, with B x taken by ``_FoldedSystem.matvec``.
+    Row ``n-1-i`` of the full residual equals row i, so the gate covers
+    the whole system.
     """
     n = grid.n
     r = n - n // 2
-    u, xi, weights, arcsin_steps = _cell_parts(grid)
-    folded = np.empty((r, r))
-    for start, stop in _row_blocks(r, n):
-        # K W goes into a fresh S in place, so a shared S is copied first.
-        # Adding S into the K W temporary instead took a fresh process's
-        # first call at n = 3200 to 2.6 times the page faults, and forming
-        # S + K W as one expression (a third block alive at once) raised
-        # that solve's RSS peak by 4.5 MiB
-        rows = (singular[start:stop].copy() if singular is not None
-                else _singular_rows(u, xi[start:stop], arcsin_steps))
-        rows += kernel[start:stop] * weights
-        folded[start:stop] = rows[:, :r]
-        folded[start:stop, :n - r] += rows[:, r:][:, ::-1]
-    return folded
+    if rhs.shape != (n,) or not np.array_equal(rhs, rhs[::-1]):
+        raise ValueError("a folded system needs a reflection-symmetric right-hand side "
+                         "with one entry per cell")
+    system = _FoldedSystem(grid, kernel, singular)
+    half = _solve_in_place(system.matrix(_mapped_matrix(r)), rhs[:r], system.matvec)
+    return _weighted_values(grid, np.concatenate([half, half[:n - r][::-1]]))
 
 
-def _solve_weighted(grid: Grid, matrix: np.ndarray, rhs: np.ndarray) -> SampledFunction:
-    """Solve for the cell constants of ``phi = g / w`` and return
-    ``g(x_i) = w(x_i) * phi_i`` at the cell midpoints.
-
-    An n-by-n matrix is solved as it is.  A ``ceil(n/2)``-row one is the
-    folded even half from ``_folded_matrix``: it is solved against the
-    first rows of ``rhs``, which must be reflection-symmetric, and the
-    constants are mirrored back to all n cells.  Either way the solve
-    passes the pivot and residual gates of ``lu_solve``.
-    """
-    n = grid.n
-    r = matrix.shape[0]
-    if r == n:
-        phi = lu_solve(matrix, rhs)
-    else:
-        if r != n - n // 2 or not np.array_equal(rhs, rhs[::-1]):
-            raise ValueError("a folded system needs ceil(n/2) rows and a "
-                             "reflection-symmetric right-hand side")
-        half = lu_solve(matrix, rhs[:r])
-        phi = np.concatenate([half, half[:n - r][::-1]])
+def _weighted_values(grid: Grid, phi: np.ndarray) -> SampledFunction:
+    """``g(x_i) = w(x_i) * phi_i`` at the cell midpoints."""
     _, xi = _unit_cell_maps(grid)
     weight = grid.interval.halfwidth * np.sqrt((1.0 - xi) * (1.0 + xi))
     return SampledFunction(grid=grid, values=weight * phi)
+
+
+def _solve_weighted(grid: Grid, matrix: np.ndarray, rhs: np.ndarray) -> SampledFunction:
+    """Solve the n-by-n weighted system for the cell constants of
+    ``phi = g / w`` through ``lu_solve``, and return ``g(x_i) = w(x_i) *
+    phi_i`` at the cell midpoints."""
+    return _weighted_values(grid, lu_solve(matrix, rhs))
 
 
 def assemble_full(grid: Grid, K0) -> np.ndarray:

@@ -3,8 +3,11 @@
 Thin layer over LAPACK's partially pivoted LU factorization (through
 scipy) with explicit singularity detection and a residual gate: a
 solve that misses the bound takes one step of iterative refinement
-with its own factors.  Matrices and vectors are plain float arrays;
-the caller's arrays are never modified.
+with its own factors.  Every solve goes through one private core that
+factors its matrix in place and takes the residual from a separate
+matrix-vector product, so a caller that can re-form its matrix need
+not keep a copy of it.  ``lu_solve`` hands the core a copy of its
+matrix, so the caller's arrays are never modified.
 """
 
 from __future__ import annotations
@@ -15,6 +18,9 @@ import numpy as np
 import scipy.linalg
 
 __all__ = ["SingularMatrixError", "ResidualError", "lu_solve", "residual_norm"]
+
+# entries of one column block of the norm and finiteness scan
+_SCAN_ENTRIES = 2**15
 
 
 class SingularMatrixError(ValueError):
@@ -29,8 +35,6 @@ def _as_matrix(A) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got ndim={A.ndim}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix entries must be finite")
     return A
 
 
@@ -43,8 +47,62 @@ def _as_vector(v) -> np.ndarray:
     return v
 
 
-def _residual(A, x, rhs) -> float:
-    return float(np.max(np.abs(A @ x - rhs))) if rhs.size else 0.0
+def _max_row_sum(A: np.ndarray) -> float:
+    """``||A||_inf``, with the row sums accumulated over column blocks so
+    that no temporary is larger than one block (each block is contiguous
+    in a Fortran-ordered A, the order every solve factors); raises
+    ``ValueError`` if an entry is not finite, which makes its row sum a
+    NaN or an infinity."""
+    columns = A.T
+    step = max(1, _SCAN_ENTRIES // max(1, A.shape[0]))
+    sums = np.zeros(A.shape[0])
+    for start in range(0, columns.shape[0], step):
+        sums += np.abs(columns[start:start + step]).sum(axis=0)
+    if not np.all(np.isfinite(sums)):
+        for start in range(0, columns.shape[0], step):
+            if not np.all(np.isfinite(columns[start:start + step])):
+                raise ValueError("matrix entries must be finite")
+        return np.inf  # finite entries whose sums overflow
+    return float(sums.max(initial=0.0))
+
+
+def _residual(matvec, x, rhs) -> float:
+    return float(np.max(np.abs(matvec(x) - rhs))) if rhs.size else 0.0
+
+
+def _solve_in_place(matrix: np.ndarray, rhs: np.ndarray, matvec) -> np.ndarray:
+    """Gated solve of ``matrix x = rhs`` that factors ``matrix`` in place.
+
+    ``matrix`` is a square Fortran-ordered float array, which LAPACK
+    overwrites with its LU factors, so no copy of it is made.
+    ``matvec(x)`` must return the product of the matrix as it was before
+    the factorization with x; the residual gate and the refinement step
+    use it.  The pivot threshold and the finiteness checks are taken
+    before the factorization.  Raises as ``lu_solve`` does.
+    """
+    n = matrix.shape[0]
+    rhs = _as_vector(rhs)
+    norm_a = _max_row_sum(matrix)
+    with warnings.catch_warnings():
+        # LAPACK flags exact zero pivots with a warning; the threshold
+        # test below turns those into errors.
+        warnings.simplefilter("ignore")
+        factors = scipy.linalg.lu_factor(matrix, overwrite_a=True, check_finite=False)
+    smallest_pivot = float(np.min(np.abs(np.diag(factors[0]))))
+    threshold = n * np.finfo(float).eps * norm_a
+    if smallest_pivot <= threshold:
+        raise SingularMatrixError(
+            "matrix is singular to working precision "
+            f"(pivot {smallest_pivot:.3e} <= threshold {threshold:.3e})")
+    x = scipy.linalg.lu_solve(factors, rhs, check_finite=False)
+    tol = 1e-9 * float(np.max(np.abs(rhs)))
+    if _residual(matvec, x, rhs) > tol:
+        x = x + scipy.linalg.lu_solve(factors, rhs - matvec(x), check_finite=False)
+        resid = _residual(matvec, x, rhs)
+        if resid > tol:
+            raise ResidualError(
+                f"solve residual {resid:.3e} exceeds tolerance {tol:.3e}")
+    return x
 
 
 def lu_solve(A, rhs) -> np.ndarray:
@@ -52,7 +110,8 @@ def lu_solve(A, rhs) -> np.ndarray:
     holding the residual to ``1e-9 ||rhs||_inf``.
 
     A first solve that misses the bound gets one step of iterative
-    refinement with the same factors.
+    refinement with the same factors.  The factorization overwrites a
+    Fortran-ordered copy of A; A and rhs are left untouched.
 
     Parameters
     ----------
@@ -84,34 +143,15 @@ def lu_solve(A, rhs) -> np.ndarray:
     if rhs.shape[0] != n:
         raise ValueError(
             f"dimension mismatch: matrix is {n}x{n}, rhs has length {rhs.shape[0]}")
-    norm_a = float(np.max(np.abs(A).sum(axis=1))) if n else 0.0
-    with warnings.catch_warnings():
-        # LAPACK flags exact zero pivots with a warning; the threshold
-        # test below turns those into errors.
-        warnings.simplefilter("ignore")
-        factors = scipy.linalg.lu_factor(A, check_finite=False)
-    smallest_pivot = float(np.min(np.abs(np.diag(factors[0]))))
-    threshold = n * np.finfo(float).eps * norm_a
-    if smallest_pivot <= threshold:
-        raise SingularMatrixError(
-            "matrix is singular to working precision "
-            f"(pivot {smallest_pivot:.3e} <= threshold {threshold:.3e})")
-    x = scipy.linalg.lu_solve(factors, rhs, check_finite=False)
-    tol = 1e-9 * float(np.max(np.abs(rhs)))
-    if _residual(A, x, rhs) > tol:
-        x = x + scipy.linalg.lu_solve(factors, rhs - A @ x, check_finite=False)
-        resid = _residual(A, x, rhs)
-        if resid > tol:
-            raise ResidualError(
-                f"solve residual {resid:.3e} exceeds tolerance {tol:.3e}")
-    return x
+    return _solve_in_place(np.array(A, order="F"), rhs, lambda x: A @ x)
 
 
 def residual_norm(A, x, rhs) -> float:
     """Max-norm residual ``||A x - rhs||_inf``."""
     A = _as_matrix(A)
+    _max_row_sum(A)  # refuses non-finite entries
     x = _as_vector(x)
     rhs = _as_vector(rhs)
     if A.shape[1] != x.shape[0] or A.shape[0] != rhs.shape[0]:
         raise ValueError("dimension mismatch in residual evaluation")
-    return _residual(A, x, rhs)
+    return _residual(lambda v: A @ v, x, rhs)

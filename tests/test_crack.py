@@ -330,53 +330,102 @@ def test_crack_matrix_is_exactly_centro_symmetric(n, half_length):
 @pytest.mark.parametrize("n, half_length", ((7, 1.0), (8, 1.0), (241, 10.0),
                                             (400, 1.0), (240, 100.0)))
 def test_folded_solve_matches_full_lu(n, half_length):
-    from hypersing.fullkernel import _folded_matrix, _solve_weighted, _weighted_matrix
+    # the folded singular part is evaluated in closed form rather than
+    # summed from the full rows, so the two agree to rounding per row
+    from hypersing.fullkernel import (_FoldedSystem, _solve_folded, _solve_weighted,
+                                      _weighted_matrix)
 
     grid, view, rhs = _crack_system(n, half_length)
     matrix = _weighted_matrix(grid, view)
     r = n - n // 2
-    folded = _folded_matrix(grid, view)
+    folded = _FoldedSystem(grid, view).matrix()
+    assert folded.flags.f_contiguous
     expect = matrix[:r, :r].copy()
     expect[:, :n - r] += matrix[:r, r:][:, ::-1]
-    assert np.array_equal(folded, expect)
-    half = _solve_weighted(grid, folded, rhs).values
+    row_scale = np.max(np.abs(expect), axis=1, keepdims=True)
+    assert np.all(np.abs(folded - expect) <= 1e-13 * row_scale)
+    half = _solve_folded(grid, view, rhs).values
     full = _solve_weighted(grid, matrix, rhs).values
     assert np.max(np.abs(half - full)) <= 1e-12 * np.max(np.abs(full))
 
 
 def test_folded_solve_refuses_an_asymmetric_load():
-    from hypersing.fullkernel import _folded_matrix, _solve_weighted
+    from hypersing.fullkernel import _solve_folded
 
     grid, view, rhs = _crack_system(9, 1.0)
-    folded = _folded_matrix(grid, view)
     skewed = rhs.copy()
     skewed[-1] *= 2.0
     with pytest.raises(ValueError, match="reflection-symmetric"):
-        _solve_weighted(grid, folded, skewed)
-    with pytest.raises(ValueError, match="ceil"):
-        _solve_weighted(grid, folded[:-1, :-1], rhs)
+        _solve_folded(grid, view, skewed)
+    with pytest.raises(ValueError, match="one entry per cell"):
+        _solve_folded(grid, view, rhs[1:-1])
 
 
 @pytest.mark.parametrize("half_length", (1.0, 10.0, 100.0))
 @pytest.mark.parametrize("n", (7, 8, 241, 400, 800))
 def test_shared_singular_half_gives_the_folded_matrix_bitwise(n, half_length):
-    from hypersing.fullkernel import _folded_matrix, _row_blocks, _singular_half
+    # the shared block is the folded r-by-r singular part, no longer the
+    # r-by-n unfolded rows; the test keeps its name
+    from hypersing.fullkernel import _fold_chunks, _folded_singular, _FoldedSystem
 
     grid, view, _ = _crack_system(n, half_length)
-    singular = _singular_half(grid)
+    singular = _folded_singular(grid)
     r = n - n // 2
-    assert singular.shape == (r, n)
-    if n == 800:
-        assert len(_row_blocks(r, n)) > 1
-    assert np.array_equal(_folded_matrix(grid, view, singular), _folded_matrix(grid, view))
+    assert singular.shape == (r, r)
+    if n >= 400:
+        assert len(_fold_chunks(r)) > 1
+    assert np.array_equal(_FoldedSystem(grid, view, singular).matrix(),
+                          _FoldedSystem(grid, view).matrix())
 
 
 def test_shared_singular_half_is_read_only():
-    from hypersing.fullkernel import _singular_half
+    from hypersing.fullkernel import _folded_singular
 
-    singular = _singular_half(build_grid(-1.0, 1.0, 41))
+    singular = _folded_singular(build_grid(-1.0, 1.0, 41))
     with pytest.raises(ValueError):
         singular[0, 0] = 0.0
+
+
+def _folded_singular_exact(n, i):
+    """Row i of the folded singular part in 40-digit arithmetic, from the
+    antiderivative F of ``_singular_rows`` at every node."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        xi = mpmath.mpf(2 * i + 1 - n) / n
+        s = mpmath.sqrt((1 - xi) * (1 + xi))
+
+        def F(u):
+            omega = mpmath.sqrt((1 - u) * (1 + u))
+            return (omega / (xi - u) - mpmath.asin(u)
+                    + xi * mpmath.log(abs((1 - xi * u + s * omega) / (u - xi))) / s)
+
+        at = [F(mpmath.mpf(2 * j - n) / n) for j in range(n + 1)]
+        cell = [at[j + 1] - at[j] for j in range(n)]
+        r = n - n // 2
+        return np.array([float(cell[j] + (cell[n - 1 - j] if n - 1 - j != j else 0))
+                         for j in range(r)])
+
+
+@pytest.mark.parametrize("n", (7, 8, 241, 3200))
+def test_folded_singular_part_matches_40_digit_arithmetic(n):
+    # rows at the tip, at the quarter point and at the centre; every row
+    # holds the cells of both tips, folded onto each other
+    from hypersing.fullkernel import _cell_parts, _folded_singular, _singular_rows
+
+    grid = build_grid(-1.0, 1.0, n)
+    r = n - n // 2
+    folded = _folded_singular(grid)
+    rows = sorted({0, 1, r // 2, r - 2, r - 1} if n < 3200 else {0, r - 1})
+    u, xi, _, arcsin_steps = _cell_parts(grid)
+    unfolded = _singular_rows(u, xi[rows], arcsin_steps)
+    summed = unfolded[:, :r].copy()
+    summed[:, :n - r] += unfolded[:, r:][:, ::-1]
+    for row, i in zip(summed, rows):
+        exact = _folded_singular_exact(n, i)
+        scale = np.maximum(1.0, np.abs(exact))
+        assert np.all(np.abs(folded[i] - exact) <= 1e-13 * scale)
+        assert np.all(np.abs(folded[i] - row) <= 5e-13 * scale)
 
 
 @pytest.mark.parametrize("n", (40, 41))
@@ -407,13 +456,13 @@ def test_kernel_view_is_read_only_and_left_unwritten(monkeypatch):
     import hypersing.crack as crack
 
     seen = []
-    real = crack._folded_matrix
+    real = crack._solve_folded
 
-    def spy(grid, kernel, singular=None):
+    def spy(grid, kernel, rhs, singular=None):
         seen.append((kernel, kernel.copy()))
-        return real(grid, kernel, singular)
+        return real(grid, kernel, rhs, singular)
 
-    monkeypatch.setattr(crack, "_folded_matrix", spy)
+    monkeypatch.setattr(crack, "_solve_folded", spy)
     solve_crack(POROUS, 1.0, 41)
     [(kernel, before)] = seen
     assert not kernel.flags.writeable
@@ -434,7 +483,7 @@ def test_non_finite_kernel_table_is_refused(monkeypatch):
 
     monkeypatch.setattr(crack, "regular_kernel_table", spoiled)
     assembled = []
-    monkeypatch.setattr(crack, "_folded_matrix", lambda *args: assembled.append(args))
+    monkeypatch.setattr(crack, "_solve_folded", lambda *args: assembled.append(args))
     with pytest.raises(ValueError, match="non-finite"):
         solve_crack(POROUS, 1.0, 40)
     assert not assembled
@@ -639,41 +688,51 @@ def test_porosity_sweep_memory_does_not_grow_per_target():
 def test_porosity_sweep_builds_the_singular_rows_once(monkeypatch):
     import hypersing.fullkernel as fullkernel
 
-    rows_built = []
-    real = fullkernel._singular_rows
+    columns_built = []
+    real = fullkernel._singular_fold
 
-    def counted(u, xi, arcsin_steps):
-        rows_built.append(xi.size)
-        return real(u, xi, arcsin_steps)
+    def counted(grid):
+        columns = real(grid)
 
-    monkeypatch.setattr(fullkernel, "_singular_rows", counted)
+        def counted_columns(start, stop, out):
+            columns_built.append(stop - start)
+            return columns(start, stop, out)
+        return counted_columns
+
+    monkeypatch.setattr(fullkernel, "_singular_fold", counted)
     targets = list(np.linspace(0.02, 0.62, 20))
     assert len(porosity_sweep(CLASSICAL, targets, 1.0, 200)) == 20
-    # r = 100 rows for the whole sweep, where each target once formed its own
-    assert sum(rows_built) == 100
+    # r = 100 columns for the whole sweep: no target forms its own, neither
+    # for its matrix nor for its residual, which takes S x from the shared S
+    assert sum(columns_built) == 100
+    # a single solve forms them twice, once for B and once for its residual
+    columns_built.clear()
+    solve_crack(POROUS, 1.0, 200)
+    assert sum(columns_built) == 200
 
 
 def test_single_solve_builds_no_shared_singular_half(monkeypatch):
     import hypersing.crack as crack
 
     built = []
-    real = crack._singular_half
-    monkeypatch.setattr(crack, "_singular_half", lambda grid: built.append(grid) or real(grid))
+    real = crack._folded_singular
+    monkeypatch.setattr(crack, "_folded_singular", lambda grid: built.append(grid) or real(grid))
     solve_crack(POROUS, 1.0, 41)
     assert not built
     porosity_sweep(CLASSICAL, (0.2, 0.4), 1.0, 41)
     assert len(built) == 1
 
 
-@pytest.mark.parametrize("n, shared", ((1024, True), (1026, False)))
+@pytest.mark.parametrize("n, shared", ((1448, True), (1450, False)))
 def test_porosity_sweep_shares_the_singular_rows_only_within_the_budget(monkeypatch, n, shared):
     import hypersing.crack as crack
 
     built = []
-    real = crack._singular_half
-    monkeypatch.setattr(crack, "_singular_half", lambda grid: built.append(grid) or real(grid))
-    # 8 r n bytes is exactly 4 MiB at n = 1024 and just over it at n = 1026,
-    # where each target forms its rows block by block as solve_crack does
+    real = crack._folded_singular
+    monkeypatch.setattr(crack, "_folded_singular", lambda grid: built.append(grid) or real(grid))
+    # 8 r^2 bytes is just under 4 MiB at n = 1448 (r = 724) and just over
+    # it at n = 1450, where each target forms its block chunk by chunk as
+    # solve_crack does
     [(_, center, ratio)] = porosity_sweep(CLASSICAL, (0.3,), 1.0, n)
     assert len(built) == int(shared)
     sol = solve_crack(_with_porosity(0.3), 1.0, n)
@@ -702,9 +761,35 @@ def test_porosity_sweep_memory_is_a_single_solve_plus_the_singular_half():
         solve_crack(_with_porosity(0.4), 1.0, n)
 
     sweep(), single()  # warm-up
-    # the sweep holds one r-by-n array of finite-part rows beyond what a
+    # the sweep holds one r-by-r folded finite-part block beyond what a
     # single solve holds
-    assert peak(sweep) <= peak(single) + 8 * r * n + 256 * 1024
+    assert peak(sweep) <= peak(single) + 8 * r * r + 256 * 1024
+
+
+def test_single_solve_memory_is_the_folded_matrix_alone(monkeypatch):
+    import tracemalloc
+
+    import hypersing.fullkernel as fullkernel
+
+    n = 1600
+    r = n - n // 2
+    mapped = []
+    real = fullkernel._mapped_matrix
+    monkeypatch.setattr(fullkernel, "_mapped_matrix",
+                        lambda size: mapped.append(size) or real(size))
+    material = _with_porosity(0.35)
+    solve_crack(material, 1.0, n)  # warm-up
+    tracemalloc.start()
+    try:
+        solve_crack(material, 1.0, n)
+        traced = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # B is factored in place in its own memory map, which tracemalloc does
+    # not see, and nothing else of r-by-r size is formed: B and every
+    # temporary together stay within 1.15 B + 1 MiB
+    assert mapped == [r, r]
+    assert 8 * r * r + traced <= 1.15 * 8 * r * r + 2**20
 
 
 def test_non_finite_sweep_table_is_refused(monkeypatch):
@@ -719,8 +804,8 @@ def test_non_finite_sweep_table_is_refused(monkeypatch):
 
     monkeypatch.setattr(crack, "_kernel_tables", spoiled)
     assembled = []
-    real_folded = crack._folded_matrix
-    monkeypatch.setattr(crack, "_folded_matrix",
+    real_folded = crack._solve_folded
+    monkeypatch.setattr(crack, "_solve_folded",
                         lambda *args: assembled.append(args) or real_folded(*args))
     with pytest.raises(ValueError, match="non-finite"):
         porosity_sweep(CLASSICAL, (0.2, 0.4), 1.0, 40)

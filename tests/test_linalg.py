@@ -60,13 +60,16 @@ def test_round_trip_residual_on_random_systems():
 
 
 def test_solver_leaves_inputs_untouched():
+    # the factorization overwrites a Fortran-ordered copy, whatever the
+    # caller's layout, and never the caller's array
     rng = np.random.default_rng(7)
-    A = _well_conditioned(rng, 20, 1e2)
-    rhs = rng.standard_normal(20)
-    A0, rhs0 = A.copy(), rhs.copy()
-    lu_solve(A, rhs)
-    assert np.array_equal(A, A0)
-    assert np.array_equal(rhs, rhs0)
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        A = layout(_well_conditioned(rng, 20, 1e2))
+        rhs = rng.standard_normal(20)
+        A0, rhs0 = A.copy(), rhs.copy()
+        lu_solve(A, rhs)
+        assert np.array_equal(A, A0)
+        assert np.array_equal(rhs, rhs0)
 
 
 def test_repeated_solves_are_bitwise_deterministic():
@@ -134,8 +137,10 @@ def test_residual_norm_validates_shapes():
 
 
 def test_every_solve_route_factors_through_one_gated_lu_solve(monkeypatch):
-    import hypersing.characteristic as characteristic
+    # lu_solve and the crack's folded solve both hand their matrix to the
+    # one gated core, which factors it in place
     import hypersing.fullkernel as fullkernel
+    import hypersing.linalg as linalg
     from hypersing import (CharacteristicProblem, FullProblem, Interval, MaterialParams,
                            build_grid, chebyshev_nystrom_rule, fredholm_reduce,
                            solve_characteristic, solve_crack, solve_fredholm,
@@ -143,13 +148,14 @@ def test_every_solve_route_factors_through_one_gated_lu_solve(monkeypatch):
     from hypersing.quadrature import PVQuadSpec
 
     calls = []
+    real = linalg._solve_in_place
 
-    def spy(A, rhs):
-        calls.append(np.shape(A))
-        return lu_solve(A, rhs)
+    def spy(matrix, rhs, matvec):
+        calls.append(np.shape(matrix))
+        return real(matrix, rhs, matvec)
 
-    for module in (characteristic, fullkernel):
-        monkeypatch.setattr(module, "lu_solve", spy)
+    for module in (linalg, fullkernel):
+        monkeypatch.setattr(module, "_solve_in_place", spy)
     iv = Interval(-1.0, 1.0)
     grid = build_grid(-1.0, 1.0, 20)
     fprime = lambda x: np.full(np.shape(x), -np.pi)
@@ -166,8 +172,51 @@ def test_every_solve_route_factors_through_one_gated_lu_solve(monkeypatch):
         "fredholm": lambda: solve_fredholm(
             fredholm_reduce(problem, PVQuadSpec(), nodes), weights),
     }
+    shapes = {}
     for name, solve in runs.items():
         calls.clear()
         solve()
         assert len(calls) == 1, name
-    assert calls == [(12, 12)]
+        shapes[name] = calls[0]
+    assert shapes == {"characteristic": (20, 20), "full": (20, 20), "crack": (10, 10),
+                      "fredholm": (12, 12)}
+
+
+def _core_with_a_disagreeing_matvec(delta):
+    """The in-place core on A, with a matvec of A + delta * ones."""
+    from hypersing.linalg import _solve_in_place
+
+    A = np.array([[4.0, 1.0], [1.0, 3.0]])
+    rhs = np.array([1.0, 2.0])
+    off = A + delta
+    return _solve_in_place(np.asfortranarray(A), rhs, lambda x: off @ x), off, rhs
+
+
+def test_in_place_core_refines_once_against_its_matvec(monkeypatch):
+    # a matvec 1e-6 off the factored matrix misses the gate on the first
+    # solve; one refinement step with the same factors meets it
+    factored, solved = _spy_on_lapack(monkeypatch, lambda call: 0.0)
+    x, off, rhs = _core_with_a_disagreeing_matvec(1e-6)
+    assert len(factored) == 1 and len(solved) == 2 and solved[0] is solved[1]
+    assert residual_norm(off, x, rhs) <= 1e-9 * np.max(np.abs(rhs))
+
+
+def test_in_place_core_raises_when_its_matvec_disagrees(monkeypatch):
+    from hypersing.linalg import ResidualError
+
+    factored, solved = _spy_on_lapack(monkeypatch, lambda call: 0.0)
+    with pytest.raises(ResidualError, match="residual"):
+        _core_with_a_disagreeing_matvec(1.0)
+    assert len(factored) == 1 and len(solved) == 2
+
+
+def test_in_place_core_factors_its_matrix_without_a_copy(monkeypatch):
+    from hypersing.linalg import _solve_in_place
+
+    factored, _ = _spy_on_lapack(monkeypatch, lambda call: 0.0)
+    A = np.array([[4.0, 1.0], [1.0, 3.0]])
+    work = np.asfortranarray(A)
+    x = _solve_in_place(work, np.array([1.0, 2.0]), lambda v: A @ v)
+    assert len(factored) == 1 and factored[0] is work
+    assert not np.array_equal(work, A)  # now holds the LU factors
+    assert np.max(np.abs(x - scipy.linalg.solve(A, [1.0, 2.0]))) <= 1e-15

@@ -45,7 +45,9 @@ def test_offset_table_row_keeps_the_committed_keys(tool):
 
 
 def test_crack_assembly_row_from_one_child_keeps_the_committed_keys(tool):
-    assert list(tool._assembly_row(40, 1)) == _committed_row_keys("crack_assembly")
+    row = tool._assembly_row(40, 1, {})
+    assert list(row) == _committed_row_keys("crack_assembly")
+    assert row["previous_opening_sha256"] is None
 
 
 def test_sweep_row_keeps_the_committed_keys_and_equals_single_solves(tool):

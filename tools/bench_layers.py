@@ -56,8 +56,7 @@ ASSEMBLY_HALF_LENGTH = 1.0
 ASSEMBLY_SIZES = (400, 800, 1600, 3200, 6400)
 SWEEP_CASES = ((1.0, 200), (100.0, 240))
 TARGET_COUNTS = (1, 5, 20, 80)
-LAYERS = ("_kernel_tables", "_singular_half", "_folded_matrix", "_solve_weighted",
-          "_tip_amplitude")
+LAYERS = ("_kernel_tables", "_folded_singular", "_solve_folded", "_tip_amplitude")
 
 
 def _porous(porosity: float) -> MaterialParams:
@@ -148,17 +147,42 @@ def _rss_mib() -> float:
         return float("nan")
 
 
+def _bytecode_cached() -> bool:
+    """Whether every module of the package has its cached bytecode, so that
+    this process loaded it rather than compiling the source: the RSS
+    before the solve is about 1 MiB higher without it."""
+    package = [module for name, module in sys.modules.items()
+               if name == "hypersing" or name.startswith("hypersing.")]
+    return all(module.__cached__ and os.path.exists(module.__cached__) for module in package)
+
+
 def _assembly_child(n: int) -> dict:
-    """One solve in this process, with its RSS before the solve and at its peak."""
+    """One timed solve in this process, with its RSS before the solve and
+    at its peak; then a second solve of the same size, with the RSS after
+    it, which is back at the RSS before the solve when the solve's pages
+    went back to the system."""
     before = _rss_mib()
     wall, sol = _timed(solve_crack, _porous(POROSITY), ASSEMBLY_HALF_LENGTH, n)
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+    again = solve_crack(_porous(POROSITY), ASSEMBLY_HALF_LENGTH, n)
+    after = _rss_mib()
+    if _sha256(again.opening.values) != _sha256(sol.opening.values):
+        raise RuntimeError(f"solve at n={n} is not deterministic")
     return {"time_s": wall, "rss_before_solve_mib": before, "peak_rss_mib": peak,
+            "rss_after_solve_mib": after, "bytecode_cached": _bytecode_cached(),
             "opening_sha256": _sha256(sol.opening.values), "centre_opening": _centre(sol),
             "tip_ratio": stress_concentration(sol)}
 
 
-def _assembly_row(n: int, repeats: int) -> dict:
+def _previous_openings() -> dict:
+    """opening_sha256 by n from the checkout's record, if any."""
+    path = ROOT / "BENCH_crack_assembly.json"
+    if not path.is_file():
+        return {}
+    return {row["n"]: row["opening_sha256"] for row in json.loads(path.read_text())["sizes"]}
+
+
+def _assembly_row(n: int, repeats: int, previous: dict) -> dict:
     command = [sys.executable, __file__, "crack_assembly", "--child", str(n)]
     runs = []
     for _ in range(repeats):
@@ -170,26 +194,37 @@ def _assembly_row(n: int, repeats: int) -> dict:
             **_spread("peak_rss_mib", [run["peak_rss_mib"] for run in runs]),
             "rss_before_solve_mib_median": statistics.median(
                 run["rss_before_solve_mib"] for run in runs),
+            "rss_after_solve_mib_median": statistics.median(
+                run["rss_after_solve_mib"] for run in runs),
+            "bytecode_cached": all(run["bytecode_cached"] for run in runs),
             "repeats": repeats, "opening_sha256": digest,
+            "previous_opening_sha256": previous.get(n),
             "centre_opening": runs[0]["centre_opening"], "tip_ratio": runs[0]["tip_ratio"]}
 
 
 def crack_assembly(repeats: int):
     """A dense ``solve_crack`` at b = 1 per n, each in a fresh process
     (``--child``): its wall time; the peak RSS and the RSS just before the
-    solve, whose difference is the solve's own share; and the opening's
-    digest, with its centre value and tip ratio.
+    solve, whose difference is the solve's own share; the RSS after a
+    second solve, and whether the package's bytecode was cached, which
+    moves the RSS by about 1 MiB; and the opening's digest next to the one
+    the checkout's file held before, or null, with its centre value and
+    tip ratio.
     """
-    rows = [_assembly_row(n, repeats) for n in ASSEMBLY_SIZES]
+    previous = _previous_openings()
+    rows = [_assembly_row(n, repeats, previous) for n in ASSEMBLY_SIZES]
     fields = {
         "layer": "crack.solve_crack end to end (offset table, node-mean Toeplitz view, "
-                 "fullkernel._folded_matrix, LU solve of the folded half), "
+                 "fullkernel._solve_folded: the folded half formed in its own memory map, "
+                 "factored in place, its residual from re-formed chunks), "
                  "one fresh process per run",
         "material": {**MATERIAL, "porosity": POROSITY},
         "half_length": ASSEMBLY_HALF_LENGTH,
     }
     lines = [f"n={row['n']}: {row['time_s_median']:.3f} s, "
-             f"peak {row['peak_rss_mib_median']:.1f} MiB "
+             f"peak {row['peak_rss_mib_median']:.1f} MiB, "
+             f"before {row['rss_before_solve_mib_median']:.1f} MiB, "
+             f"after {row['rss_after_solve_mib_median']:.1f} MiB "
              f"(centre {row['centre_opening']:.8f}, tip ratio {row['tip_ratio']:.7f})"
              for row in rows]
     return fields, {"sizes": rows}, lines
@@ -250,15 +285,15 @@ def _sweep_row(half_length: float, n: int, count: int, repeats: int, previous: d
     med = {name: statistics.median(values) for name, values in layers.items()}
     geometry_s = statistics.median(geometry)
     transforms_s = med["_kernel_tables"] - geometry_s
-    fold_lu = med["_folded_matrix"] + med["_solve_weighted"]
+    fold_lu = med["_solve_folded"]
     return {
         "targets": count, **_spread("sweep_s", sweeps, median_suffix=""),
         "sweep_s_per_target": statistics.median(sweeps) / count,
         "geometry_s": geometry_s, "transforms_s": transforms_s,
         "transforms_s_per_target": transforms_s / count,
-        "singular_half_s": med["_singular_half"], "fold_lu_s": fold_lu,
+        "singular_block_s": med["_folded_singular"], "fold_lu_s": fold_lu,
         "tip_fit_s": med["_tip_amplitude"],
-        "other_s": med["sweep"] - med["_kernel_tables"] - med["_singular_half"] - fold_lu
+        "other_s": med["sweep"] - med["_kernel_tables"] - med["_folded_singular"] - fold_lu
                    - med["_tip_amplitude"],
         "instrumented_sweep_s": med["sweep"],
         "tracemalloc_peak_kib": _tracemalloc_peak_kib(targets, half_length, n),
@@ -301,16 +336,16 @@ def sweep_table(repeats: int):
     fields = {
         "layer": "crack.porosity_sweep: one crack._kernel_tables call for all targets "
                  "(quadrature.halfline_cosine_tables with the grid's chirp-z plan built once) "
-                 "and one fullkernel._singular_half, then per target "
-                 "fullkernel._folded_matrix, the gated LU and the tip fit",
+                 "and one fullkernel._folded_singular, then per target "
+                 "fullkernel._solve_folded (fold, in-place LU, residual gate) and the tip fit",
         "material": MATERIAL,
         "targets": "K porosities evenly spaced over [0.02, 0.62]; N = 0.35 for K = 1",
     }
     lines = [f"b={case['half_length']:g} n={case['n']} K={row['targets']}: "
              f"sweep {row['sweep_s']:.4f} s ({1e3 * row['sweep_s_per_target']:.2f} ms/target; "
              f"geometry {1e3 * row['geometry_s']:.2f} ms, transforms "
-             f"{1e3 * row['transforms_s_per_target']:.2f} ms/target, singular half "
-             f"{1e3 * row['singular_half_s']:.2f} ms), "
+             f"{1e3 * row['transforms_s_per_target']:.2f} ms/target, singular block "
+             f"{1e3 * row['singular_block_s']:.2f} ms), "
              f"peak {row['tracemalloc_peak_kib']:.0f} KiB, rows {_against(row)}"
              for case in cases for row in case["curve"]]
     return fields, {"cases": cases}, lines
