@@ -19,12 +19,12 @@ pieces (the chirp-z plan of the grid, the proxy's transform and its
 cosine-integral tail) a porosity sweep builds once for all its targets
 before it transforms each target's remainder in turn.  Each cell samples
 the kernel at both of its nodes and takes the mean, which makes the
-kernel matrix a symmetric Toeplitz one, read through a view of the n
+kernel matrix a symmetric Toeplitz one, handed to the solver as its n
 node-mean values.  The collocation matrix is then exactly
 centro-symmetric and the load is constant, so the opening is exactly
 reflection-symmetric and only the folded even half of the system, a
-quarter of the matrix, is formed and solved: it is factored in place, and
-its residual gate re-forms it chunk by chunk.  Its finite-part block
+quarter of the matrix, is formed and factored in place; its residual
+gate re-forms only the finite-part chunks.  Its finite-part block
 depends only on the grid, so a sweep on a grid of n <= 1448 cells builds
 it once, as one ceil(n/2)-square array (80 KB at n = 200, at most
 4 MiB), adds each target's kernel to it and takes each residual from it.
@@ -44,7 +44,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import Grid, SampledFunction, build_grid
 from .quadrature import (OscIntSpec, TailOrder, cosine_integral,
@@ -375,23 +374,21 @@ class CrackSolution:
     tip_coefficient: float
 
 
-def _node_mean_view(table: np.ndarray) -> np.ndarray:
-    """Read-only n-by-n view of a difference kernel averaged over both cell nodes.
+def _node_mean(table: np.ndarray) -> np.ndarray:
+    """A difference kernel averaged over both cell nodes, per cell offset.
 
     With ``table[k]`` the kernel at offset ``(k + 1/2) h``, midpoint x_i
     lies ``|j - i - 1/2|`` cells from the left node of cell j and
     ``|j - i + 1/2|`` from its right node.  The mean of the two samples
     depends on ``k = |j - i|`` alone: ``table[0]`` for k = 0 and
-    ``(table[k] + table[k - 1]) / 2`` beyond, so entry (i, j) is
-    ``mean[|j - i|]``, a symmetric Toeplitz matrix.  Every row is a
-    window of the (2n - 1)-entry array ``[mean reversed, mean[1:]]``;
-    nothing of size n-by-n is stored.
+    ``(table[k] + table[k - 1]) / 2`` beyond, so the n returned values
+    are the whole of the symmetric Toeplitz kernel matrix
+    ``kernel[i, j] = mean[|j - i|]``.
     """
-    n = table.size
-    mean = np.empty(n)
+    mean = np.empty(table.size)
     mean[0] = table[0]
     mean[1:] = 0.5 * (table[1:] + table[:-1])
-    return sliding_window_view(np.concatenate([mean[:0:-1], mean]), n)[::-1]
+    return mean
 
 
 def _tip_amplitude(grid: Grid, values: np.ndarray, half_length: float) -> float:
@@ -457,18 +454,20 @@ def solve_crack(params: MaterialParams, half_length: float, n: int,
     ``sigma0 sqrt(b^2 - x^2) / (2 mu (1 - c^2))``.
 
     The regular kernel enters as its n-entry offset table scaled by
-    ``-pi / slope``, averaged over the two nodes of each cell times the
-    exact cell weight ``W_j``, and read through a symmetric Toeplitz
-    view.  That makes the n-by-n collocation matrix A exactly
-    centro-symmetric, and the constant load is reflection-symmetric, so
-    the solution is too: its first ``r = ceil(n/2)`` cell constants
-    solve the folded system ``B = A[:r, :r] + A[:r, r:] J`` (J the
-    column reversal), and the rest are their mirror image.  B is built
-    chunk by chunk from the view and the closed-form folded finite-part
-    block, in its own memory map, and factored in place, so it is the
-    only dense array of the solve and its pages go back to the system
-    when the solve returns.  The pivot gate runs on B before the
-    factorization; the residual gate takes B x from B's chunks re-formed.
+    ``-pi / slope`` and averaged over the two nodes of each cell: the
+    table ``mean``, whose symmetric Toeplitz matrix ``mean[|i - j|]``
+    times the exact cell weight ``W_j`` is the kernel part.  That makes
+    the n-by-n collocation matrix A exactly centro-symmetric, and the
+    constant load is reflection-symmetric, so the solution is too: its
+    first ``r = ceil(n/2)`` cell constants solve the folded system
+    ``B = A[:r, :r] + A[:r, r:] J`` (J the column reversal), and the
+    rest are their mirror image.  B is built chunk by chunk from the
+    table and the closed-form folded finite-part block, in its own
+    memory map, and factored in place, so it is the only dense array of
+    the solve and its pages go back to the system when the solve
+    returns.  The pivot gate runs on B before the factorization; the
+    residual gate takes B x from the finite-part chunks re-formed plus
+    the kernel part by convolution with the table.
     Row ``n-1-i`` of the full residual equals row i, so the gates cover
     the whole system.  The opening is exactly reflection-symmetric.
     """
@@ -510,7 +509,7 @@ def _solve_tabled(params: MaterialParams, dp: DimensionlessParams, grid: Grid,
     table = -(np.pi / slope) * kernel_table
     if not np.all(np.isfinite(table)):
         raise ValueError("crack kernel table has a non-finite value")
-    raw = _solve_folded(grid, _node_mean_view(table), np.full(n, rhs_reduced), singular)
+    raw = _solve_folded(grid, _node_mean(table), np.full(n, rhs_reduced), singular)
     opening_values = -raw.values
     if params.sigma0 > 0.0 and np.any(opening_values < 0.0):
         raise ValueError(

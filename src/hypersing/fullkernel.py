@@ -11,12 +11,13 @@ collocated at the cell midpoints.  The finite-part cell integrals of
 ``w / (x - t)^2`` are exact (product integration against the known
 square-root edge behaviour), and the regular part is the right-node
 kernel sample times the exact cell weight, ``K0(x_i, t_j) * W_j`` with
-``W_j`` the integral of w over cell j.  A caller whose sampled kernel
-is exactly centro-symmetric and whose load is reflection-symmetric (the
-crack solve) forms and solves only the folded even half of the system,
-a quarter of the matrix.  Its finite-part part is evaluated in closed
-form, it is factored in place, and the residual gate re-forms it chunk
-by chunk, so no copy of it is kept.  Alternatively, when K0 has an
+``W_j`` the integral of w over cell j.  A caller whose kernel is
+symmetric Toeplitz, given as its n-entry table, and whose load is
+reflection-symmetric (the crack solve) forms and solves only the folded
+even half of the system, a quarter of the matrix, in closed form for its
+finite-part part; it is factored in place, and the residual gate takes
+the kernel part by convolution with the table and re-forms the rest
+chunk by chunk, so no copy of it is kept.  Alternatively, when K0 has an
 antiderivative K1 in its first argument (K0 = dK1/dx) and fprime has
 antiderivative f, applying the inversion operator of the characteristic
 equation converts the problem into a second-kind Fredholm equation
@@ -294,56 +295,51 @@ def _folded_singular(grid: Grid) -> np.ndarray:
     return out
 
 
-def _kernel_fold(kernel, weights, start: int, stop: int, out) -> np.ndarray:
-    """Write columns start .. stop-1 of the folded kernel part as the
-    rows of ``out`` and return it: ``W_j (kernel[i, j] + kernel[i,
-    n-1-j])`` for rows i < r, with the mirror term left out of the
-    middle column of an odd grid, which is its own mirror."""
-    n = kernel.shape[1]
-    r = n - n // 2
-    np.copyto(out, kernel[:r, start:stop].T)
-    mirrored = min(stop, n - r)
-    if start < mirrored:
-        out[:mirrored - start] += kernel[:r, n - mirrored:n - start].T[::-1]
-    out *= weights[start:stop, None]
-    return out
-
-
 class _FoldedSystem:
     """The folded even half B of a centro-symmetric system, formed
     chunk by chunk, as often as needed.
 
-    A is the matrix ``_weighted_matrix`` would build from ``kernel``,
-    which must be exactly centro-symmetric (``kernel[i, j] ==
-    kernel[n-1-i, n-1-j]``, as a symmetric Toeplitz kernel is), and
-    ``B = A[:r, :r] + A[:r, r:] J`` with J the column reversal and
-    ``r = ceil(n/2)``.  For a reflection-symmetric right-hand side the
-    solution is symmetric too, ``phi_j = phi_{n-1-j}``, so its first r
-    constants solve ``B y = rhs[:r]``.  A chunk of ``_fold_chunks`` is
-    the folded singular part (``_singular_fold``, or the grid's
-    ``_folded_singular`` when given, which gives the same chunk
-    bitwise) plus the folded kernel part of ``_kernel_fold``; only rows
-    0 .. r-1 of the kernel are read.  Equals the fold of
+    A is the matrix ``_weighted_matrix`` would build from the symmetric
+    Toeplitz kernel ``mean[|i - j|]`` of the n-entry table ``mean``, so
+    it is exactly centro-symmetric, and ``B = A[:r, :r] + A[:r, r:] J``
+    with J the column reversal and ``r = ceil(n/2)``.  For a
+    reflection-symmetric right-hand side the solution is symmetric too,
+    ``phi_j = phi_{n-1-j}``, so its first r constants solve ``B y =
+    rhs[:r]``.  A chunk of ``_fold_chunks`` is the folded singular part
+    (``_singular_fold``, or the grid's ``_folded_singular`` when given,
+    which gives the same chunk bitwise) plus the folded kernel part
+    ``W_j (mean[|i - j|] + mean[n-1-i-j])``, with no mirror term in the
+    middle column of an odd grid, which is its own mirror.  Column j
+    reads both terms as contiguous windows of ``[mean reversed,
+    mean[1:]]``, at n-1-j and at j.  Equals the fold of
     ``_weighted_matrix`` to rounding, not bitwise.
     """
 
-    def __init__(self, grid: Grid, kernel, singular: Optional[np.ndarray] = None):
-        self.r = grid.n - grid.n // 2
-        self.kernel, self.singular = kernel, singular
+    def __init__(self, grid: Grid, mean: np.ndarray, singular: Optional[np.ndarray] = None):
+        self.n = n = grid.n
+        self.r = r = n - n // 2
+        self.singular = singular
         self.weights = _cell_parts(grid)[2]
         self.columns = _singular_fold(grid) if singular is None else None
-        self.chunks = _fold_chunks(self.r)
-        self.spare = np.empty((self.chunks[0][1], self.r))
+        self.chunks = _fold_chunks(r)
+        self.spare = np.empty((self.chunks[0][1], r))
+        self.extended = np.concatenate([mean[:0:-1], mean])
+        windows = sliding_window_view(self.extended, r)
+        self.toeplitz, self.hankel = windows[n - r:n][::-1], windows[:n - r]
 
-    def fill(self, start: int, stop: int, out) -> np.ndarray:
+    def fill(self, start: int, stop: int, out) -> None:
         """Write columns start .. stop-1 of B as the rows of ``out``."""
         if self.singular is None:
             self.columns(start, stop, out)
         else:
             np.copyto(out, self.singular.T[start:stop])
-        out += _kernel_fold(self.kernel, self.weights, start, stop,
-                            self.spare[:stop - start])
-        return out
+        kernel = self.spare[:stop - start]
+        np.copyto(kernel, self.toeplitz[start:stop])
+        mirrored = min(stop, self.n - self.r)
+        if start < mirrored:
+            kernel[:mirrored - start] += self.hankel[start:mirrored]
+        kernel *= self.weights[start:stop, None]
+        out += kernel
 
     def matrix(self, out: Optional[np.ndarray] = None) -> np.ndarray:
         """B, written into ``out`` when given, else into a new array;
@@ -356,18 +352,19 @@ class _FoldedSystem:
         return out
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """B x from re-formed chunks, or, with a shared singular block S,
-        as ``S x`` plus the re-formed kernel chunks."""
+        """B x: the kernel part as convolutions of ``W[:r] x`` with the
+        table's Toeplitz and Hankel halves, plus ``S x`` with a shared
+        singular block S, else the singular chunks re-formed."""
+        n, r = self.n, self.r
+        y = self.weights[:r] * x
+        out = np.convolve(self.extended[n - r:n + r - 1], y, "valid")
+        out += np.convolve(self.extended[n:], y[:n - r], "valid")[::-1]
         if self.singular is not None:
-            out = self.singular @ x
-            for start, stop in self.chunks:
-                out += x[start:stop] @ _kernel_fold(self.kernel, self.weights, start, stop,
-                                                    self.spare[:stop - start])
-            return out
-        out = np.zeros(self.r)
-        chunk = np.empty_like(self.spare)
+            return out + self.singular @ x
         for start, stop in self.chunks:
-            out += x[start:stop] @ self.fill(start, stop, chunk[:stop - start])
+            chunk = self.spare[:stop - start]
+            self.columns(start, stop, chunk)
+            out += x[start:stop] @ chunk
         return out
 
 
@@ -402,9 +399,9 @@ def _mapped_matrix(r: int) -> np.ndarray:
     return np.ndarray((r, r), dtype=float, buffer=buffer, order="F")
 
 
-def _solve_folded(grid: Grid, kernel, rhs: np.ndarray,
+def _solve_folded(grid: Grid, mean: np.ndarray, rhs: np.ndarray,
                   singular: Optional[np.ndarray] = None) -> SampledFunction:
-    """``_solve_weighted`` for a centro-symmetric system, at half size.
+    """``_solve_weighted`` for the symmetric Toeplitz kernel ``mean[|i - j|]``, at half size.
 
     Forms the folded matrix B of ``_FoldedSystem`` in a
     ``_mapped_matrix`` and factors it in place, so B is the only r-by-r
@@ -421,7 +418,7 @@ def _solve_folded(grid: Grid, kernel, rhs: np.ndarray,
     if rhs.shape != (n,) or not np.array_equal(rhs, rhs[::-1]):
         raise ValueError("a folded system needs a reflection-symmetric right-hand side "
                          "with one entry per cell")
-    system = _FoldedSystem(grid, kernel, singular)
+    system = _FoldedSystem(grid, mean, singular)
     half = _solve_in_place(system.matrix(_mapped_matrix(r)), rhs[:r], system.matvec)
     return _weighted_values(grid, np.concatenate([half, half[:n - r][::-1]]))
 

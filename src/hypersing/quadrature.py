@@ -113,8 +113,10 @@ class OscIntSpec:
 def _sample(f, *points) -> np.ndarray:
     """Evaluate f on broadcast arrays of points, accepting scalar-only callables.
 
-    A callable that fails on arrays, or returns the wrong shape, is
-    called once per broadcast point instead.
+    A callable that raises ``TypeError`` or ``ValueError`` on arrays, as
+    ``math`` functions, ``float()`` and truth tests do, or that returns
+    the wrong shape, is called once per broadcast point instead.  Any
+    other exception propagates from the array call.
     """
     shape = np.broadcast_shapes(*(np.shape(p) for p in points))
     vals = None
@@ -123,7 +125,7 @@ def _sample(f, *points) -> np.ndarray:
             trial = np.asarray(f(*points), dtype=float)
             if trial.shape == shape:
                 vals = trial
-        except Exception:
+        except (TypeError, ValueError):
             vals = None
     if vals is None:
         vals = np.array([float(f(*args)) for args in np.broadcast(*points)]).reshape(shape)

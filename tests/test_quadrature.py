@@ -156,6 +156,18 @@ def test_quadrature_input_validation():
         chebyshev_finite_part(0, 1.0)
 
 
+def test_other_errors_on_arrays_propagate_without_a_scalar_retry():
+    calls = []
+
+    def failing(t):
+        calls.append(np.shape(t))
+        raise RuntimeError("broken integrand")
+
+    with pytest.raises(RuntimeError, match="broken integrand"):
+        weighted_integral(failing, IV, SPEC)
+    assert calls == [(SPEC.m,)]
+
+
 def test_non_finite_samples_are_rejected():
     bad = lambda t: np.sqrt(np.asarray(t, dtype=float) - 0.5)
     with np.errstate(invalid="ignore"):

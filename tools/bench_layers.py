@@ -214,9 +214,9 @@ def crack_assembly(repeats: int):
     previous = _previous_openings()
     rows = [_assembly_row(n, repeats, previous) for n in ASSEMBLY_SIZES]
     fields = {
-        "layer": "crack.solve_crack end to end (offset table, node-mean Toeplitz view, "
+        "layer": "crack.solve_crack end to end (offset table, n-entry node-mean table, "
                  "fullkernel._solve_folded: the folded half formed in its own memory map, "
-                 "factored in place, its residual from re-formed chunks), "
+                 "factored in place, its residual from singular chunks plus convolution), "
                  "one fresh process per run",
         "material": {**MATERIAL, "porosity": POROSITY},
         "half_length": ASSEMBLY_HALF_LENGTH,
