@@ -9,7 +9,9 @@ solution in the edge-weighted basis ``g = w * phi`` with
 ``w(t) = sqrt((t - a)(b - t))`` and ``phi`` constant on each cell,
 collocated at the cell midpoints.  The finite-part cell integrals of
 ``w / (x - t)^2`` are exact (product integration against the known
-square-root edge behaviour), and the regular part is the right-node
+square-root edge behaviour): differences of one antiderivative, whose
+grid factors come from integer tables that the full matrix's rows and
+the crack's folded columns both read.  The regular part is the right-node
 kernel sample times the exact cell weight, ``K0(x_i, t_j) * W_j`` with
 ``W_j`` the integral of w over cell j.  A caller whose kernel is
 symmetric Toeplitz, given as its n-entry table, and whose load is
@@ -87,76 +89,103 @@ class FullProblem:
                                   "FullProblem: K1 against K0")
 
 
-# entries of one row block of the singular part, which bounds its
-# temporaries whatever n is
-_BLOCK_ENTRIES = 2**18
+# entries of one chunk of finite-part rows or folded columns, which keeps
+# a chunk's temporaries in cache whatever n is; each writer allocates its
+# two chunk buffers once, as fresh ones for every chunk cost a page fault
+# per 4 KiB
+_CHUNK_ENTRIES = 2**15
 
 
-def _row_blocks(rows: int, n: int):
-    """(start, stop) row ranges covering ``rows`` rows of n + 1 node
-    columns each, at most ``_BLOCK_ENTRIES`` entries a block."""
-    step = max(1, _BLOCK_ENTRIES // (n + 1))
-    return [(start, min(start + step, rows)) for start in range(0, rows, step)]
+def _chunks(count: int, width: int):
+    """(start, stop) ranges covering ``count`` rows of ``width`` entries
+    each, at most ``_CHUNK_ENTRIES`` entries a chunk."""
+    step = max(1, _CHUNK_ENTRIES // width)
+    return [(start, min(start + step, count)) for start in range(0, count, step)]
 
 
-def _unit_cell_maps(grid: Grid):
-    """Cell nodes and midpoints affinely mapped to (-1, 1).
+class _HalfAngleTables:
+    """Grid factors of the finite-part antiderivative F, built from integers.
 
-    Built from integer ratios so that the map is exactly
-    reflection-symmetric and hits both endpoints exactly.
+    On (-1, 1), with ``omega = sqrt(1 - u^2)`` and ``s = sqrt(1 - xi^2)``,
+    ``F(u; xi) = omega / (xi - u) - arcsin u + xi ln|(1 - xi u + s omega)
+    / (u - xi)| / s`` is an antiderivative in u of ``omega / (xi - u)^2``
+    whose differences are the finite-part cell integrals; ``F(1) - F(-1) =
+    -pi``.  With ``u = cos a`` and ``xi = cos b`` the log argument is the
+    square of ``sin((a + b)/2) / |sin((a - b)/2)|``, so at the nodes ``u_k
+    = (2k - n)/n`` and midpoints ``xi_i = (2i + 1 - n)/n``, rows i < r =
+    ceil(n/2), with the odd integer ``d = n (xi_i - u_k) = 2(i - k) + 1``,
+
+        F(u_k; xi_i) = n omega_k / d - arcsin u_k + (2 xi_i / s_i)
+                       * ln[(sqrt k + beta_i sqrt(n - k)) sqrt((2n - 2i - 1)/n) / sqrt|d|]
+
+    for ``beta = sqrt((1 + xi) / (1 - xi))``: every factor is nonnegative,
+    and the log argument is exactly 1 at k = n.  One table of odd integers
+    ``d = 2m + 1``, m = -n .. r-1, holds ``n / d``, ``sqrt|d|`` and ``1 /
+    sqrt|d|`` at m + n, for both ``n (xi_i - u_k)`` and ``n (xi_i + u_k) =
+    2(i + k) + 1 - 2n``.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.r = r = n - n // 2
+        i = np.arange(r, dtype=float)
+        xi = (2.0 * i + 1.0 - n) / n
+        s = np.sqrt((2.0 * i + 1.0) * (2.0 * (n - i) - 1.0)) / n
+        self.log_scale = 2.0 * xi / s
+        self.beta = np.sqrt((2.0 * i + 1.0) / (2.0 * (n - i) - 1.0))
+        self.alpha = np.sqrt(i / (n - i))  # sqrt((1 + u_i) / (1 - u_i))
+        k = np.arange(n + 1, dtype=float)
+        self.u = (2.0 * k - n) / n
+        self.omega = np.sqrt(4.0 * k * (n - k)) / n
+        # arcsin u as an angle whose sine and cosine are both accurate
+        self.arcsin = np.arctan2(self.u, self.omega)
+        self.root_k, self.root_rest = np.sqrt(k), np.sqrt(n - k)
+        d = 2.0 * np.arange(-n, r) + 1.0
+        self.inv = n / d
+        self.root = np.sqrt(np.abs(d))
+        self.inv_root = 1.0 / self.root
+
+
+def _singular_left_rows(grid: Grid):
+    """Route 2's finite-part cell integrals ``F(u_{j+1}; xi_i) - F(u_j; xi_i)``
+    on the left rows i < r of ``_HalfAngleTables``.
+
+    Returns ``rows(start, stop)``: rows start .. stop-1, a view into one of
+    two buffers allocated once, valid until the next call.  Within 6e-14 of
+    40-digit arithmetic relative to ``max(1, |entry|)`` at n = 3200.
     """
     n = grid.n
+    t = _HalfAngleTables(n)
+    # entry (i, k) of a view is the odd-integer table at i - k + n
+    inv = sliding_window_view(t.inv[::-1], n + 1)[::-1]
+    inv_root = sliding_window_view(t.inv_root[::-1], n + 1)[::-1]
+    scale = np.sqrt((2.0 * (n - np.arange(t.r)) - 1.0) / n)[:, None]
+    work = np.empty((2, _chunks(t.r, n + 1)[0][1], n + 1))
+
+    def rows(start, stop):
+        at, term = work[:, :stop - start]
+        i = slice(start, stop)
+        np.multiply(t.beta[i, None], t.root_rest, out=at)
+        at += t.root_k
+        at *= scale[i]
+        at *= inv_root[i]
+        np.log(at, out=at)
+        at *= t.log_scale[i, None]
+        np.multiply(t.omega, inv[i], out=term)
+        at += term
+        at -= t.arcsin
+        return np.subtract(at[:, 1:], at[:, :-1], out=term[:, :n])
+
+    return rows
+
+
+def _cell_weights(grid: Grid) -> np.ndarray:
+    """The integrals of w over the cells, ``W_j = r^2 [(u sqrt(1 - u^2) +
+    arcsin u) / 2]`` across the mapped cell; ``W_j = W_{n-1-j}`` exactly."""
+    n = grid.n
     u = (2.0 * np.arange(n + 1) - n) / n
-    xi = (2.0 * np.arange(1, n + 1) - 1.0 - n) / n
-    return u, xi
-
-
-def _singular_rows(u, xi, arcsin_steps):
-    """Finite-part cell integrals for collocation rows with ``xi <= 0``.
-
-    Row i and cell j hold ``F(u_j; xi_i) - F(u_{j-1}; xi_i)`` with
-
-        F(u; xi) = omega / (xi - u) - arcsin u
-                   + xi * ln|(1 - xi u + s omega) / (u - xi)| / s,
-
-    ``omega = sqrt(1 - u^2)`` and ``s = sqrt(1 - xi^2)``, an
-    antiderivative in u of ``sqrt(1 - u^2) / (xi - u)^2`` whose
-    differences are the finite-part integrals; ``F(1) - F(-1) = -pi``
-    for every xi.  The arcsin term does not depend on xi and arrives
-    as the per-column ``arcsin_steps``.  For ``xi <= 0``,
-    ``1 - xi u = (1 + xi) + |xi| (1 + u)`` is a sum of nonnegative
-    terms, which keeps its relative precision when both points crowd
-    the left end; rows with ``xi > 0`` follow from the odd symmetry
-    ``F(-u; -xi) = -F(u; xi)``.
-    """
-    omega = np.sqrt((1.0 - u) * (1.0 + u))
-    s = np.sqrt((1.0 - xi) * (1.0 + xi))
-    num = np.multiply.outer(-xi, 1.0 + u)
-    num += np.multiply.outer(s, omega)
-    num += (1.0 + xi)[:, None]
-    gap = np.subtract.outer(xi, u)
-    num /= np.abs(gap)
-    np.log(num, out=num)
-    num *= (xi / s)[:, None]
-    num += np.divide(omega, gap, out=gap)
-    out = np.diff(num, axis=1)
-    out -= arcsin_steps
-    return out
-
-
-def _cell_parts(grid: Grid):
-    """Mapped nodes u and midpoints xi, the exact cell weights ``W_j``
-    and the per-cell arcsin steps of ``_singular_rows``.
-
-    ``W_j = r^2 * [(u sqrt(1 - u^2) + arcsin u) / 2]`` across the mapped
-    cell, the integral of w over cell j; exactly reflection-symmetric,
-    ``W_j = W_{n-1-j}``, because u is.
-    """
-    u, xi = _unit_cell_maps(grid)
-    arcsin_u = np.arcsin(u)
-    area = 0.5 * (u * np.sqrt((1.0 - u) * (1.0 + u)) + arcsin_u)
-    weights = grid.interval.halfwidth**2 * np.diff(area)
-    return u, xi, weights, np.diff(arcsin_u)
+    area = 0.5 * (u * np.sqrt((1.0 - u) * (1.0 + u)) + np.arcsin(u))
+    return grid.interval.halfwidth**2 * np.diff(area)
 
 
 def _weighted_matrix(grid: Grid, kernel: np.ndarray) -> np.ndarray:
@@ -165,39 +194,25 @@ def _weighted_matrix(grid: Grid, kernel: np.ndarray) -> np.ndarray:
     Returns a new array, ``kernel * W`` plus the singular part; the
     kernel array itself is only read, so it may be a read-only view.
     The singular part is exactly centro-symmetric, so only the left
-    half of its rows is formed, in blocks of ``_row_blocks``, and each
-    block is also added reversed into the mirrored rows.  A kernel that
-    is itself centro-symmetric therefore gives an exactly
-    centro-symmetric matrix, whose even half ``_FoldedSystem`` forms
-    on its own.
+    half of its rows is formed, in the chunks of ``_singular_left_rows``,
+    and each chunk is also added reversed into the mirrored rows; the
+    middle row of an odd grid is its own mirror.  A kernel that is
+    itself centro-symmetric therefore gives an exactly centro-symmetric
+    matrix, whose even half ``_FoldedSystem`` forms on its own.
     """
     n = grid.n
-    u, xi, weights, arcsin_steps = _cell_parts(grid)
-    matrix = kernel * weights
+    matrix = kernel * _cell_weights(grid)
     # a sampled kernel passed as a temporary is freed here, before the row
-    # blocks are allocated; kept alive, it doubled the page faults of
+    # buffers are allocated; kept alive, it doubled the page faults of
     # repeated route-2 solves at n = 200 and 400
     del kernel
-    half = n // 2
-    for start, stop in _row_blocks(half, n):
-        block = _singular_rows(u, xi[start:stop], arcsin_steps)
+    rows, half = _singular_left_rows(grid), n // 2
+    for start, stop in _chunks(n - half, n + 1):
+        block = rows(start, stop)
         matrix[start:stop] += block
-        matrix[n - stop:n - start] += block[::-1, ::-1]
-    if n % 2:
-        matrix[half] += _singular_rows(u, xi[half:half + 1], arcsin_steps)[0]
+        mirrored = block[:min(stop, half) - start]  # rows whose mirror is another row
+        matrix[n - start - len(mirrored):n - start] += mirrored[::-1, ::-1]
     return matrix
-
-
-# entries of one column chunk of the folded system, which keeps a chunk's
-# temporaries in cache whatever n is
-_FOLD_CHUNK_ENTRIES = 2**15
-
-
-def _fold_chunks(r: int):
-    """(start, stop) column ranges covering r columns of r rows each, at
-    most ``_FOLD_CHUNK_ENTRIES`` entries a chunk."""
-    step = max(1, _FOLD_CHUNK_ENTRIES // r)
-    return [(start, min(start + step, r)) for start in range(0, r, step)]
 
 
 def _singular_fold(grid: Grid):
@@ -205,66 +220,48 @@ def _singular_fold(grid: Grid):
 
     Returns ``columns(start, stop, out)``, which writes columns
     start .. stop-1 of S as the rows of ``out``, a (stop - start)-by-r
-    array, for a chunk of ``_fold_chunks``.  A is the singular part of
-    ``_weighted_matrix`` and ``r = ceil(n/2)``.  Cell n-1-j mirrors cell
-    j, so with the antiderivative F of ``_singular_rows`` and ``u_{n-k}
-    = -u_k``, entry (i, j) is ``E(u_{j+1}) - E(u_j)`` for the odd part
+    array, for a chunk of ``_chunks(r, r)``; A is the singular part of
+    ``_weighted_matrix``.  Cell n-1-j mirrors cell j and ``u_{n-k} = -u_k``,
+    so entry (i, j) is ``E(u_{j+1}) - E(u_j)`` for the odd part of the F of
+    ``_HalfAngleTables``
 
         E(u; xi) = F(u; xi) - F(-u; xi)
                  = 2 u omega / (xi^2 - u^2) - 2 arcsin u
                    + (xi / s) ln[N1 |xi + u| / (N2 |u - xi|)],
 
-    ``N1 = (1 + xi) - xi (1 + u) + s omega`` and ``N2 = 1 + xi u + s omega``,
-    taken at the left-half nodes u_0 .. u_{r-1} with ``E(u_r) := 0``
-    (u_r = 0 for even n; for odd n this makes the middle column, whose
-    cell is its own mirror, ``-E(u_{r-1})``).  With ``u = cos a`` and
-    ``xi = cos b``, ``N1 = 2 sin^2((a + b)/2)`` and ``N2 = 2 cos^2((a - b)/2)``,
-    so ``N1 / N2 = ((alpha + beta) / (1 + alpha beta))^2`` for the
-    half-angle cotangents ``alpha = sqrt((1 + u) / (1 - u))`` and ``beta =
-    sqrt((1 + xi) / (1 - xi))``, both nonnegative.  On the uniform grid
-    these, omega and s come from integers without the rounding of u and
-    xi, and ``xi_i - u_j = (2(i - j) + 1) / n`` and ``xi_i + u_j =
-    (2(i + j) + 1 - 2n) / n``, so the factors built from them come from
-    O(n) tables read as Toeplitz and Hankel views.  Each entry costs one
-    logarithm and one division.  Within 6e-14 of 40-digit arithmetic
-    relative to ``max(1, |entry|)`` at n = 3200.  The temporaries are
-    two chunk-sized arrays allocated once, as fresh ones for every chunk
-    cost a page fault per 4 KiB.
+    ``N1 = 1 - xi u + s omega`` and ``N2 = 1 + xi u + s omega``, at the
+    nodes u_0 .. u_{r-1} with ``E(u_r) := 0`` (u_r = 0 for even n; for odd
+    n the middle column, its own mirror, is ``-E(u_{r-1})``).  In the
+    tables' half-angle cotangents alpha and beta, ``N1 / N2 = ((alpha +
+    beta) / (1 + alpha beta))^2``, and the factors of ``xi -+ u`` are
+    Toeplitz and Hankel windows of the odd-integer table: one logarithm and
+    one division an entry, within 6e-14 of 40-digit arithmetic relative to
+    ``max(1, |entry|)`` at n = 3200.
     """
-    n = grid.n
-    r = n - n // 2
-    k = np.arange(r, dtype=float)
-    u = (2.0 * k - n) / n
-    omega = np.sqrt(4.0 * k * (n - k)) / n
-    xi = (2.0 * k + 1.0 - n) / n
-    s = np.sqrt((2.0 * k + 1.0) * (2.0 * (n - k) - 1.0)) / n
-    alpha = np.sqrt(k / (n - k))[:, None]
-    beta = np.sqrt((2.0 * k + 1.0) / (2.0 * (n - k) - 1.0))
-    log_scale = 2.0 * xi / s
-    # -2 arcsin u, as an angle whose sine and cosine are both accurate
-    node_term = (-2.0 * np.arctan2(u, omega))[:, None]
-    node_scale = (2.0 * u * omega)[:, None]
-    # entry (j, i) of a view is the table at i - j + r - 1, or at i + j
-    gap = 2.0 * np.arange(-(r - 1), r) + 1.0          # n (xi_i - u_j)
-    span = 2.0 * np.arange(2 * r - 1) + 1.0 - 2.0 * n  # n (xi_i + u_j), negative
-    inv_gap = sliding_window_view(n / gap, r)[::-1]
-    inv_root_gap = sliding_window_view(1.0 / np.sqrt(np.abs(gap)), r)[::-1]
-    inv_span = sliding_window_view(n / span, r)
-    root_span = sliding_window_view(np.sqrt(-span), r)
-    work = np.empty((2, _fold_chunks(r)[0][1] + 1, r))
+    t = _HalfAngleTables(grid.n)
+    n, r = t.n, t.r
+    node_term = (-2.0 * t.arcsin[:r])[:, None]
+    node_scale = (2.0 * t.u[:r] * t.omega[:r])[:, None]
+    # entry (j, i) of a view is the odd-integer table at i - j + n, or at i + j
+    gaps, spans = slice(n - r + 1, None), slice(2 * r - 1)
+    inv_gap = sliding_window_view(t.inv[gaps], r)[::-1]
+    inv_root_gap = sliding_window_view(t.inv_root[gaps], r)[::-1]
+    inv_span = sliding_window_view(t.inv[spans], r)
+    root_span = sliding_window_view(t.root[spans], r)
+    work = np.empty((2, _chunks(r, r)[0][1] + 1, r))
 
     def columns(start, stop, out):
         j = slice(start, min(stop + 1, r))  # E at one node past the chunk
         odd, den = work[:, :j.stop - start]
         # (xi / s) ln[N1 |xi + u| / (N2 |u - xi|)] as 2 (xi / s) ln of its root
-        np.add(alpha[j], beta, out=odd)
-        np.multiply(alpha[j], beta, out=den)
+        np.add(t.alpha[j, None], t.beta, out=odd)
+        np.multiply(t.alpha[j, None], t.beta, out=den)
         den += 1.0
         odd *= root_span[j]
         odd *= inv_root_gap[j]
         odd /= den
         np.log(odd, out=odd)
-        odd *= log_scale
+        odd *= t.log_scale
         np.multiply(inv_gap[j], inv_span[j], out=den)
         den *= node_scale[j]
         odd += den
@@ -281,7 +278,7 @@ def _folded_singular(grid: Grid) -> np.ndarray:
     Fortran-ordered and read-only.
 
     It depends only on the grid, so several kernels on one grid may
-    share it; it is filled in the chunks of ``_fold_chunks``, as
+    share it; it is filled in the chunks of ``_chunks(r, r)``, as
     ``_FoldedSystem`` forms them, so a sum with it equals the one
     formed per chunk bitwise.  It costs ``8 r^2`` bytes: 80 KB at
     n = 200, 4 MiB at n = 1448.
@@ -289,7 +286,7 @@ def _folded_singular(grid: Grid) -> np.ndarray:
     r = grid.n - grid.n // 2
     columns = _singular_fold(grid)
     out = np.empty((r, r), order="F")
-    for start, stop in _fold_chunks(r):
+    for start, stop in _chunks(r, r):
         columns(start, stop, out.T[start:stop])
     out.setflags(write=False)
     return out
@@ -305,7 +302,7 @@ class _FoldedSystem:
     with J the column reversal and ``r = ceil(n/2)``.  For a
     reflection-symmetric right-hand side the solution is symmetric too,
     ``phi_j = phi_{n-1-j}``, so its first r constants solve ``B y =
-    rhs[:r]``.  A chunk of ``_fold_chunks`` is the folded singular part
+    rhs[:r]``.  A chunk of ``_chunks(r, r)`` is the folded singular part
     (``_singular_fold``, or the grid's ``_folded_singular`` when given,
     which gives the same chunk bitwise) plus the folded kernel part
     ``W_j (mean[|i - j|] + mean[n-1-i-j])``, with no mirror term in the
@@ -319,9 +316,9 @@ class _FoldedSystem:
         self.n = n = grid.n
         self.r = r = n - n // 2
         self.singular = singular
-        self.weights = _cell_parts(grid)[2]
+        self.weights = _cell_weights(grid)
         self.columns = _singular_fold(grid) if singular is None else None
-        self.chunks = _fold_chunks(r)
+        self.chunks = _chunks(r, r)
         self.spare = np.empty((self.chunks[0][1], r))
         self.extended = np.concatenate([mean[:0:-1], mean])
         windows = sliding_window_view(self.extended, r)
@@ -425,7 +422,8 @@ def _solve_folded(grid: Grid, mean: np.ndarray, rhs: np.ndarray,
 
 def _weighted_values(grid: Grid, phi: np.ndarray) -> SampledFunction:
     """``g(x_i) = w(x_i) * phi_i`` at the cell midpoints."""
-    _, xi = _unit_cell_maps(grid)
+    n = grid.n
+    xi = (2.0 * np.arange(1, n + 1) - 1.0 - n) / n
     weight = grid.interval.halfwidth * np.sqrt((1.0 - xi) * (1.0 + xi))
     return SampledFunction(grid=grid, values=weight * phi)
 
@@ -448,9 +446,10 @@ def assemble_full(grid: Grid, K0) -> np.ndarray:
 
     where the first part is the exact finite-part integral of
     ``w(t) / (x_i - t)^2`` over the cell after the affine map to
-    (-1, 1), under which it is scale-free (see ``_singular_rows``), and
-    ``W_j`` is the exact integral of w over cell j.  The kernel is
-    sampled at the right node t_j, never at zero offset.
+    (-1, 1), under which it is scale-free (F is that of
+    ``_HalfAngleTables``), and ``W_j`` is the exact integral of w over
+    cell j.  The kernel is sampled at the right node t_j, never at zero
+    offset.
 
     The callable is sampled into one n-by-n array before the matrix
     exists, so the peak memory is the larger of the callable's own

@@ -369,14 +369,14 @@ def test_folded_solve_refuses_an_asymmetric_load():
 def test_shared_singular_half_gives_the_folded_matrix_bitwise(n, half_length):
     # the shared block is the folded r-by-r singular part, no longer the
     # r-by-n unfolded rows; the test keeps its name
-    from hypersing.fullkernel import _fold_chunks, _folded_singular, _FoldedSystem
+    from hypersing.fullkernel import _chunks, _folded_singular, _FoldedSystem
 
     grid, mean, _ = _crack_system(n, half_length)
     singular = _folded_singular(grid)
     r = n - n // 2
     assert singular.shape == (r, r)
     if n >= 400:
-        assert len(_fold_chunks(r)) > 1
+        assert len(_chunks(r, r)) > 1
     assert np.array_equal(_FoldedSystem(grid, mean, singular).matrix(),
                           _FoldedSystem(grid, mean).matrix())
 
@@ -404,8 +404,9 @@ def test_shared_singular_half_is_read_only():
 
 
 def _folded_singular_exact(n, i):
-    """Row i of the folded singular part in 40-digit arithmetic, from the
-    antiderivative F of ``_singular_rows`` at every node."""
+    """Row i of the folded singular part in 40-digit arithmetic, and the
+    unfolded row of n cells it is folded from, both from the antiderivative
+    F of ``_HalfAngleTables`` in its plain form at every node."""
     import mpmath
 
     with mpmath.workdps(40):
@@ -420,29 +421,32 @@ def _folded_singular_exact(n, i):
         at = [F(mpmath.mpf(2 * j - n) / n) for j in range(n + 1)]
         cell = [at[j + 1] - at[j] for j in range(n)]
         r = n - n // 2
-        return np.array([float(cell[j] + (cell[n - 1 - j] if n - 1 - j != j else 0))
-                         for j in range(r)])
+        folded = np.array([float(cell[j] + (cell[n - 1 - j] if n - 1 - j != j else 0))
+                           for j in range(r)])
+        return folded, np.array([float(c) for c in cell])
 
 
 @pytest.mark.parametrize("n", (7, 8, 241, 3200))
 def test_folded_singular_part_matches_40_digit_arithmetic(n):
     # rows at the tip, at the quarter point and at the centre; every row
-    # holds the cells of both tips, folded onto each other
-    from hypersing.fullkernel import _cell_parts, _folded_singular, _singular_rows
+    # holds the cells of both tips, folded onto each other.  The unfolded
+    # rows are route 2's, from the same tables as the fold.
+    from hypersing.fullkernel import _folded_singular, _singular_left_rows
 
     grid = build_grid(-1.0, 1.0, n)
     r = n - n // 2
     folded = _folded_singular(grid)
     rows = sorted({0, 1, r // 2, r - 2, r - 1} if n < 3200 else {0, r - 1})
-    u, xi, _, arcsin_steps = _cell_parts(grid)
-    unfolded = _singular_rows(u, xi[rows], arcsin_steps)
+    left_rows = _singular_left_rows(grid)
+    unfolded = np.array([left_rows(i, i + 1)[0].copy() for i in rows])
     summed = unfolded[:, :r].copy()
     summed[:, :n - r] += unfolded[:, r:][:, ::-1]
-    for row, i in zip(summed, rows):
-        exact = _folded_singular_exact(n, i)
+    for cells, row, i in zip(unfolded, summed, rows):
+        exact, exact_cells = _folded_singular_exact(n, i)
         scale = np.maximum(1.0, np.abs(exact))
         assert np.all(np.abs(folded[i] - exact) <= 1e-13 * scale)
         assert np.all(np.abs(folded[i] - row) <= 5e-13 * scale)
+        assert np.all(np.abs(cells - exact_cells) <= 1e-13 * np.maximum(1.0, np.abs(exact_cells)))
 
 
 @pytest.mark.parametrize("n", (40, 41))

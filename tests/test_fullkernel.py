@@ -125,16 +125,30 @@ def test_singular_cell_integrals_match_adaptive_quadrature():
 
 
 def test_weighted_matrix_is_centro_symmetric_and_block_independent(monkeypatch):
+    # only the left rows i < ceil(n/2) are formed, chunk by chunk, and
+    # mirrored; the middle row of an odd grid, row ceil(n/2) - 1, is the
+    # last left row, so a chunk holds it alone, at its start, or as the
+    # last of several rows
     import hypersing.fullkernel as fullkernel
 
-    g = build_grid(-2.0, 2.0, 37)
-    M = assemble_full(g, kernel_zero)
-    assert np.array_equal(M, M[::-1, ::-1])
-    whole = assemble_full(g, cos_kernel)
-    # blocks of 5 rows of 38 node columns
-    monkeypatch.setattr(fullkernel, "_BLOCK_ENTRIES", 5 * 38)
-    assert fullkernel._row_blocks(18, 37)[:2] == [(0, 5), (5, 10)]
-    assert np.array_equal(assemble_full(g, cos_kernel), whole)
+    for n, steps in ((37, (1, 6, 5, 19)), (36, (1, 6, 5, 18))):
+        g = build_grid(-2.0, 2.0, n)
+        M = assemble_full(g, kernel_zero)
+        assert np.array_equal(M, M[::-1, ::-1])
+        r = n - n // 2
+        assert fullkernel._chunks(r, n + 1) == [(0, r)]
+        whole = assemble_full(g, cos_kernel)
+        for step in steps:
+            monkeypatch.setattr(fullkernel, "_CHUNK_ENTRIES", step * (n + 1))
+            chunks = fullkernel._chunks(r, n + 1)
+            assert chunks[0] == (0, step) and chunks[-1][1] == r
+            if n % 2:
+                start, _ = chunks[-1]
+                assert (start == r - 1) == (step in (1, 6))
+            assert np.array_equal(assemble_full(g, cos_kernel), whole)
+            M = assemble_full(g, kernel_zero)
+            assert np.array_equal(M, M[::-1, ::-1])
+        monkeypatch.undo()
 
 
 def test_assembly_is_the_weighted_matrix_of_the_sampled_kernel():
