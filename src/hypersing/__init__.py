@@ -13,16 +13,12 @@ from .grids import Interval, Grid, SampledFunction, build_grid
 from .linalg import ResidualError, SingularMatrixError, lu_solve, residual_norm
 from .quadrature import (
     PVQuadSpec,
-    TailOrder,
     OscIntSpec,
     chebyshev_nodes,
     weighted_integral,
     pv_weighted_integral,
     pv_weighted_matrix,
     chebyshev_finite_part,
-    halfline_cosine_integral,
-    halfline_cosine_table,
-    halfline_cosine_tables,
 )
 from .characteristic import (
     CharacteristicProblem,
@@ -60,10 +56,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Interval", "Grid", "SampledFunction", "build_grid",
     "SingularMatrixError", "ResidualError", "lu_solve", "residual_norm",
-    "PVQuadSpec", "TailOrder", "OscIntSpec", "chebyshev_nodes",
+    "PVQuadSpec", "OscIntSpec", "chebyshev_nodes",
     "weighted_integral", "pv_weighted_integral", "pv_weighted_matrix",
-    "chebyshev_finite_part", "halfline_cosine_integral", "halfline_cosine_table",
-    "halfline_cosine_tables",
+    "chebyshev_finite_part",
     "CharacteristicProblem", "assemble_characteristic", "solve_characteristic",
     "invert_characteristic", "convergence_study",
     "FullProblem", "FredholmSystem", "assemble_full", "solve_full_collocation",

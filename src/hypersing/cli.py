@@ -101,8 +101,6 @@ _KEYS = {
     "sigma0": (_to_float, "remote tension; sigma0 >= 0"),
     "N_values": (_to_float_list, "comma-separated porosity targets, each in [0, 1) (sweep)"),
     "s_max": (_to_float, f"kernel transform truncation; > 0 (default {_DEFAULT_SPEC.s_max:g})"),
-    "panels_per_period": (_to_int, "kernel transform samples per period / 4; integer >= 4 "
-                                   f"(default {_DEFAULT_SPEC.panels_per_period})"),
     "out": (str, "output CSV path (or pass --out)"),
 }
 
@@ -114,7 +112,6 @@ _REQUIRED = {
     "sweep": ("half_length", "n", "lam", "mu", "alpha", "xi", "sigma0", "N_values"),
 }
 
-_SPEC_KEYS = ("s_max", "panels_per_period")
 _MATERIAL_KEYS = ("lam", "mu", "alpha", "beta", "xi", "sigma0")
 
 
@@ -210,8 +207,7 @@ def parse_config(text: str, overrides=()) -> RunConfig:
         failures.append(f"rhs_degree: must be >= 0, got {raw['rhs_degree']!r}")
     if "half_length" in raw and not raw["half_length"] > 0.0:
         failures.append(f"half_length: must be positive, got {raw['half_length']!r}")
-    spec = build("/".join(_SPEC_KEYS), OscIntSpec,
-                 **{k: raw.pop(k) for k in _SPEC_KEYS if k in raw})
+    spec = build("s_max", OscIntSpec, raw.pop("s_max")) if "s_max" in raw else _DEFAULT_SPEC
     if "N_values" in raw:
         bad = [v for v in raw["N_values"] if not 0.0 <= v < 1.0]
         if bad:

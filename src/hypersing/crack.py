@@ -9,7 +9,11 @@ L(s) built from the material constants; L grows linearly at infinity,
 
 so the transform splits into the finite-part of the linear piece,
 which is exactly ``-slope / (pi x^2)``, plus a regular remainder
-evaluated numerically.  Dividing through by the hypersingular
+evaluated numerically up to ``OscIntSpec.s_max`` by one cosine rule, the
+chirp-z table of :mod:`hypersing.quadrature`; the pointwise
+``regular_kernel`` reads it on a grid of its own.  The O(1/s^3) decay
+that bounds the discarded tail is spot-checked wherever a remainder is
+transformed.  Dividing through by the hypersingular
 coefficient puts the problem into the standard collocation form solved
 by :mod:`hypersing.fullkernel`.  On the uniform grid every offset
 between a collocation midpoint and a cell node is a half-odd multiple
@@ -46,9 +50,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grids import Grid, SampledFunction, build_grid
-from .quadrature import (OscIntSpec, TailOrder, cosine_integral,
-                         halfline_cosine_integral, halfline_cosine_tables,
-                         _check_cubic_decay)
+from .quadrature import (OscIntSpec, cosine_integral, _check_cubic_decay,
+                         _halfline_cosine_tables)
 from .fullkernel import _folded_singular, _solve_folded
 
 __all__ = [
@@ -255,24 +258,25 @@ def regular_kernel(x, dp: DimensionlessParams, spec: Optional[OscIntSpec] = None
     ``-slope / (pi x^2)``.  What remains is the transform of
     ``L(s) - slope * s``, which decays only like 1/s; subtracting the
     proxy ``-decay * s / (1 + s^2)`` (same tail, vanishing at s = 0)
-    leaves an O(1/s^3) remainder.  The rule is linear, so remainder and
-    proxy are integrated as their sum ``L(s) - slope * s``, one pass of
-    the trapezoid-with-Gregory cosine rule of
-    ``halfline_cosine_integral`` on [0, s_max] per offset, and the
+    leaves an O(1/s^3) remainder, whose decay is spot-checked once per
+    call.  The rule is linear, so remainder and proxy are integrated as
+    their sum ``L(s) - slope * s`` on [0, s_max], by the cosine rule of
+    ``regular_kernel_table`` with |x| the last of ``J + 1`` half-odd
+    offsets, ``J = floor(|x|)``: a grid step of 2|x| below |x| = 1 and
+    between 2/3 and 4/3 beyond, which keeps its fold period long; the
     proxy's tail past s_max is added back as the cosine integral
     ``decay * Ci(s_max |x|)``.  Discarded pieces are O(1/s^3) tails
-    bounded by ``C / (2 s_max^2)``; with ``tail=INVERSE_CUBE`` the
-    remainder's decay is spot-checked once per call.
+    bounded by ``C / (2 s_max^2)``.
 
     A scalar x gives a float; an array of offsets gives an array of the
     same shape, with the symbol asymptotics computed once for all of
     them.  Each entry equals the scalar call at that offset bitwise.
-    ``regular_kernel_table`` gives the same values at all grid offsets
-    of a crack solve at once.
+    ``regular_kernel_table`` gives the same values, to the rule's
+    accuracy, at all grid offsets of a crack solve at once.
 
-    Even in x; logarithmically singular at x = 0 whenever the decay
-    coefficient is nonzero, which is why the collocation grids keep all
-    kernel offsets away from zero.  At zero porosity the symbol is
+    Exactly even in x; logarithmically singular at x = 0 whenever the
+    decay coefficient is nonzero, which is why the collocation grids keep
+    all kernel offsets away from zero.  At zero porosity the symbol is
     exactly linear and the remainder is identically zero.
     """
     spec = spec if spec is not None else OscIntSpec()
@@ -280,17 +284,19 @@ def regular_kernel(x, dp: DimensionlessParams, spec: Optional[OscIntSpec] = None
     excess, remainder, decay = _kernel_split(dp)
     if decay == 0.0:
         return 0.0 if offsets.ndim == 0 else np.zeros(offsets.shape)
+    if not np.all(np.isfinite(offsets)):
+        raise ValueError("kernel offsets must be finite")
     if np.any(offsets == 0.0):
         raise ValueError("regular kernel is logarithmically singular at zero offset")
-    if spec.tail is TailOrder.INVERSE_CUBE:
-        _check_cubic_decay(remainder, spec.s_max)
-    whole_spec = replace(spec, tail=TailOrder.NONE)
+    _check_cubic_decay(remainder, spec.s_max)
 
     def at(u):
-        body = halfline_cosine_integral(excess, u, whole_spec)
+        u = abs(float(u))
+        j = math.floor(u)
+        body = _halfline_cosine_tables([excess], 2.0 * u / (2 * j + 1), j + 1, spec)[0, j]
         # analytic tail of the proxy past s_max: -decay * int cos(su)/s ds
         # equals the cosine integral, up to another O(1/s^3) remainder
-        tail = decay * float(cosine_integral(spec.s_max * abs(float(u))))
+        tail = decay * float(cosine_integral(spec.s_max * u))
         return float((body + tail) / np.pi)
 
     out = np.array([at(u) for u in offsets.ravel()]).reshape(offsets.shape)
@@ -308,29 +314,26 @@ def _kernel_tables(h: float, n: int, dps: Sequence[DimensionlessParams],
     """``regular_kernel_table`` of several materials on one grid, one row each.
 
     Only the O(1/s^3) remainders depend on the material.  The live ones
-    (nonzero decay) and the material-free proxy shape ``-s / (1 + s^2)``
-    go through one ``halfline_cosine_tables`` call, which builds the
-    grid's chirp-z plan and sliver once and transforms the integrands one
-    at a time; ``Ci(s_max u_j)`` is computed once.  Row k is then
+    (nonzero decay), each spot-checked for that decay, and the
+    material-free proxy shape ``-s / (1 + s^2)`` go through one
+    ``_halfline_cosine_tables`` call, which builds the grid's chirp-z plan
+    and sliver once and transforms the integrands one at a time;
+    ``Ci(s_max u_j)`` is computed once.  Row k is then
     ``(rem_k + decay_k (shape + Ci)) / pi``, and a classical material's
-    row is zero.  With ``tail=INVERSE_CUBE`` each remainder's decay is
-    spot-checked on its own.
+    row is zero.
     """
     out = np.zeros((len(dps), int(n)))
     live, remainders, decays = [], [], []
     for k, dp in enumerate(dps):
         _, remainder, decay = _kernel_split(dp)
         if decay != 0.0:
+            _check_cubic_decay(remainder, spec.s_max)
             live.append(k)
             remainders.append(remainder)
             decays.append(decay)
     if not live:
         return out
-    if spec.tail is TailOrder.INVERSE_CUBE:
-        for remainder in remainders:
-            _check_cubic_decay(remainder, spec.s_max)
-    *rems, shape = halfline_cosine_tables(remainders + [_proxy_shape], h, n,
-                                          replace(spec, tail=TailOrder.NONE))
+    *rems, shape = _halfline_cosine_tables(remainders + [_proxy_shape], h, n, spec)
     offsets = (np.arange(out.shape[1]) + 0.5) * h
     proxy = shape + cosine_integral(spec.s_max * offsets)
     for k, rem, decay in zip(live, rems, decays):
@@ -343,15 +346,16 @@ def regular_kernel_table(h: float, n: int, dp: DimensionlessParams,
     """``regular_kernel`` at the n half-odd grid offsets ``(j + 1/2) h``.
 
     The O(1/s^3) remainder and the proxy shape ``-s / (1 + s^2)`` go
-    through one ``halfline_cosine_tables`` call, which evaluates the same
+    through one ``_halfline_cosine_tables`` call, which evaluates the
     cosine rule at every offset by one FFT per integrand with one shared
     chirp-z plan, so the cost grows like the sample count plus n log n
     rather than n times the sample count.  The proxy's tail past s_max
     is the cosine integral, as in ``regular_kernel``.  Agrees with the
-    pointwise ``regular_kernel`` to the rule's accuracy, not bitwise:
-    within 4e-11 for half-lengths 1 to 100 and n = 40 to 3200.  A
-    porosity sweep tables all its targets in one such call, and each of
-    its rows equals this function's value bitwise.
+    pointwise ``regular_kernel``, which runs the same rule on its own
+    grid, to the rule's accuracy, not bitwise: within 4e-11 for
+    half-lengths 1 to 100 and n = 40 to 3200.  A porosity sweep tables
+    all its targets in one such call, and each of its rows equals this
+    function's value bitwise.
     """
     spec = spec if spec is not None else OscIntSpec()
     return _kernel_tables(h, n, [dp], spec)[0]

@@ -9,12 +9,13 @@ Two families:
   identity that the principal value of ``1 / (w(t) (x - t))`` over the
   interval vanishes for every interior x, so subtracting ``f(x)`` from
   the numerator removes the pole without changing the integral.
-* One uniform-grid cosine rule for half-line cosine transforms
-  ``int_0^s_max F(s) cos(s x) ds`` of algebraically decaying integrands:
-  the trapezoid rule with eight-point Gregory end corrections, on a
-  step sized to the oscillation period.  It is summed directly at one
-  frequency, or at every half-odd grid offset at once by one chirp-z
-  FFT, whose plan is shared by every integrand on the same grid.
+* One uniform-grid cosine rule for the crack kernel's half-line cosine
+  transforms ``int_0^s_max F(s) cos(s x) ds``: the trapezoid rule with
+  eight-point Gregory end corrections, on a step of at least 32 samples
+  per oscillation period, evaluated at every half-odd grid offset at
+  once by one chirp-z FFT whose plan is shared by every integrand on the
+  same grid.  It is a private helper of :mod:`hypersing.crack`, which
+  declares and checks the O(1/s^3) decay that bounds the discarded tail.
 
 The closed-form finite-part transform of the weighted Chebyshev
 polynomials is exposed as an oracle for testing solvers built on top.
@@ -22,7 +23,6 @@ polynomials is exposed as an oracle for testing solvers built on top.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,16 +31,12 @@ from .grids import Interval
 
 __all__ = [
     "PVQuadSpec",
-    "TailOrder",
     "OscIntSpec",
     "chebyshev_nodes",
     "weighted_integral",
     "pv_weighted_integral",
     "pv_weighted_matrix",
     "chebyshev_finite_part",
-    "halfline_cosine_integral",
-    "halfline_cosine_table",
-    "halfline_cosine_tables",
     "cosine_integral",
 ]
 
@@ -53,6 +49,7 @@ _MIN_STEPS = 16             # keeps the two corrected ends apart
 # the step resolves at least cos(8 s): at small |x| the integrand's own
 # scale sets the error (the crack symbol has branch points at s = +-i sqrt(1 - N))
 _FREQUENCY_FLOOR = 8.0
+_SAMPLES_PER_PERIOD = 32
 _MAX_SAMPLES = 20_000_000
 _CHUNK = 8192               # s-grid samples held in memory at once
 _EULER_GAMMA = 0.5772156649015329
@@ -73,41 +70,22 @@ class PVQuadSpec:
         object.__setattr__(self, "m", int(self.m))
 
 
-class TailOrder(enum.Enum):
-    """Declared decay of a half-line integrand beyond the truncation point."""
-
-    NONE = "none"
-    INVERSE_CUBE = "inverse_cube"
-
-
 @dataclass(frozen=True)
 class OscIntSpec:
-    """Truncation and resolution for half-line cosine transforms.
+    """Truncation point ``s_max`` of the crack kernel's cosine transforms.
 
-    ``s_max`` is the truncation point.  The cosine rule samples ``F`` on
-    a uniform grid over [0, s_max] with at least ``4 * panels_per_period``
-    steps per oscillation period ``2 pi / max(|x|, 8)``.  With
-    ``tail=TailOrder.INVERSE_CUBE`` the integrand is declared to obey
-    ``|F(s)| <= C / s^3`` past ``s_max``, which bounds the discarded
-    tail by ``C / (2 s_max^2)``; the declaration is spot-checked by
-    sampling ``F`` beyond the truncation point.
+    The cosine rule samples on a uniform grid over [0, s_max] with at
+    least 32 steps per oscillation period ``2 pi / max(|x|, 8)``.  The
+    integrands it is used on obey ``|F(s)| <= C / s^3`` past ``s_max``,
+    which bounds the discarded tail by ``C / (2 s_max^2)``.
     """
 
     s_max: float = 200.0
-    panels_per_period: int = 8
-    tail: TailOrder = TailOrder.INVERSE_CUBE
 
     def __post_init__(self):
-        problems = []
         if not (np.isfinite(self.s_max) and self.s_max > 0):
-            problems.append(f"s_max must be positive and finite, got {self.s_max!r}")
-        if int(self.panels_per_period) != self.panels_per_period or self.panels_per_period < 4:
-            problems.append(
-                f"panels_per_period must be an integer >= 4, got {self.panels_per_period!r}")
-        if problems:
-            raise ValueError("; ".join(problems))
+            raise ValueError(f"s_max must be positive and finite, got {self.s_max!r}")
         object.__setattr__(self, "s_max", float(self.s_max))
-        object.__setattr__(self, "panels_per_period", int(self.panels_per_period))
 
 
 def _sample(f, *points) -> np.ndarray:
@@ -241,18 +219,6 @@ def _check_cubic_decay(F, s_max: float) -> None:
             f"s_max={s_max} (s^3 |F| grew from {f1 * s_max**3:.3e} to {f2 * probe**3:.3e})")
 
 
-def _max_step(spec: OscIntSpec, frequency: float) -> float:
-    # 4 * panels_per_period samples per period, as the 4-point panels had
-    return 2.0 * np.pi / (4 * spec.panels_per_period * max(frequency, _FREQUENCY_FLOOR))
-
-
-def _check_sample_count(count: int) -> None:
-    if count > _MAX_SAMPLES:
-        raise ValueError(
-            f"sample count {count} exceeds the supported maximum; "
-            "reduce s_max, panels_per_period, or the frequency")
-
-
 def _gregory_weights(k: np.ndarray, last: int) -> np.ndarray:
     """Trapezoid-with-Gregory weights, in steps, of nodes k on the grid 0..last."""
     w = np.ones(k.size)
@@ -266,35 +232,6 @@ def _grid_chunks(last: int):
     """Index blocks of the grid 0..last, none longer than _CHUNK."""
     for k0 in range(0, last + 1, _CHUNK):
         yield np.arange(k0, min(k0 + _CHUNK, last + 1))
-
-
-def halfline_cosine_integral(F, x, spec: OscIntSpec) -> float:
-    """Truncated half-line cosine transform ``int_0^s_max F(s) cos(s x) ds``.
-
-    The trapezoid rule with eight-point Gregory end corrections on the
-    uniform grid of the fewest steps (at least 16) that divide [0, s_max]
-    into pieces no longer than ``1 / (4 panels_per_period)`` of the period
-    ``2 pi / max(|x|, 8)``.  The cosine sum runs over fixed-size chunks
-    of the grid, so memory does not grow with |x|.  The grid depends
-    only on the spec and |x|.  With ``tail=INVERSE_CUBE`` the discarded
-    tail is bounded by ``C / (2 s_max^2)`` where C bounds ``s^3 |F(s)|``
-    past the truncation point, and that decay is spot-checked.  More
-    than 2e7 samples raise ``ValueError``.
-    """
-    x = float(x)
-    if not np.isfinite(x):
-        raise ValueError("oscillation frequency x must be finite")
-    steps = int(np.ceil(spec.s_max / _max_step(spec, abs(x))))
-    _check_sample_count(steps)
-    last = max(steps, _MIN_STEPS)
-    ds = spec.s_max / last
-    total = 0.0
-    for k in _grid_chunks(last):
-        s = k * ds
-        total += np.dot(_gregory_weights(k, last) * _sample(F, s), np.cos(s * x))
-    if spec.tail is TailOrder.INVERSE_CUBE:
-        _check_cubic_decay(F, spec.s_max)
-    return float(ds * total)
 
 
 def _unit_phase(m: np.ndarray, quarter: int) -> np.ndarray:
@@ -334,16 +271,29 @@ def _folded_samples(F, ds: float, last: int, period: int) -> np.ndarray:
     return folded
 
 
-def halfline_cosine_tables(Fs, h: float, n: int, spec: OscIntSpec) -> np.ndarray:
-    """``halfline_cosine_table`` of several integrands on one grid, one row each.
+def _halfline_cosine_tables(Fs, h: float, n: int, spec: OscIntSpec) -> np.ndarray:
+    """``int_0^s_max F(s) cos(s u_j) ds`` at the half-odd offsets u_j = (j + 1/2) h,
+    j < n, one row per integrand F of Fs.
 
-    Everything that depends only on h, n and the spec is built once: the
-    step ``ds``, the sample count, the chirp-z phases and the transform of
-    the chirp, and the sliver's nodes, weights and cosine matrix.  The
+    The trapezoid rule with eight-point Gregory end corrections on the
+    step ``ds = pi / (M h)``, with the integer M the smallest that gives
+    at least 32 samples per period ``2 pi / max(u_{n-1}, 8)`` and at
+    least 16 steps over [0, s_max].  Then ``s_k u_j = pi k (2j + 1) / (2M)``:
+    the phases repeat every 4M samples and change sign every 2M, so the
+    weighted samples are folded, with alternating sign, onto at most 2M
+    residues.  One Bluestein chirp-z transform
+    (``r(2j+1) = r^2 + r + j^2 - (j - r)^2``, all phases as exact integers
+    mod 4M) then gives every offset at once.  The sliver between the last
+    grid node and s_max gets the same rule on 16 steps, summed directly.
+
+    Everything that depends only on h, n and s_max is built once: the
+    step, the sample count, the chirp-z phases and the transform of the
+    chirp, and the sliver's nodes, weights and cosine matrix.  The
     integrands are then sampled, folded and transformed one at a time, so
-    memory does not grow with their number beyond the K-by-n result.  Row
-    k equals ``halfline_cosine_table(Fs[k], h, n, spec)`` bitwise; with
-    ``tail=INVERSE_CUBE`` every integrand's decay is spot-checked.
+    memory does not grow with their number beyond the K-by-n result, and
+    each row is the same bitwise whatever the other integrands.  More
+    than 2e7 samples raise ``ValueError`` before any is taken.  The
+    discarded tail past s_max is the caller's to bound.
     """
     h = float(h)
     if not (np.isfinite(h) and h > 0.0):
@@ -351,14 +301,17 @@ def halfline_cosine_tables(Fs, h: float, n: int, spec: OscIntSpec) -> np.ndarray
     if int(n) != n or n < 1:
         raise ValueError(f"offset count must be a positive integer, got {n!r}")
     n = int(n)
-    u = (np.arange(n) + 0.5) * h
     # M of the docstring: a quarter of the phase period, in samples
-    quarter = int(max(np.ceil(np.pi / (h * _max_step(spec, u[-1]))),
+    max_step = 2.0 * np.pi / (_SAMPLES_PER_PERIOD * max((n - 0.5) * h, _FREQUENCY_FLOOR))
+    quarter = int(max(np.ceil(np.pi / (h * max_step)),
                       np.ceil(_MIN_STEPS * np.pi / (h * spec.s_max))))
     ds = np.pi / (quarter * h)
     last = int(np.floor(spec.s_max / ds))
-    _check_sample_count(last)
+    if last > _MAX_SAMPLES:
+        raise ValueError(f"sample count {last} exceeds the supported maximum; "
+                         "reduce s_max or the offsets")
     period = 2 * quarter
+    u = (np.arange(n) + 0.5) * h
 
     # chirp-z: sum_r folded_r exp(i pi r (2j+1) / (2M)) as a convolution
     size = min(last + 1, period)
@@ -372,6 +325,8 @@ def halfline_cosine_tables(Fs, h: float, n: int, spec: OscIntSpec) -> np.ndarray
     r = m[:size]
     up = _unit_phase(r * r + r, quarter)
     unchirp = down[:n].conj()
+    # freed before the samples are taken: the pointwise kernel's peak memory
+    del m, down, chirp, r
 
     s_end = last * ds
     sliver = s_end < spec.s_max
@@ -389,29 +344,7 @@ def halfline_cosine_tables(Fs, h: float, n: int, spec: OscIntSpec) -> np.ndarray
         row[:] = ds * (unchirp * conv).real
         if sliver:
             row += sliver_cosines @ (sliver_weights * _sample(F, s))
-        if spec.tail is TailOrder.INVERSE_CUBE:
-            _check_cubic_decay(F, spec.s_max)
     return out
-
-
-def halfline_cosine_table(F, h: float, n: int, spec: OscIntSpec) -> np.ndarray:
-    """``int_0^s_max F(s) cos(s u_j) ds`` at every half-odd offset u_j = (j + 1/2) h.
-
-    The same trapezoid-with-Gregory rule as ``halfline_cosine_integral``,
-    on a step ``ds = pi / (M h)`` with the integer M the smallest that
-    meets that function's step bound at the largest offset.  Then
-    ``s_k u_j = pi k (2j + 1) / (2M)``: the phases repeat every 4M samples
-    and change sign every 2M, so the weighted samples are folded, with
-    alternating sign, onto at most 2M residues.  One Bluestein chirp-z
-    transform (``r(2j+1) = r^2 + r + j^2 - (j - r)^2``, all phases as
-    exact integers mod 4M) then gives every offset at once.  The sliver
-    between the last grid node and s_max gets the same rule on 16 steps,
-    summed directly.  The tail check and sample cap are those of
-    ``halfline_cosine_integral``; the values agree with it to rounding
-    and the rule's error, not bitwise.  The one-integrand case of
-    ``halfline_cosine_tables``.
-    """
-    return halfline_cosine_tables([F], h, n, spec)[0]
 
 
 def cosine_integral(x) -> np.ndarray:

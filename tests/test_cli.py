@@ -79,6 +79,10 @@ def test_command_specific_requirements():
         parse_config(CRACK_CFG, overrides=("command=crack", "out=res.csv", "half_length=-1"))
     with pytest.raises(ConfigError):
         parse_config(CRACK_CFG, overrides=("command=crack", "out=res.csv", "mu=-1"))
+    # s_max is the one kernel transform key; its default applies when it is absent
+    assert parse_config(CRACK_CFG, overrides=("command=crack", "out=res.csv")).spec.s_max == 200.0
+    assert parse_config(CRACK_CFG, overrides=("command=crack", "out=res.csv", "s_max=400")
+                        ).spec.s_max == 400.0
 
 
 def test_n_list_and_porosity_bounds():
@@ -217,20 +221,21 @@ def test_config_failures_exit_2_and_write_nothing(tmp_path, capsys):
 
 
 def test_domain_object_failures_are_collected_with_the_rest(tmp_path, capsys):
-    sets = ("a=1", "b=-1", "s_max=0", "panels_per_period=3", "mu=-1")
+    # an unknown key, such as panels_per_period, is one more failure
+    sets = ("a=1", "b=-1", "s_max=0", "panels_per_period=8", "mu=-1")
     with pytest.raises(ConfigError) as exc:
         parse_config(CRACK_CFG, overrides=("command=crack", "out=res.csv") + sets)
     failures = exc.value.failures
-    assert len(failures) == 3
-    assert failures[0].startswith("a/b: ")
-    assert failures[1].startswith("s_max/panels_per_period: ")
-    assert "s_max" in failures[1].split(": ", 1)[1]
-    assert "panels_per_period" in failures[1].split(": ", 1)[1]
-    assert failures[2].startswith("material constants: ") and "mu" in failures[2]
+    assert len(failures) == 4
+    assert failures[0] == "panels_per_period: unknown key"
+    assert failures[1].startswith("a/b: ")
+    assert failures[2].startswith("s_max: ")
+    assert "s_max" in failures[2].split(": ", 1)[1]
+    assert failures[3].startswith("material constants: ") and "mu" in failures[3]
     code, out = _run(tmp_path, "crack", CRACK_CFG, *sets)
     assert code == EXIT_CONFIG
     assert not out.exists()
-    assert capsys.readouterr().err.count("ERROR config:") == 3
+    assert capsys.readouterr().err.count("ERROR config:") == 4
 
 
 def test_runtime_domain_failures_exit_3(tmp_path, capsys):

@@ -3,7 +3,6 @@ opening profiles, tip amplitudes, porosity sweep."""
 
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,12 +14,10 @@ from hypersing import (
     Interval,
     MaterialParams,
     OscIntSpec,
-    TailOrder,
     assemble_full,
     build_grid,
     crack_symbol,
     derive_dimensionless,
-    halfline_cosine_integral,
     porosity_sweep,
     regular_kernel,
     regular_kernel_table,
@@ -29,8 +26,8 @@ from hypersing import (
     stress_concentration,
     symbol_asymptotics,
 )
-from hypersing.quadrature import cosine_integral
-from oracles import cosine_transform_oracle
+from hypersing.quadrature import _halfline_cosine_tables, cosine_integral
+from oracles import cosine_transform_oracle, regular_kernel_exact
 
 CLASSICAL = MaterialParams(1.0, 1.0, 1.0, 0.0, 1.0, 1.0)
 POROUS = MaterialParams(1.0, 1.0, 1.0, math.sqrt(1.2), 1.0, 1.0)  # N = 0.4
@@ -153,15 +150,19 @@ def test_regular_kernel_vanishes_in_the_classical_limit():
 
 def test_regular_kernel_even_and_singular_at_origin():
     dp = derive_dimensionless(POROUS)
-    assert abs(regular_kernel(0.7, dp) - regular_kernel(-0.7, dp)) <= 1e-8
+    for x in (0.0025, 0.7, 1.0, 3.3, 203.4):
+        assert regular_kernel(x, dp) == regular_kernel(-x, dp)
     with pytest.raises(ValueError):
         regular_kernel(0.0, dp)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            regular_kernel(bad, dp)
 
 
 def test_regular_kernel_self_convergence_and_quad_oracle():
     dp = derive_dimensionless(POROUS)
-    val = regular_kernel(1.0, dp, OscIntSpec(s_max=800.0, panels_per_period=16))
-    ref = regular_kernel(1.0, dp, OscIntSpec(s_max=2000.0, panels_per_period=32))
+    val = regular_kernel(1.0, dp, OscIntSpec(s_max=800.0))
+    ref = regular_kernel(1.0, dp, OscIntSpec(s_max=2000.0))
     assert abs(val - ref) <= 1e-6 * abs(ref)
 
     # independent reconstruction through adaptive quadrature
@@ -195,8 +196,8 @@ def test_regular_kernel_array_call_matches_scalar_calls_bitwise():
 
 
 def test_pointwise_kernel_matches_the_two_integrand_split():
-    # the remainder and the proxy integrated apart, as regular_kernel did
-    # before it integrated their sum in one pass
+    # the remainder and the proxy integrated apart, on the grid that
+    # regular_kernel reads |x| from: the last of floor(|x|) + 1 half-odd offsets
     spec = OscIntSpec()
     for n_target in (0.1, 0.4, 0.6):
         dp = derive_dimensionless(_with_porosity(n_target))
@@ -204,9 +205,10 @@ def test_pointwise_kernel_matches_the_two_integrand_split():
         remainder = lambda s: crack_symbol(s, dp) - slope * s + decay * s / (1.0 + s * s)
         proxy = lambda s: -decay * s / (1.0 + s * s)
         for u in (0.005, 0.3, 2.5, 40.0):
-            split = (halfline_cosine_integral(remainder, u, spec)
-                     + halfline_cosine_integral(proxy, u, replace(spec, tail=TailOrder.NONE))
-                     + decay * float(cosine_integral(spec.s_max * u))) / np.pi
+            j = math.floor(u)
+            rem, prox = _halfline_cosine_tables([remainder, proxy], 2.0 * u / (2 * j + 1),
+                                                j + 1, spec)[:, j]
+            split = (rem + prox + decay * float(cosine_integral(spec.s_max * u))) / np.pi
             assert abs(regular_kernel(u, dp, spec) - split) <= 1e-15 * max(1.0, abs(split))
 
 
@@ -235,6 +237,25 @@ def test_kernel_table_matches_quadrature_oracle(half_length):
             assert table.shape == (n,)
             for j in (0, 1, n // 2, n - 1):
                 assert abs(table[j] - _kernel_oracle(dp, (j + 0.5) * h)) <= 1e-9
+
+
+def test_kernel_table_converges_to_the_exact_kernel():
+    # the truncation at s_max, which the quadrature oracle shares, shows
+    # only against the closed form: it falls like 1/s_max^2
+    pytest.importorskip("mpmath")
+    for half_length, n in ((1.0, 200), (10.0, 201), (100.0, 240), (1.0, 3200)):
+        h = 2.0 * half_length / n
+        cells = np.array([0, 1, n // 2, n - 1])
+        for n_target in (0.1, 0.35, 0.6, 0.85):
+            dp = derive_dimensionless(_with_porosity(n_target))
+            exact = np.array([regular_kernel_exact((j + 0.5) * h, dp.porosity, dp.c_sq)
+                              for j in cells])
+            coarse, fine = (
+                np.max(np.abs(regular_kernel_table(h, n, dp, OscIntSpec(s_max))[cells] - exact))
+                for s_max in (200.0, 800.0))
+            assert coarse <= 1e-7
+            assert fine <= 5e-9
+            assert fine <= coarse / 10.0
 
 
 def test_kernel_table_matches_pointwise_kernel():

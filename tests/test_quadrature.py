@@ -1,6 +1,8 @@
 """Weighted Gauss-Chebyshev rules, principal-value and finite-part values,
 and the truncated half-line cosine quadrature."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,16 +10,13 @@ from hypersing import (
     Interval,
     OscIntSpec,
     PVQuadSpec,
-    TailOrder,
     chebyshev_finite_part,
     chebyshev_nodes,
-    halfline_cosine_integral,
-    halfline_cosine_table,
-    halfline_cosine_tables,
     pv_weighted_integral,
     weighted_integral,
 )
-from hypersing.quadrature import _gregory_weights, cosine_integral
+from hypersing.quadrature import (_check_cubic_decay, _gregory_weights,
+                                  _halfline_cosine_tables, cosine_integral)
 from oracles import (
     cosine_transform_oracle,
     finite_part_oracle,
@@ -180,35 +179,41 @@ def test_non_finite_samples_are_rejected():
 def test_halfline_transform_of_decaying_exponential():
     F = lambda s: np.exp(-np.asarray(s, dtype=float))
     spec = OscIntSpec()
-    # closed form 1/(1+x^2); truncation tail is ~exp(-200)
-    assert halfline_cosine_integral(F, 0.0, spec) == pytest.approx(1.0, abs=1e-7)
-    assert halfline_cosine_integral(F, 1.0, spec) == pytest.approx(0.5, abs=1e-7)
-    assert halfline_cosine_integral(F, 3.0, spec) == pytest.approx(0.1, abs=1e-7)
+    # closed form 1/(1+x^2) at the offsets 1 and 3; truncation tail is ~exp(-200)
+    assert np.allclose(_halfline_cosine_tables([F], 2.0, 2, spec)[0], [0.5, 0.1],
+                       rtol=0.0, atol=1e-7)
     oracle = cosine_transform_oracle(F, 1.2, 200.0)
-    assert halfline_cosine_integral(F, 1.2, spec) == pytest.approx(oracle, abs=1e-8)
+    assert _halfline_cosine_tables([F], 2.4, 1, spec)[0, 0] == pytest.approx(oracle, abs=1e-8)
 
 
 def test_halfline_truncation_with_no_tail_claim():
+    # the tables themselves make no claim about the tail past s_max
     one = lambda s: np.ones_like(np.asarray(s, dtype=float))
-    spec = OscIntSpec(tail=TailOrder.NONE)
-    assert halfline_cosine_integral(one, 1.0, spec) == pytest.approx(np.sin(200.0), abs=1e-5)
+    table = _halfline_cosine_tables([one], 2.0, 1, OscIntSpec())[0, 0]
+    assert table == pytest.approx(np.sin(200.0), abs=1e-5)
 
 
-def test_halfline_panel_refinement_converges():
+def test_halfline_panel_refinement_converges(monkeypatch):
+    import hypersing.quadrature as quadrature
+
     F = lambda s: 1.0 / (1.0 + np.asarray(s, dtype=float)) ** 3
-    ref = halfline_cosine_integral(F, 0.5, OscIntSpec(panels_per_period=32))
-    err4 = abs(halfline_cosine_integral(F, 0.5, OscIntSpec(panels_per_period=4)) - ref)
-    err8 = abs(halfline_cosine_integral(F, 0.5, OscIntSpec(panels_per_period=8)) - ref)
-    assert err8 <= max(err4 / 2.0, 5e-15)
+
+    def at(samples_per_period):
+        monkeypatch.setattr(quadrature, "_SAMPLES_PER_PERIOD", samples_per_period)
+        return _halfline_cosine_tables([F], 1.0, 1, OscIntSpec())[0, 0]
+
+    ref = at(128)
+    err16, err32 = abs(at(16) - ref), abs(at(32) - ref)
+    assert err32 <= max(err16 / 2.0, 5e-15)
 
 
 def test_halfline_rejects_undeclared_slow_decay():
     one = lambda s: np.ones_like(np.asarray(s, dtype=float))
     lin = lambda s: np.asarray(s, dtype=float)
-    with pytest.raises(ValueError):
-        halfline_cosine_integral(one, 1.0, OscIntSpec())
-    with pytest.raises(ValueError):
-        halfline_cosine_integral(lin, 1.0, OscIntSpec())
+    for F in (one, lin):
+        with pytest.raises(ValueError, match="decay"):
+            _check_cubic_decay(F, 200.0)
+    _check_cubic_decay(lambda s: 1.0 / (1.0 + np.asarray(s, dtype=float) ** 3), 200.0)
 
 
 def test_scalar_only_integrands_pass_the_decay_check():
@@ -217,26 +222,26 @@ def test_scalar_only_integrands_pass_the_decay_check():
     scalar = lambda s: 1.0 / (1.0 + math.pow(s, 3))
     vector = lambda s: 1.0 / (1.0 + np.asarray(s, dtype=float) ** 3)
     spec = OscIntSpec()
-    assert halfline_cosine_integral(scalar, 0.5, spec) == \
-        pytest.approx(halfline_cosine_integral(vector, 0.5, spec), abs=1e-14)
-    assert np.allclose(halfline_cosine_table(scalar, 0.1, 10, spec),
-                       halfline_cosine_table(vector, 0.1, 10, spec), rtol=0.0, atol=1e-14)
+    _check_cubic_decay(scalar, spec.s_max)
+    scalar_rows = _halfline_cosine_tables([scalar, vector], 0.1, 10, spec)
+    assert np.allclose(scalar_rows[0], scalar_rows[1], rtol=0.0, atol=1e-14)
     # a 1/s tail still fails the check when the callable only takes floats
     slow = lambda s: 1.0 / math.sqrt(1.0 + math.pow(s, 2))
     with pytest.raises(ValueError, match="decay"):
-        halfline_cosine_integral(slow, 0.5, spec)
-    with pytest.raises(ValueError, match="decay"):
-        halfline_cosine_table(slow, 0.1, 10, spec)
-    # and a tail that is not finite past s_max is refused
-    blown = lambda s: np.where(np.asarray(s) > 300.0, np.inf, vector(s))
+        _check_cubic_decay(slow, spec.s_max)
+    # and a value that is not finite, inside [0, s_max] or past it, is refused
+    blown = lambda s, at=150.0: np.where(np.asarray(s) > at, np.inf, vector(s))
     with pytest.raises(ValueError, match="non-finite"):
-        halfline_cosine_integral(blown, 0.5, spec)
+        _halfline_cosine_tables([blown], 0.1, 10, spec)
+    with pytest.raises(ValueError, match="non-finite"):
+        _check_cubic_decay(lambda s: blown(s, 300.0), spec.s_max)
 
 
 def test_halfline_panel_budget_is_capped():
     F = lambda s: 1.0 / (1.0 + np.asarray(s, dtype=float)) ** 3
-    with pytest.raises(ValueError):
-        halfline_cosine_integral(F, 1e9, OscIntSpec())
+    # one offset at 5e8, which needs about 1e11 samples: refused before any is taken
+    with pytest.raises(ValueError, match="sample count"):
+        _halfline_cosine_tables([F], 1e9, 1, OscIntSpec())
 
 
 def test_oscillatory_spec_validation():
@@ -244,8 +249,7 @@ def test_oscillatory_spec_validation():
         OscIntSpec(s_max=0.0)
     with pytest.raises(ValueError):
         OscIntSpec(s_max=float("inf"))
-    with pytest.raises(ValueError):
-        OscIntSpec(panels_per_period=3)
+    assert OscIntSpec(s_max=50).s_max == 50.0
 
 
 def test_gregory_end_weights_integrate_low_monomials_exactly():
@@ -258,10 +262,26 @@ def test_gregory_end_weights_integrate_low_monomials_exactly():
         # degree 8 is the first the eight-point ends miss, by a fixed
         # multiple of 8! whatever the grid length
         assert abs(np.dot(w, k.astype(float) ** 8) - last**9 / 9) > 100.0
-    # x = 0 and s_max = 1: the rule on the 41-step grid integrates s^7 exactly
-    seventh = lambda s: np.asarray(s, dtype=float) ** 7
-    spec = OscIntSpec(s_max=1.0, tail=TailOrder.NONE)
-    assert halfline_cosine_integral(seventh, 0.0, spec) == pytest.approx(0.125, abs=1e-15)
+
+
+def _direct_sums(F, h, n, s_max):
+    """The cosine rule of ``_halfline_cosine_tables`` summed directly at each
+    offset: Gregory weights on the step pi / (M h), M the smallest integer
+    with 32 samples per period 2 pi / max(u_{n-1}, 8) and 16 steps over
+    [0, s_max], plus the sliver to s_max on 16 steps."""
+    u = (np.arange(n) + 0.5) * h
+    quarter = max(math.ceil(16.0 * max(u[-1], 8.0) / h), math.ceil(16.0 * np.pi / (h * s_max)))
+    ds = np.pi / (quarter * h)
+    last = int(s_max // ds)
+    k = np.arange(last + 1)
+    s = k * ds
+    total = np.cos(np.outer(u, s)) @ (ds * _gregory_weights(k, last) * F(s))
+    step = (s_max - last * ds) / 16.0
+    if step > 0.0:
+        sub = np.arange(17)
+        s = last * ds + sub * step
+        total += np.cos(np.outer(u, s)) @ (step * _gregory_weights(sub, 16) * F(s))
+    return total
 
 
 def test_halfline_table_matches_the_direct_sums():
@@ -270,12 +290,10 @@ def test_halfline_table_matches_the_direct_sums():
     # 2M = 32 (n - 1/2) residues fold the 4e4-2e5 samples when h is large;
     # at h = 0.01 the grid is shorter than one fold and is used as it is
     for h, n in ((0.8, 30), (0.07, 64), (0.01, 50), (2.5, 3)):
-        table = halfline_cosine_table(F, h, n, spec)
+        table = _halfline_cosine_tables([F], h, n, spec)[0]
         assert table.shape == (n,)
-        # the two grids differ, and at its step bound the rule's error is
-        # about 1e-10 |F(0)|, from the (x ds)^8 term of the end corrections
-        direct = [halfline_cosine_integral(F, (j + 0.5) * h, spec) for j in range(n)]
-        assert np.max(np.abs(table - direct)) <= 3e-10
+        # the same rule on the same grid: only the summation order differs
+        assert np.max(np.abs(table - _direct_sums(F, h, n, spec.s_max))) <= 5e-15
         u = (np.arange(n) + 0.5) * h
         for j in (0, n // 2, n - 1):
             oracle = cosine_transform_oracle(F, u[j], 200.0)
@@ -292,15 +310,11 @@ TABLE_INTEGRANDS = (
 def test_halfline_tables_rows_equal_the_one_integrand_table_bitwise():
     spec = OscIntSpec()
     for h, n in ((0.8, 30), (0.07, 64), (0.01, 50), (2.5, 3), (200.0 / 240, 240)):
-        tables = halfline_cosine_tables(TABLE_INTEGRANDS, h, n, spec)
+        tables = _halfline_cosine_tables(TABLE_INTEGRANDS, h, n, spec)
         assert tables.shape == (len(TABLE_INTEGRANDS), n)
         for row, F in zip(tables, TABLE_INTEGRANDS):
-            assert np.array_equal(row, halfline_cosine_table(F, h, n, spec))
-    assert halfline_cosine_tables([], 0.1, 10, spec).shape == (0, 10)
-    # every integrand's declared decay is checked, not only the first one's
-    one = lambda s: np.ones_like(np.asarray(s, dtype=float))
-    with pytest.raises(ValueError, match="decay"):
-        halfline_cosine_tables([TABLE_INTEGRANDS[0], one], 0.1, 10, spec)
+            assert np.array_equal(row, _halfline_cosine_tables([F], h, n, spec)[0])
+    assert _halfline_cosine_tables([], 0.1, 10, spec).shape == (0, 10)
 
 
 def test_halfline_tables_build_the_chirp_phases_once(monkeypatch):
@@ -316,7 +330,7 @@ def test_halfline_tables_build_the_chirp_phases_once(monkeypatch):
     monkeypatch.setattr(quadrature, "_unit_phase", counted)
     for count in (1, 3, 8):
         calls.clear()
-        halfline_cosine_tables(TABLE_INTEGRANDS[:1] * count, 0.07, 64, OscIntSpec())
+        _halfline_cosine_tables(TABLE_INTEGRANDS[:1] * count, 0.07, 64, OscIntSpec())
         assert len(calls) == 2
 
 
@@ -326,17 +340,15 @@ def test_halfline_table_validation():
     spec = OscIntSpec()
     for h in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            halfline_cosine_table(F, h, 10, spec)
+            _halfline_cosine_tables([F], h, 10, spec)
     for n in (0, 2.5):
         with pytest.raises(ValueError):
-            halfline_cosine_table(F, 0.1, n, spec)
+            _halfline_cosine_tables([F], 0.1, n, spec)
     with pytest.raises(ValueError):
-        halfline_cosine_table(one, 0.1, 10, spec)
-    with pytest.raises(ValueError):
-        halfline_cosine_table(F, 1e7, 10, spec)
-    assert halfline_cosine_table(one, 0.1, 10, OscIntSpec(tail=TailOrder.NONE)) == \
-        pytest.approx(np.sin(200.0 * (np.arange(10) + 0.5) * 0.1) / ((np.arange(10) + 0.5) * 0.1),
-                      abs=1e-12)
+        _halfline_cosine_tables([F], 1e7, 10, spec)
+    u = (np.arange(10) + 0.5) * 0.1
+    assert _halfline_cosine_tables([one], 0.1, 10, spec)[0] == \
+        pytest.approx(np.sin(200.0 * u) / u, abs=1e-12)
 
 
 def _ci_scale(x):

@@ -41,7 +41,9 @@ def _committed_row_keys(topic):
 
 
 def test_offset_table_row_keeps_the_committed_keys(tool):
-    assert list(tool._offset_row(1.0, 40, 1)) == _committed_row_keys("offset_table")
+    row = tool._offset_row(1.0, 40, 1, {})
+    assert list(row) == _committed_row_keys("offset_table")
+    assert row["previous_table_sha256"] is None
 
 
 def test_crack_assembly_row_from_one_child_keeps_the_committed_keys(tool):

@@ -42,10 +42,10 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 import hypersing.crack as crack  # noqa: E402
-from hypersing import (MaterialParams, OscIntSpec, TailOrder, build_grid,  # noqa: E402
-                       crack_symbol, derive_dimensionless, halfline_cosine_tables,
-                       porosity_sweep, regular_kernel_table, solve_crack,
-                       stress_concentration, symbol_asymptotics)
+from hypersing import (MaterialParams, OscIntSpec, build_grid, crack_symbol,  # noqa: E402
+                       derive_dimensionless, porosity_sweep, regular_kernel_table,
+                       solve_crack, stress_concentration, symbol_asymptotics)
+from hypersing.quadrature import _halfline_cosine_tables  # noqa: E402
 
 POROSITY = 0.35
 MATERIAL = {"lam": 1.0, "mu": 1.0, "alpha": 1.0, "xi": 1.0, "sigma0": 1.0}
@@ -103,7 +103,7 @@ def _offset_oracle(dp, u: float, s_max: float) -> float:
             + decay * float(sici(s_max * u)[1])) / math.pi
 
 
-def _offset_row(half_length: float, n: int, repeats: int) -> dict:
+def _offset_row(half_length: float, n: int, repeats: int, previous: dict) -> dict:
     dp, spec = derive_dimensionless(_porous(POROSITY)), OscIntSpec()
     h = 2.0 * half_length / n
     table = regular_kernel_table(h, n, dp, spec)  # warm-up
@@ -114,26 +114,43 @@ def _offset_row(half_length: float, n: int, repeats: int) -> dict:
     error = max(abs(table[j] - _offset_oracle(dp, (j + 0.5) * h, spec.s_max)) for j in cells)
     return {"half_length": half_length, "n": n, "h": h,
             **_spread("time_s", [seconds for seconds, _ in runs]), "repeats": repeats,
-            "oracle_cells": cells, "oracle_max_abs_error": error, "table_sha256": digest}
+            "oracle_cells": cells, "oracle_max_abs_error": error, "table_sha256": digest,
+            "previous_table_sha256": previous.get((half_length, n))}
+
+
+def _previous_tables() -> dict:
+    """table_sha256 by (half_length, n) from the checkout's record, if any."""
+    path = ROOT / "BENCH_offset_table.json"
+    if not path.is_file():
+        return {}
+    return {(row["half_length"], row["n"]): row["table_sha256"]
+            for row in json.loads(path.read_text())["sizes"]}
+
+
+def _against(digest: str, previous) -> str:
+    if previous is None:
+        return "with no previous digest"
+    return "as before" if digest == previous else "CHANGED"
 
 
 def offset_table(repeats: int):
     """The regular-kernel table at the n grid offsets ``(j + 1/2) h``, h =
     2b/n, per size: its time after a warm-up call; its largest difference
     at cells 0, 1, n/2 and n-1 from a QAWO oracle (scipy's adaptive
-    oscillatory quadrature on [0, s_max] plus ``sici``); and its digest.
+    oscillatory quadrature on [0, s_max] plus ``sici``); and its digest
+    next to the one the checkout's file held before, or null.
     """
-    rows = [_offset_row(b, n, repeats) for b, n in OFFSET_SIZES]
-    spec = OscIntSpec()
+    previous = _previous_tables()
+    rows = [_offset_row(b, n, repeats, previous) for b, n in OFFSET_SIZES]
     fields = {
         "layer": "crack.regular_kernel_table (crack._kernel_tables, "
-                 "quadrature.halfline_cosine_tables)",
+                 "quadrature._halfline_cosine_tables)",
         "material": {**MATERIAL, "porosity": POROSITY},
-        "spec": {"s_max": spec.s_max, "panels_per_period": spec.panels_per_period,
-                 "tail": spec.tail.value},
+        "spec": {"s_max": OscIntSpec().s_max},
     }
     lines = [f"b={row['half_length']:g} n={row['n']}: {row['time_s_median'] * 1e3:.1f} ms "
-             f"(oracle error {row['oracle_max_abs_error']:.1e})" for row in rows]
+             f"(oracle error {row['oracle_max_abs_error']:.1e}), table "
+             f"{_against(row['table_sha256'], row['previous_table_sha256'])}" for row in rows]
     return fields, {"sizes": rows}, lines
 
 
@@ -271,14 +288,13 @@ def _rows_equal_single_solves(rows, half_length: float, n: int) -> bool:
 def _sweep_row(half_length: float, n: int, count: int, repeats: int, previous: dict) -> dict:
     targets = [float(t) for t in np.linspace(0.02, 0.62, count)] if count > 1 else [POROSITY]
     h = build_grid(-half_length, half_length, n).h
-    geometry_spec = replace(OscIntSpec(), tail=TailOrder.NONE)
     rows = porosity_sweep(BASE, targets, half_length, n)  # warm-up
     digests, sweeps, geometry, layers = set(), [], [], defaultdict(list)
     for _ in range(repeats):
         seconds, rows = _timed(porosity_sweep, BASE, targets, half_length, n)
         sweeps.append(seconds)
         digests.add(_sha256(rows))
-        geometry.append(_timed(halfline_cosine_tables, [], h, n, geometry_spec)[0])
+        geometry.append(_timed(_halfline_cosine_tables, [], h, n, OscIntSpec())[0])
         for name, seconds in _instrumented_sweep(targets, half_length, n).items():
             layers[name].append(seconds)
     digest = _only_digest(digests, f"sweep at b={half_length}, n={n}, K={count}")
@@ -313,17 +329,11 @@ def _previous_digests() -> dict:
             for case in json.loads(path.read_text())["cases"] for row in case["curve"]}
 
 
-def _against(row: dict) -> str:
-    if row["previous_rows_sha256"] is None:
-        return "with no previous digest"
-    return "as before" if row["rows_sha256"] == row["previous_rows_sha256"] else "CHANGED"
-
-
 def sweep_table(repeats: int):
     """A porosity sweep of K = 1, 5, 20 and 80 targets in N = [0.02, 0.62]
     per (b, n): ``sweep_s``, timed without instruments; its split into the
     crack module's private layers, wrapped in one sweep per repeat, with
-    ``geometry_s`` a ``halfline_cosine_tables`` call with no integrand;
+    ``geometry_s`` a ``_halfline_cosine_tables`` call with no integrand;
     the tracemalloc peak; the rows' digest next to the one the checkout's
     file held before, or null (a change is only recorded: other numpy
     builds may round differently); and whether every row equals
@@ -335,7 +345,7 @@ def sweep_table(repeats: int):
              for b, n in SWEEP_CASES]
     fields = {
         "layer": "crack.porosity_sweep: one crack._kernel_tables call for all targets "
-                 "(quadrature.halfline_cosine_tables with the grid's chirp-z plan built once) "
+                 "(quadrature._halfline_cosine_tables with the grid's chirp-z plan built once) "
                  "and one fullkernel._folded_singular, then per target "
                  "fullkernel._solve_folded (fold, in-place LU, residual gate) and the tip fit",
         "material": MATERIAL,
@@ -346,7 +356,8 @@ def sweep_table(repeats: int):
              f"geometry {1e3 * row['geometry_s']:.2f} ms, transforms "
              f"{1e3 * row['transforms_s_per_target']:.2f} ms/target, singular block "
              f"{1e3 * row['singular_block_s']:.2f} ms), "
-             f"peak {row['tracemalloc_peak_kib']:.0f} KiB, rows {_against(row)}"
+             f"peak {row['tracemalloc_peak_kib']:.0f} KiB, "
+             f"rows {_against(row['rows_sha256'], row['previous_rows_sha256'])}"
              for case in cases for row in case["curve"]]
     return fields, {"cases": cases}, lines
 
