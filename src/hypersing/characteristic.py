@@ -24,7 +24,7 @@ import numpy as np
 
 from .grids import Grid, Interval, SampledFunction, build_grid
 from .linalg import lu_solve
-from .quadrature import PVQuadSpec, pv_weighted_integral, _sample
+from .quadrature import PVQuadSpec, pv_weighted_matrix, _sample
 
 __all__ = [
     "CharacteristicProblem",
@@ -117,9 +117,17 @@ def invert_characteristic(problem: CharacteristicProblem, x,
     if not interval.contains_strictly(x):
         raise ValueError(
             f"evaluation point x={x!r} must lie strictly inside ({interval.a}, {interval.b})")
-    pv = pv_weighted_integral(problem.f, interval, x, spec)
-    weight = np.sqrt((x - interval.a) * (interval.b - x))
-    return float(weight / np.pi**2 * pv)
+    return float(_invert(lambda p: _sample(problem.f, p), interval, np.array([x]), spec)[0])
+
+
+def _invert(sample, interval: Interval, xs: np.ndarray, spec: PVQuadSpec) -> np.ndarray:
+    """The inversion operator ``sqrt((x - a)(b - x)) / pi^2`` times the
+    weighted principal value of ``pv_weighted_matrix``, one row per point
+    of the 1-D array xs, with any further axes of ``sample`` carried through.
+    """
+    pv = pv_weighted_matrix(sample, interval, xs, spec)
+    weight = np.sqrt((xs - interval.a) * (interval.b - xs)) / np.pi**2
+    return weight.reshape(weight.shape + (1,) * (pv.ndim - 1)) * pv
 
 
 def _interior_mask(points: np.ndarray, interval: Interval) -> np.ndarray:

@@ -79,6 +79,9 @@ class MaterialParams:
     crack faces.  Constructor enforces mu > 0, lam + 2 mu > 0, alpha >
     0, xi > 0, beta >= 0, sigma0 >= 0 and that the derived coupling
     number ``beta^2 / (xi (lam + 2 mu))`` stays below one.
+
+    Crack lengths are in units of the internal length ``sqrt(alpha / xi)``:
+    the kernel is built with it set to one, so ``alpha`` is only validated.
     """
 
     lam: float
@@ -428,8 +431,8 @@ def solve_crack(params: MaterialParams, half_length: float, n: int,
     ----------
     params : MaterialParams
     half_length : float
-        Crack half-length b > 0 (in the same dimensionless length unit
-        as the kernel variable).
+        Crack half-length b > 0, in units of the internal length
+        ``sqrt(alpha / xi)``, as are the opening's sample points.
     n : int
         Number of collocation cells, at least 10.
     spec : OscIntSpec, optional
@@ -558,7 +561,8 @@ def porosity_sweep(base: MaterialParams, porosities: Sequence[float],
     For each target coupling number N the constant beta is back-solved
     from ``beta = sqrt(N xi (lam + 2 mu))`` while every other constant
     of ``base`` is kept.  Returns a list of tuples
-    ``(N, opening_at_center, normalized_tip_amplitude)``.
+    ``(N, opening_at_center, normalized_tip_amplitude)``; ``half_length``
+    is in units of ``sqrt(alpha / xi)``.
 
     Every target is checked before any work starts.  The kernel tables
     of all targets come from one ``_kernel_tables`` call, which builds

@@ -9,11 +9,11 @@ solution in the edge-weighted basis ``g = w * phi`` with
 ``w(t) = sqrt((t - a)(b - t))`` and ``phi`` constant on each cell,
 collocated at the cell midpoints.  The finite-part cell integrals of
 ``w / (x - t)^2`` are exact (product integration against the known
-square-root edge behaviour): differences of one antiderivative, whose
-grid factors come from integer tables that the full matrix's rows and
-the crack's folded columns both read.  The regular part is the right-node
-kernel sample times the exact cell weight, ``K0(x_i, t_j) * W_j`` with
-``W_j`` the integral of w over cell j.  A caller whose kernel is
+square-root edge behaviour): differences of one antiderivative.  Its
+grid factors, the integrals ``W_j`` of w over the cells and the values of
+w at the midpoints all come from one set of integer tables, which the
+full matrix's rows and the crack's folded columns both read.  The regular
+part is the right-node kernel sample times ``W_j``.  A caller whose kernel is
 symmetric Toeplitz, given as its n-entry table, and whose load is
 reflection-symmetric (the crack solve) forms and solves only the folded
 even half of the system, a quarter of the matrix, in closed form for its
@@ -26,10 +26,10 @@ equation converts the problem into a second-kind Fredholm equation
 
     g(x) + int N1(x, t) g(t) dt = f1(x),
 
-with N1 and f1 produced by weighted principal-value integrals of K1 and
-f.  Every such integral is a row of one Gauss-Chebyshev matrix
-operator (``pv_weighted_matrix``), so the reduction and the off-node
-evaluation are each two matrix applications.  The Fredholm equation is
+with N1 and f1 the inversion operator, the one route 1 evaluates, applied
+to K1 and f: ``sqrt((x - a)(b - x)) / pi^2`` times a row of one
+Gauss-Chebyshev principal-value matrix (``pv_weighted_matrix``), so the
+reduction and the off-node evaluation are each two matrix applications.  The Fredholm equation is
 then solved by a Nystrom method on Chebyshev points.  Solving the same
 problem down both paths is the strongest available end-to-end check.
 """
@@ -45,8 +45,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import Grid, Interval, SampledFunction
 from .linalg import SingularMatrixError, _solve_in_place, lu_solve
-from .quadrature import PVQuadSpec, chebyshev_nodes, pv_weighted_matrix, _sample
-from .characteristic import _check_antiderivative
+from .quadrature import PVQuadSpec, chebyshev_nodes, _sample
+from .characteristic import _check_antiderivative, _invert
 
 __all__ = [
     "FullProblem",
@@ -123,6 +123,11 @@ class _HalfAngleTables:
     ``d = 2m + 1``, m = -n .. r-1, holds ``n / d``, ``sqrt|d|`` and ``1 /
     sqrt|d|`` at m + n, for both ``n (xi_i - u_k)`` and ``n (xi_i + u_k) =
     2(i + k) + 1 - 2n``.
+
+    They also give the basis weight: ``mid_weight``, s at all n midpoints,
+    and ``cell_weight``, ``diff((u omega + arcsin u) / 2)``, the integral of
+    omega over each cell, both exactly mirror-symmetric; a grid scales them
+    by its half-width and its square.  ``row_scale`` is ``sqrt((2n - 2i - 1)/n)``.
     """
 
     def __init__(self, n: int):
@@ -131,7 +136,9 @@ class _HalfAngleTables:
         i = np.arange(r, dtype=float)
         xi = (2.0 * i + 1.0 - n) / n
         s = np.sqrt((2.0 * i + 1.0) * (2.0 * (n - i) - 1.0)) / n
+        self.mid_weight = np.concatenate([s, s[:n - r][::-1]])
         self.log_scale = 2.0 * xi / s
+        self.row_scale = np.sqrt((2.0 * (n - i) - 1.0) / n)
         self.beta = np.sqrt((2.0 * i + 1.0) / (2.0 * (n - i) - 1.0))
         self.alpha = np.sqrt(i / (n - i))  # sqrt((1 + u_i) / (1 - u_i))
         k = np.arange(n + 1, dtype=float)
@@ -139,6 +146,7 @@ class _HalfAngleTables:
         self.omega = np.sqrt(4.0 * k * (n - k)) / n
         # arcsin u as an angle whose sine and cosine are both accurate
         self.arcsin = np.arctan2(self.u, self.omega)
+        self.cell_weight = np.diff(0.5 * (self.u * self.omega + self.arcsin))
         self.root_k, self.root_rest = np.sqrt(k), np.sqrt(n - k)
         d = 2.0 * np.arange(-n, r) + 1.0
         self.inv = n / d
@@ -146,20 +154,18 @@ class _HalfAngleTables:
         self.inv_root = 1.0 / self.root
 
 
-def _singular_left_rows(grid: Grid):
+def _singular_left_rows(t: _HalfAngleTables):
     """Route 2's finite-part cell integrals ``F(u_{j+1}; xi_i) - F(u_j; xi_i)``
-    on the left rows i < r of ``_HalfAngleTables``.
+    on the left rows i < r of the tables ``t``.
 
     Returns ``rows(start, stop)``: rows start .. stop-1, a view into one of
     two buffers allocated once, valid until the next call.  Within 6e-14 of
     40-digit arithmetic relative to ``max(1, |entry|)`` at n = 3200.
     """
-    n = grid.n
-    t = _HalfAngleTables(n)
+    n = t.n
     # entry (i, k) of a view is the odd-integer table at i - k + n
     inv = sliding_window_view(t.inv[::-1], n + 1)[::-1]
     inv_root = sliding_window_view(t.inv_root[::-1], n + 1)[::-1]
-    scale = np.sqrt((2.0 * (n - np.arange(t.r)) - 1.0) / n)[:, None]
     work = np.empty((2, _chunks(t.r, n + 1)[0][1], n + 1))
 
     def rows(start, stop):
@@ -167,7 +173,7 @@ def _singular_left_rows(grid: Grid):
         i = slice(start, stop)
         np.multiply(t.beta[i, None], t.root_rest, out=at)
         at += t.root_k
-        at *= scale[i]
+        at *= t.row_scale[i, None]
         at *= inv_root[i]
         np.log(at, out=at)
         at *= t.log_scale[i, None]
@@ -177,15 +183,6 @@ def _singular_left_rows(grid: Grid):
         return np.subtract(at[:, 1:], at[:, :-1], out=term[:, :n])
 
     return rows
-
-
-def _cell_weights(grid: Grid) -> np.ndarray:
-    """The integrals of w over the cells, ``W_j = r^2 [(u sqrt(1 - u^2) +
-    arcsin u) / 2]`` across the mapped cell; ``W_j = W_{n-1-j}`` exactly."""
-    n = grid.n
-    u = (2.0 * np.arange(n + 1) - n) / n
-    area = 0.5 * (u * np.sqrt((1.0 - u) * (1.0 + u)) + np.arcsin(u))
-    return grid.interval.halfwidth**2 * np.diff(area)
 
 
 def _weighted_matrix(grid: Grid, kernel: np.ndarray) -> np.ndarray:
@@ -201,12 +198,13 @@ def _weighted_matrix(grid: Grid, kernel: np.ndarray) -> np.ndarray:
     matrix, whose even half ``_FoldedSystem`` forms on its own.
     """
     n = grid.n
-    matrix = kernel * _cell_weights(grid)
+    t = _HalfAngleTables(n)
+    matrix = kernel * (grid.interval.halfwidth**2 * t.cell_weight)
     # a sampled kernel passed as a temporary is freed here, before the row
     # buffers are allocated; kept alive, it doubled the page faults of
     # repeated route-2 solves at n = 200 and 400
     del kernel
-    rows, half = _singular_left_rows(grid), n // 2
+    rows, half = _singular_left_rows(t), n // 2
     for start, stop in _chunks(n - half, n + 1):
         block = rows(start, stop)
         matrix[start:stop] += block
@@ -215,7 +213,7 @@ def _weighted_matrix(grid: Grid, kernel: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def _singular_fold(grid: Grid):
+def _singular_fold(t: _HalfAngleTables):
     """Columns of the folded finite-part block ``S = A[:r, :r] + A[:r, r:] J``.
 
     Returns ``columns(start, stop, out)``, which writes columns
@@ -238,7 +236,6 @@ def _singular_fold(grid: Grid):
     one division an entry, within 6e-14 of 40-digit arithmetic relative to
     ``max(1, |entry|)`` at n = 3200.
     """
-    t = _HalfAngleTables(grid.n)
     n, r = t.n, t.r
     node_term = (-2.0 * t.arcsin[:r])[:, None]
     node_scale = (2.0 * t.u[:r] * t.omega[:r])[:, None]
@@ -284,7 +281,7 @@ def _folded_singular(grid: Grid) -> np.ndarray:
     n = 200, 4 MiB at n = 1448.
     """
     r = grid.n - grid.n // 2
-    columns = _singular_fold(grid)
+    columns = _singular_fold(_HalfAngleTables(grid.n))
     out = np.empty((r, r), order="F")
     for start, stop in _chunks(r, r):
         columns(start, stop, out.T[start:stop])
@@ -313,11 +310,11 @@ class _FoldedSystem:
     """
 
     def __init__(self, grid: Grid, mean: np.ndarray, singular: Optional[np.ndarray] = None):
-        self.n = n = grid.n
-        self.r = r = n - n // 2
+        self.tables = t = _HalfAngleTables(grid.n)
+        self.n, self.r = n, r = t.n, t.r
         self.singular = singular
-        self.weights = _cell_weights(grid)
-        self.columns = _singular_fold(grid) if singular is None else None
+        self.weights = grid.interval.halfwidth**2 * t.cell_weight
+        self.columns = _singular_fold(t) if singular is None else None
         self.chunks = _chunks(r, r)
         self.spare = np.empty((self.chunks[0][1], r))
         self.extended = np.concatenate([mean[:0:-1], mean])
@@ -398,7 +395,7 @@ def _mapped_matrix(r: int) -> np.ndarray:
 
 def _solve_folded(grid: Grid, mean: np.ndarray, rhs: np.ndarray,
                   singular: Optional[np.ndarray] = None) -> SampledFunction:
-    """``_solve_weighted`` for the symmetric Toeplitz kernel ``mean[|i - j|]``, at half size.
+    """Route 2's weighted solve for the symmetric Toeplitz kernel ``mean[|i - j|]``, at half size.
 
     Forms the folded matrix B of ``_FoldedSystem`` in a
     ``_mapped_matrix`` and factors it in place, so B is the only r-by-r
@@ -417,22 +414,8 @@ def _solve_folded(grid: Grid, mean: np.ndarray, rhs: np.ndarray,
                          "with one entry per cell")
     system = _FoldedSystem(grid, mean, singular)
     half = _solve_in_place(system.matrix(_mapped_matrix(r)), rhs[:r], system.matvec)
-    return _weighted_values(grid, np.concatenate([half, half[:n - r][::-1]]))
-
-
-def _weighted_values(grid: Grid, phi: np.ndarray) -> SampledFunction:
-    """``g(x_i) = w(x_i) * phi_i`` at the cell midpoints."""
-    n = grid.n
-    xi = (2.0 * np.arange(1, n + 1) - 1.0 - n) / n
-    weight = grid.interval.halfwidth * np.sqrt((1.0 - xi) * (1.0 + xi))
-    return SampledFunction(grid=grid, values=weight * phi)
-
-
-def _solve_weighted(grid: Grid, matrix: np.ndarray, rhs: np.ndarray) -> SampledFunction:
-    """Solve the n-by-n weighted system for the cell constants of
-    ``phi = g / w`` through ``lu_solve``, and return ``g(x_i) = w(x_i) *
-    phi_i`` at the cell midpoints."""
-    return _weighted_values(grid, lu_solve(matrix, rhs))
+    weight = grid.interval.halfwidth * system.tables.mid_weight
+    return SampledFunction(grid=grid, values=weight * np.concatenate([half, half[:n - r][::-1]]))
 
 
 def assemble_full(grid: Grid, K0) -> np.ndarray:
@@ -469,8 +452,9 @@ def solve_full_collocation(problem: FullProblem, grid: Grid) -> SampledFunction:
     """
     if problem.interval != grid.interval:
         raise ValueError("problem and grid are built on different intervals")
-    return _solve_weighted(grid, assemble_full(grid, problem.K0),
-                           _sample(problem.fprime, grid.colloc))
+    phi = lu_solve(assemble_full(grid, problem.K0), _sample(problem.fprime, grid.colloc))
+    weight = grid.interval.halfwidth * _HalfAngleTables(grid.n).mid_weight
+    return SampledFunction(grid=grid, values=weight * phi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -511,19 +495,13 @@ def chebyshev_nystrom_rule(interval: Interval, count: int):
 
 
 def _second_kind_rows(problem: FullProblem, spec: PVQuadSpec, xs, nodes):
-    """Rows of f1 and N1 at the points xs, with N1 columns at the nodes.
-
-    Both are the inversion operator ``sqrt((x - a)(b - x)) / pi^2``
-    times a weighted principal value, one matrix application each.
-    """
+    """Rows of f1 and N1 at the points xs, with N1 columns at the nodes:
+    the inversion operator applied to f and to K1."""
     if problem.K1 is None or problem.f is None:
         raise ValueError("the second-kind route needs both antiderivatives K1 and f")
     iv = problem.interval
-    pv_f = pv_weighted_matrix(lambda p: _sample(problem.f, p), iv, xs, spec)
-    pv_K1 = pv_weighted_matrix(lambda p: _sample(problem.K1, p[:, None], nodes[None, :]),
-                               iv, xs, spec)
-    pref = np.sqrt((xs - iv.a) * (iv.b - xs)) / np.pi**2
-    return pref * pv_f, pref[:, None] * pv_K1
+    return (_invert(lambda p: _sample(problem.f, p), iv, xs, spec),
+            _invert(lambda p: _sample(problem.K1, p[:, None], nodes[None, :]), iv, xs, spec))
 
 
 def fredholm_reduce(problem: FullProblem, spec: PVQuadSpec, nodes) -> FredholmSystem:
@@ -534,11 +512,10 @@ def fredholm_reduce(problem: FullProblem, spec: PVQuadSpec, nodes) -> FredholmSy
         N1(x, t) = pref(x) * pv-int K1(tau, t) / (w(tau)(x - tau)) dtau
         f1(x)    = pref(x) * pv-int f(tau)     / (w(tau)(x - tau)) dtau
 
-    with ``pref(x) = sqrt((x - a)(b - x)) / pi^2``.  All entries come
-    from two applications of one principal-value matrix
-    (``pv_weighted_matrix``): one to f, one to K1 with a column per
-    node.  Requires both antiderivatives ``K1`` and ``f`` on the
-    problem.
+    with ``pref(x) = sqrt((x - a)(b - x)) / pi^2``: route 1's inversion
+    operator, one principal-value matrix (``pv_weighted_matrix``) applied
+    to f and to K1 with a column per node.  Requires both antiderivatives
+    ``K1`` and ``f`` on the problem.
     """
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 1 or nodes.size == 0:

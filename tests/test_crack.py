@@ -356,7 +356,8 @@ def test_crack_matrix_is_exactly_centro_symmetric(n, half_length):
 def test_folded_solve_matches_full_lu(n, half_length):
     # the folded singular part is evaluated in closed form rather than
     # summed from the full rows, so the two agree to rounding per row
-    from hypersing.fullkernel import (_FoldedSystem, _solve_folded, _solve_weighted,
+    from hypersing import lu_solve
+    from hypersing.fullkernel import (_FoldedSystem, _HalfAngleTables, _solve_folded,
                                       _weighted_matrix)
 
     grid, mean, rhs = _crack_system(n, half_length)
@@ -369,7 +370,7 @@ def test_folded_solve_matches_full_lu(n, half_length):
     row_scale = np.max(np.abs(expect), axis=1, keepdims=True)
     assert np.all(np.abs(folded - expect) <= 1e-13 * row_scale)
     half = _solve_folded(grid, mean, rhs).values
-    full = _solve_weighted(grid, matrix, rhs).values
+    full = grid.interval.halfwidth * _HalfAngleTables(n).mid_weight * lu_solve(matrix, rhs)
     assert np.max(np.abs(half - full)) <= 1e-12 * np.max(np.abs(full))
 
 
@@ -452,13 +453,13 @@ def test_folded_singular_part_matches_40_digit_arithmetic(n):
     # rows at the tip, at the quarter point and at the centre; every row
     # holds the cells of both tips, folded onto each other.  The unfolded
     # rows are route 2's, from the same tables as the fold.
-    from hypersing.fullkernel import _folded_singular, _singular_left_rows
+    from hypersing.fullkernel import _folded_singular, _HalfAngleTables, _singular_left_rows
 
     grid = build_grid(-1.0, 1.0, n)
     r = n - n // 2
     folded = _folded_singular(grid)
     rows = sorted({0, 1, r // 2, r - 2, r - 1} if n < 3200 else {0, r - 1})
-    left_rows = _singular_left_rows(grid)
+    left_rows = _singular_left_rows(_HalfAngleTables(n))
     unfolded = np.array([left_rows(i, i + 1)[0].copy() for i in rows])
     summed = unfolded[:, :r].copy()
     summed[:, :n - r] += unfolded[:, r:][:, ::-1]
@@ -485,11 +486,13 @@ def test_mirrored_solution_passes_the_full_residual_gate(n):
 def test_classical_opening_equals_the_full_solve(n):
     # at zero porosity the kernel vanishes and the full matrix is the
     # singular part alone, as it was before the folded solve
-    from hypersing.fullkernel import _solve_weighted, _weighted_matrix
+    from hypersing import lu_solve
+    from hypersing.fullkernel import _HalfAngleTables, _weighted_matrix
 
     material = MaterialParams(1.3, 0.8, 1.0, 0.0, 1.0, 1.7)
     grid, _, rhs = _crack_system(n, 2.0, material)
-    full = -_solve_weighted(grid, _weighted_matrix(grid, np.zeros((n, n))), rhs).values
+    weight = grid.interval.halfwidth * _HalfAngleTables(n).mid_weight
+    full = -weight * lu_solve(_weighted_matrix(grid, np.zeros((n, n))), rhs)
     opening = solve_crack(material, 2.0, n).opening.values
     assert np.max(np.abs(opening - full)) <= 1e-12 * np.max(full)
 
@@ -731,8 +734,8 @@ def test_porosity_sweep_builds_the_singular_rows_once(monkeypatch):
     columns_built = []
     real = fullkernel._singular_fold
 
-    def counted(grid):
-        columns = real(grid)
+    def counted(tables):
+        columns = real(tables)
 
         def counted_columns(start, stop, out):
             columns_built.append(stop - start)
@@ -749,6 +752,20 @@ def test_porosity_sweep_builds_the_singular_rows_once(monkeypatch):
     columns_built.clear()
     solve_crack(POROUS, 1.0, 200)
     assert sum(columns_built) == 200
+
+
+def test_crack_solves_build_the_half_angle_tables_once_per_system(monkeypatch):
+    import hypersing.fullkernel as fullkernel
+
+    built = []
+    real = fullkernel._HalfAngleTables
+    monkeypatch.setattr(fullkernel, "_HalfAngleTables", lambda n: built.append(n) or real(n))
+    solve_crack(POROUS, 1.0, 200)
+    assert built == [200]
+    built.clear()
+    porosity_sweep(CLASSICAL, (0.1, 0.2, 0.3, 0.4), 1.0, 200)
+    # one per target's folded system, plus one for the shared singular block
+    assert built == [200] * 5
 
 
 def test_single_solve_builds_no_shared_singular_half(monkeypatch):

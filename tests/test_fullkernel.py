@@ -124,6 +124,30 @@ def test_singular_cell_integrals_match_adaptive_quadrature():
     assert np.allclose(M.sum(axis=1), -np.pi, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", (7, 8, 241, 3200))
+def test_edge_weights_match_40_digit_arithmetic(n):
+    # the basis weight sqrt(1 - u^2) on (-1, 1) at the midpoints, and its
+    # integral over each cell, both read from the integer tables
+    import mpmath
+    from hypersing.fullkernel import _HalfAngleTables
+
+    t = _HalfAngleTables(n)
+    with mpmath.workdps(40):
+        def area(k):
+            u = mpmath.mpf(2 * k - n) / n
+            return (u * mpmath.sqrt((1 - u) * (1 + u)) + mpmath.asin(u)) / 2
+
+        at = [area(k) for k in range(n + 1)]
+        cells = np.array([float(at[j + 1] - at[j]) for j in range(n)])
+        mids = np.array([float(mpmath.sqrt(1 - (mpmath.mpf(2 * i + 1 - n) / n) ** 2))
+                         for i in range(n)])
+    assert np.all(np.abs(t.mid_weight - mids) <= 1e-15 * mids)
+    assert np.all(np.abs(t.cell_weight - cells) <= 4e-16)
+    assert np.array_equal(t.mid_weight, t.mid_weight[::-1])
+    assert np.array_equal(t.cell_weight, t.cell_weight[::-1])
+    assert abs(t.cell_weight.sum() - np.pi / 2) <= 1e-15
+
+
 def test_weighted_matrix_is_centro_symmetric_and_block_independent(monkeypatch):
     # only the left rows i < ceil(n/2) are formed, chunk by chunk, and
     # mirrored; the middle row of an odd grid, row ceil(n/2) - 1, is the

@@ -73,3 +73,15 @@ def test_importing_the_tool_is_undone():
     with _imported_tool() as tool:
         assert all(os.environ[var] == "1" for var in tool.BLAS_VARS)
     assert (os.environ.copy(), list(sys.path)) == before
+
+
+def test_previous_digests_are_read_by_row_key(tool):
+    sweep = json.loads((ROOT / "BENCH_sweep_table.json").read_text())
+    expect = {(case["half_length"], case["n"], row["targets"]): row["rows_sha256"]
+              for case in sweep["cases"] for row in case["curve"]}
+    assert tool._previous("sweep_table", ("half_length", "n", "targets"),
+                          "rows_sha256") == expect
+    assembly = json.loads((ROOT / "BENCH_crack_assembly.json").read_text())
+    assert tool._previous("crack_assembly", ("n",), "opening_sha256") == {
+        (row["n"],): row["opening_sha256"] for row in assembly["sizes"]}
+    assert tool._previous("no_such_topic", ("n",), "opening_sha256") == {}

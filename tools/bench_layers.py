@@ -118,13 +118,17 @@ def _offset_row(half_length: float, n: int, repeats: int, previous: dict) -> dic
             "previous_table_sha256": previous.get((half_length, n))}
 
 
-def _previous_tables() -> dict:
-    """table_sha256 by (half_length, n) from the checkout's record, if any."""
-    path = ROOT / "BENCH_offset_table.json"
+def _previous(topic: str, key: tuple, field: str) -> dict:
+    """``field`` of every row of the checkout's ``BENCH_<topic>.json``, by
+    the row's values of the names in ``key``; empty without that file.  A
+    row in the curve of a case also reads the case's fields."""
+    path = ROOT / f"BENCH_{topic}.json"
     if not path.is_file():
         return {}
-    return {(row["half_length"], row["n"]): row["table_sha256"]
-            for row in json.loads(path.read_text())["sizes"]}
+    record = json.loads(path.read_text())
+    rows = record["sizes"] if "sizes" in record else [
+        {**case, **row} for case in record["cases"] for row in case["curve"]]
+    return {tuple(row[name] for name in key): row[field] for row in rows}
 
 
 def _against(digest: str, previous) -> str:
@@ -140,7 +144,7 @@ def offset_table(repeats: int):
     oscillatory quadrature on [0, s_max] plus ``sici``); and its digest
     next to the one the checkout's file held before, or null.
     """
-    previous = _previous_tables()
+    previous = _previous("offset_table", ("half_length", "n"), "table_sha256")
     rows = [_offset_row(b, n, repeats, previous) for b, n in OFFSET_SIZES]
     fields = {
         "layer": "crack.regular_kernel_table (crack._kernel_tables, "
@@ -191,14 +195,6 @@ def _assembly_child(n: int) -> dict:
             "tip_ratio": stress_concentration(sol)}
 
 
-def _previous_openings() -> dict:
-    """opening_sha256 by n from the checkout's record, if any."""
-    path = ROOT / "BENCH_crack_assembly.json"
-    if not path.is_file():
-        return {}
-    return {row["n"]: row["opening_sha256"] for row in json.loads(path.read_text())["sizes"]}
-
-
 def _assembly_row(n: int, repeats: int, previous: dict) -> dict:
     command = [sys.executable, __file__, "crack_assembly", "--child", str(n)]
     runs = []
@@ -215,7 +211,7 @@ def _assembly_row(n: int, repeats: int, previous: dict) -> dict:
                 run["rss_after_solve_mib"] for run in runs),
             "bytecode_cached": all(run["bytecode_cached"] for run in runs),
             "repeats": repeats, "opening_sha256": digest,
-            "previous_opening_sha256": previous.get(n),
+            "previous_opening_sha256": previous.get((n,)),
             "centre_opening": runs[0]["centre_opening"], "tip_ratio": runs[0]["tip_ratio"]}
 
 
@@ -228,7 +224,7 @@ def crack_assembly(repeats: int):
     the checkout's file held before, or null, with its centre value and
     tip ratio.
     """
-    previous = _previous_openings()
+    previous = _previous("crack_assembly", ("n",), "opening_sha256")
     rows = [_assembly_row(n, repeats, previous) for n in ASSEMBLY_SIZES]
     fields = {
         "layer": "crack.solve_crack end to end (offset table, n-entry node-mean table, "
@@ -320,15 +316,6 @@ def _sweep_row(half_length: float, n: int, count: int, repeats: int, previous: d
     }
 
 
-def _previous_digests() -> dict:
-    """rows_sha256 by (half_length, n, targets) from the checkout's record, if any."""
-    path = ROOT / "BENCH_sweep_table.json"
-    if not path.is_file():
-        return {}
-    return {(case["half_length"], case["n"], row["targets"]): row["rows_sha256"]
-            for case in json.loads(path.read_text())["cases"] for row in case["curve"]}
-
-
 def sweep_table(repeats: int):
     """A porosity sweep of K = 1, 5, 20 and 80 targets in N = [0.02, 0.62]
     per (b, n): ``sweep_s``, timed without instruments; its split into the
@@ -339,7 +326,7 @@ def sweep_table(repeats: int):
     builds may round differently); and whether every row equals
     ``solve_crack`` at its target bitwise.
     """
-    previous = _previous_digests()
+    previous = _previous("sweep_table", ("half_length", "n", "targets"), "rows_sha256")
     cases = [{"half_length": b, "n": n,
               "curve": [_sweep_row(b, n, count, repeats, previous) for count in TARGET_COUNTS]}
              for b, n in SWEEP_CASES]
