@@ -27,11 +27,11 @@ kernel matrix a symmetric Toeplitz one, handed to the solver as its n
 node-mean values.  The collocation matrix is then exactly
 centro-symmetric and the load is constant, so the opening is exactly
 reflection-symmetric and only the folded even half of the system, a
-quarter of the matrix, is formed and factored in place; its residual
-gate re-forms only the finite-part chunks.  Its finite-part block
-depends only on the grid, so a sweep on a grid of n <= 1448 cells builds
-it once, as one ceil(n/2)-square array (80 KB at n = 200, at most
-4 MiB), adds each target's kernel to it and takes each residual from it.
+quarter of the matrix, is formed and factored in place.  Its finite-part
+block depends only on the grid, which ``fullkernel._FoldedGrid`` owns:
+it keeps the block whole on a grid of n <= 1448 cells, else re-forms it
+chunk by chunk, for the matrix and for the residual gate alike; a sweep
+builds one for all its targets.
 
 The kernel slope carries the factor ``(1 - N)^2`` that also appears in
 the load term, so the effective right-hand side is porosity
@@ -52,7 +52,7 @@ import numpy as np
 from .grids import Grid, SampledFunction, build_grid
 from .quadrature import (OscIntSpec, cosine_integral, _check_cubic_decay,
                          _halfline_cosine_tables)
-from .fullkernel import _folded_singular, _solve_folded
+from .fullkernel import _FoldedGrid, _solve_folded
 
 __all__ = [
     "MaterialParams",
@@ -469,19 +469,23 @@ def solve_crack(params: MaterialParams, half_length: float, n: int,
     first ``r = ceil(n/2)`` cell constants solve the folded system
     ``B = A[:r, :r] + A[:r, r:] J`` (J the column reversal), and the
     rest are their mirror image.  B is built chunk by chunk from the
-    table and the closed-form folded finite-part block, in its own
-    memory map, and factored in place, so it is the only dense array of
-    the solve and its pages go back to the system when the solve
-    returns.  The pivot gate runs on B before the factorization; the
-    residual gate takes B x from the finite-part chunks re-formed plus
-    the kernel part by convolution with the table.
+    table and the closed-form folded finite-part block S, in its own
+    memory map from 4 MiB on, and factored in place, and its pages go
+    back to the system when the solve returns.  S depends only on the
+    grid: up to n = 1448 it is formed once and kept beside B, ``8 r^2``
+    bytes, at most 4 MiB; above, it is re-formed chunk by chunk, so B is
+    the only dense array of the solve.  The pivot gate runs on B before
+    the factorization; the residual gate takes B x from the chunks of S
+    plus the kernel part by convolution with the table.
     Row ``n-1-i`` of the full residual equals row i, so the gates cover
     the whole system.  The opening is exactly reflection-symmetric.
     """
     grid = _crack_grid(half_length, n)
     dp = derive_dimensionless(params)
-    # the full asymptotics (with their fit) run once, inside regular_kernel_table
-    return _solve_tabled(params, dp, grid, regular_kernel_table(grid.h, grid.n, dp, spec))
+    # the full asymptotics (with their fit) run once, inside regular_kernel_table;
+    # the table's transients are gone before the folded grid's buffers exist
+    table = regular_kernel_table(grid.h, grid.n, dp, spec)
+    return _solve_tabled(params, dp, _FoldedGrid(grid), table)
 
 
 def _crack_grid(half_length: float, n: int) -> Grid:
@@ -493,15 +497,12 @@ def _crack_grid(half_length: float, n: int) -> Grid:
     return build_grid(-half_length, half_length, int(n))
 
 
-def _solve_tabled(params: MaterialParams, dp: DimensionlessParams, grid: Grid,
-                  kernel_table: np.ndarray,
-                  singular: Optional[np.ndarray] = None) -> CrackSolution:
-    """The crack solve of ``solve_crack`` from its regular-kernel offset table on.
-
-    ``singular``, the grid's ``_folded_singular``, lets a sweep share the
-    folded finite-part block across its targets; the folded matrix is the
-    same bitwise with or without it.
-    """
+def _solve_tabled(params: MaterialParams, dp: DimensionlessParams, folded: _FoldedGrid,
+                  kernel_table: np.ndarray) -> CrackSolution:
+    """The crack solve of ``solve_crack`` from its regular-kernel offset
+    table on, on the grid of ``folded``, which a sweep shares across its
+    targets."""
+    grid = folded.grid
     n = grid.n
     half_length = grid.interval.b
     slope = _symbol_slope(dp)
@@ -516,7 +517,7 @@ def _solve_tabled(params: MaterialParams, dp: DimensionlessParams, grid: Grid,
     table = -(np.pi / slope) * kernel_table
     if not np.all(np.isfinite(table)):
         raise ValueError("crack kernel table has a non-finite value")
-    raw = _solve_folded(grid, _node_mean(table), np.full(n, rhs_reduced), singular)
+    raw = _solve_folded(folded, _node_mean(table), np.full(n, rhs_reduced))
     opening_values = -raw.values
     if params.sigma0 > 0.0 and np.any(opening_values < 0.0):
         raise ValueError(
@@ -545,14 +546,6 @@ def stress_concentration(solution: CrackSolution) -> float:
     return float(solution.tip_coefficient / classical)
 
 
-# Largest shared folded finite-part block a sweep builds, r^2 floats for
-# n <= 1448.  A block of unfolded rows (r by n) under the same budget,
-# up to n = 1024, left a 4-target sweep's tracemalloc and RSS peaks where
-# they were without it; at n = 3200 its 39 MiB took the RSS peak from
-# 103 to 142 MiB for a 10% faster sweep.
-_SHARED_SINGULAR_MAX_BYTES = 4 << 20
-
-
 def porosity_sweep(base: MaterialParams, porosities: Sequence[float],
                    half_length: float, n: int,
                    spec: Optional[OscIntSpec] = None):
@@ -567,12 +560,9 @@ def porosity_sweep(base: MaterialParams, porosities: Sequence[float],
     Every target is checked before any work starts.  The kernel tables
     of all targets come from one ``_kernel_tables`` call, which builds
     the grid's chirp-z plan, the proxy transform and its cosine-integral
-    tail once.  The folded finite-part block depends only on the grid, so
-    while it fits in ``_SHARED_SINGULAR_MAX_BYTES`` (n <= 1448) it is
-    built once too (``_folded_singular``), after the tables, as one
-    ceil(n/2)-square array, 80 KB at n = 200; each target adds its kernel
-    to it and takes its residual gate's ``S x`` from it.  On a larger
-    grid each target forms it chunk by chunk.  Each target is then
+    tail once.  The grid's part of the folded system, ``_FoldedGrid``, is
+    built once too, after the tables, and every target shares it, with
+    the finite-part block it keeps (n <= 1448).  Each target is then
     solved as ``solve_crack`` solves it, and each row equals
     ``solve_crack`` with ``stress_concentration`` at that target bitwise.
     """
@@ -586,11 +576,10 @@ def porosity_sweep(base: MaterialParams, porosities: Sequence[float],
                  for n_target in targets]
     dps = [derive_dimensionless(params) for params in materials]
     tables = _kernel_tables(grid.h, grid.n, dps, spec)
-    r = grid.n - grid.n // 2
-    singular = _folded_singular(grid) if 8 * r * r <= _SHARED_SINGULAR_MAX_BYTES else None
+    folded = _FoldedGrid(grid)
     rows = []
     for n_target, params, dp, table in zip(targets, materials, dps, tables):
-        sol = _solve_tabled(params, dp, grid, table, singular)
+        sol = _solve_tabled(params, dp, folded, table)
         opening0 = float(np.interp(0.0, sol.opening.points, sol.opening.values))
         rows.append((n_target, opening0, stress_concentration(sol)))
     return rows

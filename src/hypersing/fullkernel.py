@@ -17,9 +17,9 @@ part is the right-node kernel sample times ``W_j``.  A caller whose kernel is
 symmetric Toeplitz, given as its n-entry table, and whose load is
 reflection-symmetric (the crack solve) forms and solves only the folded
 even half of the system, a quarter of the matrix, in closed form for its
-finite-part part; it is factored in place, and the residual gate takes
-the kernel part by convolution with the table and re-forms the rest
-chunk by chunk, so no copy of it is kept.  Alternatively, when K0 has an
+finite-part part, which the grid keeps whole up to n = 1448 and else
+re-forms chunk by chunk; it is factored in place, and the residual gate
+takes the kernel part by convolution with the table.  Alternatively, when K0 has an
 antiderivative K1 in its first argument (K0 = dK1/dx) and fprime has
 antiderivative f, applying the inversion operator of the characteristic
 equation converts the problem into a second-kind Fredholm equation
@@ -44,7 +44,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import Grid, Interval, SampledFunction
-from .linalg import SingularMatrixError, _solve_in_place, lu_solve
+from .linalg import SingularMatrixError, _chunks, _solve_in_place, lu_solve
 from .quadrature import PVQuadSpec, chebyshev_nodes, _sample
 from .characteristic import _check_antiderivative, _invert
 
@@ -87,20 +87,6 @@ class FullProblem:
             ]
             _check_antiderivative(self.K1, self.K0, probes, 1e-4 * max(1.0, iv.halfwidth),
                                   "FullProblem: K1 against K0")
-
-
-# entries of one chunk of finite-part rows or folded columns, which keeps
-# a chunk's temporaries in cache whatever n is; each writer allocates its
-# two chunk buffers once, as fresh ones for every chunk cost a page fault
-# per 4 KiB
-_CHUNK_ENTRIES = 2**15
-
-
-def _chunks(count: int, width: int):
-    """(start, stop) ranges covering ``count`` rows of ``width`` entries
-    each, at most ``_CHUNK_ENTRIES`` entries a chunk."""
-    step = max(1, _CHUNK_ENTRIES // width)
-    return [(start, min(start + step, count)) for start in range(0, count, step)]
 
 
 class _HalfAngleTables:
@@ -270,69 +256,80 @@ def _singular_fold(t: _HalfAngleTables):
     return columns
 
 
-def _folded_singular(grid: Grid) -> np.ndarray:
-    """The whole folded finite-part block S of ``_singular_fold``, r by r,
-    Fortran-ordered and read-only.
+# Largest folded finite-part block a grid keeps whole, r^2 floats for
+# n <= 1448; a 39 MiB block of unfolded rows kept at n = 3200 took a
+# 4-target sweep's RSS peak from 103 to 142 MiB for a 10% faster sweep.
+_KEPT_SINGULAR_MAX_BYTES = 4 << 20
 
-    It depends only on the grid, so several kernels on one grid may
-    share it; it is filled in the chunks of ``_chunks(r, r)``, as
-    ``_FoldedSystem`` forms them, so a sum with it equals the one
-    formed per chunk bitwise.  It costs ``8 r^2`` bytes: 80 KB at
-    n = 200, 4 MiB at n = 1448.
+
+class _FoldedGrid:
+    """What the folded system of ``_FoldedSystem`` takes from its grid alone.
+
+    It holds the grid's ``_HalfAngleTables``, ``r = ceil(n/2)``, the
+    chunks ``_chunks(r, r)`` of every pass over the folded columns, the
+    cell weights ``W_j`` and one writer of the folded finite-part block S
+    of ``_singular_fold``: ``columns(start, stop, out)`` writes columns
+    start .. stop-1 of S as the rows of ``out``, for one of those chunks.
+    While S fits in ``_KEPT_SINGULAR_MAX_BYTES`` (``8 r^2`` bytes: 80 KB at
+    n = 200, at most 4 MiB at n = 1448) it is formed once, in those chunks,
+    and kept read-only as ``singular``, and ``columns`` copies its chunks;
+    on a larger grid ``singular`` is None and ``columns`` forms each chunk
+    anew.  A chunk is the same bitwise either way, so every kernel on one
+    grid, in one solve or across a sweep, may share one of these.
     """
-    r = grid.n - grid.n // 2
-    columns = _singular_fold(_HalfAngleTables(grid.n))
-    out = np.empty((r, r), order="F")
-    for start, stop in _chunks(r, r):
-        columns(start, stop, out.T[start:stop])
-    out.setflags(write=False)
-    return out
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self.tables = t = _HalfAngleTables(grid.n)
+        self.n, self.r = t.n, t.r
+        r = t.r
+        self.chunks = _chunks(r, r)
+        self.weights = grid.interval.halfwidth**2 * t.cell_weight
+        self.columns, self.singular = _singular_fold(t), None
+        if 8 * r * r <= _KEPT_SINGULAR_MAX_BYTES:
+            self.singular = singular = np.empty((r, r), order="F")
+            for start, stop in self.chunks:
+                self.columns(start, stop, singular.T[start:stop])
+            singular.setflags(write=False)
+            self.columns = lambda start, stop, out: np.copyto(out, singular.T[start:stop])
 
 
 class _FoldedSystem:
     """The folded even half B of a centro-symmetric system, formed
     chunk by chunk, as often as needed.
 
-    A is the matrix ``_weighted_matrix`` would build from the symmetric
-    Toeplitz kernel ``mean[|i - j|]`` of the n-entry table ``mean``, so
-    it is exactly centro-symmetric, and ``B = A[:r, :r] + A[:r, r:] J``
-    with J the column reversal and ``r = ceil(n/2)``.  For a
-    reflection-symmetric right-hand side the solution is symmetric too,
-    ``phi_j = phi_{n-1-j}``, so its first r constants solve ``B y =
-    rhs[:r]``.  A chunk of ``_chunks(r, r)`` is the folded singular part
-    (``_singular_fold``, or the grid's ``_folded_singular`` when given,
-    which gives the same chunk bitwise) plus the folded kernel part
-    ``W_j (mean[|i - j|] + mean[n-1-i-j])``, with no mirror term in the
-    middle column of an odd grid, which is its own mirror.  Column j
-    reads both terms as contiguous windows of ``[mean reversed,
-    mean[1:]]``, at n-1-j and at j.  Equals the fold of
-    ``_weighted_matrix`` to rounding, not bitwise.
+    A is the matrix ``_weighted_matrix`` would build on the grid of
+    ``folded``, a ``_FoldedGrid``, from the symmetric Toeplitz kernel
+    ``mean[|i - j|]`` of the n-entry table ``mean``, so it is exactly
+    centro-symmetric, and ``B = A[:r, :r] + A[:r, r:] J`` with J the
+    column reversal and ``r = ceil(n/2)``.  For a reflection-symmetric
+    right-hand side the solution is symmetric too, ``phi_j =
+    phi_{n-1-j}``, so its first r constants solve ``B y = rhs[:r]``.  A
+    chunk of ``folded.chunks`` is the folded finite-part part, from
+    ``folded.columns``, plus the folded kernel part ``W_j (mean[|i - j|] +
+    mean[n-1-i-j])``, with no mirror term in the middle column of an odd
+    grid, which is its own mirror.  Column j reads both terms as
+    contiguous windows of ``[mean reversed, mean[1:]]``, at n-1-j and at
+    j.  Equals the fold of ``_weighted_matrix`` to rounding, not bitwise.
     """
 
-    def __init__(self, grid: Grid, mean: np.ndarray, singular: Optional[np.ndarray] = None):
-        self.tables = t = _HalfAngleTables(grid.n)
-        self.n, self.r = n, r = t.n, t.r
-        self.singular = singular
-        self.weights = grid.interval.halfwidth**2 * t.cell_weight
-        self.columns = _singular_fold(t) if singular is None else None
-        self.chunks = _chunks(r, r)
-        self.spare = np.empty((self.chunks[0][1], r))
+    def __init__(self, folded: _FoldedGrid, mean: np.ndarray):
+        self.folded = folded
+        self.n, self.r = n, r = folded.n, folded.r
+        self.spare = np.empty((folded.chunks[0][1], r))
         self.extended = np.concatenate([mean[:0:-1], mean])
         windows = sliding_window_view(self.extended, r)
         self.toeplitz, self.hankel = windows[n - r:n][::-1], windows[:n - r]
 
     def fill(self, start: int, stop: int, out) -> None:
         """Write columns start .. stop-1 of B as the rows of ``out``."""
-        if self.singular is None:
-            self.columns(start, stop, out)
-        else:
-            np.copyto(out, self.singular.T[start:stop])
+        self.folded.columns(start, stop, out)
         kernel = self.spare[:stop - start]
         np.copyto(kernel, self.toeplitz[start:stop])
         mirrored = min(stop, self.n - self.r)
         if start < mirrored:
             kernel[:mirrored - start] += self.hankel[start:mirrored]
-        kernel *= self.weights[start:stop, None]
+        kernel *= self.folded.weights[start:stop, None]
         out += kernel
 
     def matrix(self, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -341,23 +338,21 @@ class _FoldedSystem:
         in which each chunk is one contiguous stretch."""
         if out is None:
             out = np.empty((self.r, self.r), order="F")
-        for start, stop in self.chunks:
+        for start, stop in self.folded.chunks:
             self.fill(start, stop, out.T[start:stop])
         return out
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """B x: the kernel part as convolutions of ``W[:r] x`` with the
-        table's Toeplitz and Hankel halves, plus ``S x`` with a shared
-        singular block S, else the singular chunks re-formed."""
+        table's Toeplitz and Hankel halves, plus the finite-part chunks
+        of ``folded.columns`` times their stretch of x."""
         n, r = self.n, self.r
-        y = self.weights[:r] * x
+        y = self.folded.weights[:r] * x
         out = np.convolve(self.extended[n - r:n + r - 1], y, "valid")
         out += np.convolve(self.extended[n:], y[:n - r], "valid")[::-1]
-        if self.singular is not None:
-            return out + self.singular @ x
-        for start, stop in self.chunks:
+        for start, stop in self.folded.chunks:
             chunk = self.spare[:stop - start]
-            self.columns(start, stop, chunk)
+            self.folded.columns(start, stop, chunk)
             out += x[start:stop] @ chunk
         return out
 
@@ -393,28 +388,26 @@ def _mapped_matrix(r: int) -> np.ndarray:
     return np.ndarray((r, r), dtype=float, buffer=buffer, order="F")
 
 
-def _solve_folded(grid: Grid, mean: np.ndarray, rhs: np.ndarray,
-                  singular: Optional[np.ndarray] = None) -> SampledFunction:
+def _solve_folded(folded: _FoldedGrid, mean: np.ndarray, rhs: np.ndarray) -> SampledFunction:
     """Route 2's weighted solve for the symmetric Toeplitz kernel ``mean[|i - j|]``, at half size.
 
-    Forms the folded matrix B of ``_FoldedSystem`` in a
-    ``_mapped_matrix`` and factors it in place, so B is the only r-by-r
-    array of the solve besides a shared singular block, and its pages
-    are returned when the solve returns.  ``rhs`` must be
-    reflection-symmetric; the first r cell constants are solved for and
-    mirrored back to all n cells.  The pivot and residual gates are
-    those of ``lu_solve``, with B x taken by ``_FoldedSystem.matvec``.
-    Row ``n-1-i`` of the full residual equals row i, so the gate covers
-    the whole system.
+    Forms the folded matrix B of ``_FoldedSystem`` on the grid of
+    ``folded`` in a ``_mapped_matrix`` and factors it in place, so B is
+    the only r-by-r array of the solve besides the finite-part block the
+    grid may keep, and its pages are returned when the solve returns.
+    ``rhs`` must be reflection-symmetric; the first r cell constants are
+    solved for and mirrored back to all n cells.  The pivot and residual
+    gates are those of ``lu_solve``, with B x taken by
+    ``_FoldedSystem.matvec``.  Row ``n-1-i`` of the full residual equals
+    row i, so the gate covers the whole system.
     """
-    n = grid.n
-    r = n - n // 2
+    n, r, grid = folded.n, folded.r, folded.grid
     if rhs.shape != (n,) or not np.array_equal(rhs, rhs[::-1]):
         raise ValueError("a folded system needs a reflection-symmetric right-hand side "
                          "with one entry per cell")
-    system = _FoldedSystem(grid, mean, singular)
+    system = _FoldedSystem(folded, mean)
     half = _solve_in_place(system.matrix(_mapped_matrix(r)), rhs[:r], system.matvec)
-    weight = grid.interval.halfwidth * system.tables.mid_weight
+    weight = grid.interval.halfwidth * folded.tables.mid_weight
     return SampledFunction(grid=grid, values=weight * np.concatenate([half, half[:n - r][::-1]]))
 
 

@@ -19,8 +19,19 @@ import scipy.linalg
 
 __all__ = ["SingularMatrixError", "ResidualError", "lu_solve", "residual_norm"]
 
-# entries of one column block of the norm and finiteness scan
-_SCAN_ENTRIES = 2**15
+# entries of one chunk of a blocked pass over an array (the norm scan, the
+# finite-part rows and the folded columns), which keeps a chunk's
+# temporaries in cache whatever the array's size is; a writer that
+# allocates its chunk buffers once spares the page fault per 4 KiB that
+# fresh buffers for every chunk cost
+_CHUNK_ENTRIES = 2**15
+
+
+def _chunks(count: int, width: int):
+    """(start, stop) ranges covering ``count`` rows of ``width`` entries
+    each, at most ``_CHUNK_ENTRIES`` entries a chunk."""
+    step = max(1, _CHUNK_ENTRIES // width)
+    return [(start, min(start + step, count)) for start in range(0, count, step)]
 
 
 class SingularMatrixError(ValueError):
@@ -53,15 +64,13 @@ def _max_row_sum(A: np.ndarray) -> float:
     in a Fortran-ordered A, the order every solve factors); raises
     ``ValueError`` if an entry is not finite, which makes its row sum a
     NaN or an infinity."""
-    columns = A.T
-    step = max(1, _SCAN_ENTRIES // max(1, A.shape[0]))
+    blocks = [A.T[start:stop] for start, stop in _chunks(A.shape[1], max(1, A.shape[0]))]
     sums = np.zeros(A.shape[0])
-    for start in range(0, columns.shape[0], step):
-        sums += np.abs(columns[start:start + step]).sum(axis=0)
+    for block in blocks:
+        sums += np.abs(block).sum(axis=0)
     if not np.all(np.isfinite(sums)):
-        for start in range(0, columns.shape[0], step):
-            if not np.all(np.isfinite(columns[start:start + step])):
-                raise ValueError("matrix entries must be finite")
+        if not all(np.all(np.isfinite(block)) for block in blocks):
+            raise ValueError("matrix entries must be finite")
         return np.inf  # finite entries whose sums overflow
     return float(sums.max(initial=0.0))
 

@@ -357,70 +357,80 @@ def test_folded_solve_matches_full_lu(n, half_length):
     # the folded singular part is evaluated in closed form rather than
     # summed from the full rows, so the two agree to rounding per row
     from hypersing import lu_solve
-    from hypersing.fullkernel import (_FoldedSystem, _HalfAngleTables, _solve_folded,
-                                      _weighted_matrix)
+    from hypersing.fullkernel import (_FoldedGrid, _FoldedSystem, _HalfAngleTables,
+                                      _solve_folded, _weighted_matrix)
 
     grid, mean, rhs = _crack_system(n, half_length)
     matrix = _weighted_matrix(grid, toeplitz(mean))
     r = n - n // 2
-    folded = _FoldedSystem(grid, mean).matrix()
+    folded = _FoldedSystem(_FoldedGrid(grid), mean).matrix()
     assert folded.flags.f_contiguous
     expect = matrix[:r, :r].copy()
     expect[:, :n - r] += matrix[:r, r:][:, ::-1]
     row_scale = np.max(np.abs(expect), axis=1, keepdims=True)
     assert np.all(np.abs(folded - expect) <= 1e-13 * row_scale)
-    half = _solve_folded(grid, mean, rhs).values
+    half = _solve_folded(_FoldedGrid(grid), mean, rhs).values
     full = grid.interval.halfwidth * _HalfAngleTables(n).mid_weight * lu_solve(matrix, rhs)
     assert np.max(np.abs(half - full)) <= 1e-12 * np.max(np.abs(full))
 
 
 def test_folded_solve_refuses_an_asymmetric_load():
-    from hypersing.fullkernel import _solve_folded
+    from hypersing.fullkernel import _FoldedGrid, _solve_folded
 
     grid, mean, rhs = _crack_system(9, 1.0)
+    folded = _FoldedGrid(grid)
     skewed = rhs.copy()
     skewed[-1] *= 2.0
     with pytest.raises(ValueError, match="reflection-symmetric"):
-        _solve_folded(grid, mean, skewed)
+        _solve_folded(folded, mean, skewed)
     with pytest.raises(ValueError, match="one entry per cell"):
-        _solve_folded(grid, mean, rhs[1:-1])
+        _solve_folded(folded, mean, rhs[1:-1])
 
 
 @pytest.mark.parametrize("half_length", (1.0, 10.0, 100.0))
 @pytest.mark.parametrize("n", (7, 8, 241, 400, 800))
-def test_shared_singular_half_gives_the_folded_matrix_bitwise(n, half_length):
-    # the shared block is the folded r-by-r singular part, no longer the
-    # r-by-n unfolded rows; the test keeps its name
-    from hypersing.fullkernel import _chunks, _folded_singular, _FoldedSystem
+def test_shared_singular_half_gives_the_folded_matrix_bitwise(monkeypatch, n, half_length):
+    # the shared block is the folded r-by-r singular part that a folded grid
+    # keeps within its budget; with no budget, each chunk is formed anew
+    import hypersing.fullkernel as fullkernel
+    from hypersing.fullkernel import _chunks, _FoldedGrid, _FoldedSystem
 
     grid, mean, _ = _crack_system(n, half_length)
-    singular = _folded_singular(grid)
+    kept = _FoldedGrid(grid)
     r = n - n // 2
-    assert singular.shape == (r, r)
+    assert kept.singular.shape == (r, r)
     if n >= 400:
         assert len(_chunks(r, r)) > 1
-    assert np.array_equal(_FoldedSystem(grid, mean, singular).matrix(),
-                          _FoldedSystem(grid, mean).matrix())
+    monkeypatch.setattr(fullkernel, "_KEPT_SINGULAR_MAX_BYTES", 0)
+    formed = _FoldedGrid(grid)
+    assert formed.singular is None
+    assert np.array_equal(_FoldedSystem(kept, mean).matrix(),
+                          _FoldedSystem(formed, mean).matrix())
 
 
 @pytest.mark.parametrize("shared", (False, True), ids=("own", "shared"))
 @pytest.mark.parametrize("n", (11, 12, 241, 1601))
-def test_folded_matvec_matches_the_formed_matrix(n, shared):
+def test_folded_matvec_matches_the_formed_matrix(monkeypatch, n, shared):
     # the kernel part of B x is taken by convolution with the table,
-    # not from the formed columns, so the two agree to rounding
-    from hypersing.fullkernel import _folded_singular, _FoldedSystem
+    # not from the formed columns, so the two agree to rounding; the
+    # budget is set so that the grid keeps its block, or forms it anew
+    import hypersing.fullkernel as fullkernel
+    from hypersing.fullkernel import _FoldedGrid, _FoldedSystem
 
     grid, mean, _ = _crack_system(n, 1.0)
-    system = _FoldedSystem(grid, mean, _folded_singular(grid) if shared else None)
+    monkeypatch.setattr(fullkernel, "_KEPT_SINGULAR_MAX_BYTES", (1 << 30) if shared else 0)
+    folded = _FoldedGrid(grid)
+    assert (folded.singular is not None) == shared
+    system = _FoldedSystem(folded, mean)
     x = np.random.default_rng(n).standard_normal(system.r)
     expect = system.matrix() @ x
     assert np.max(np.abs(system.matvec(x) - expect)) <= 1e-14 * np.max(np.abs(expect))
 
 
 def test_shared_singular_half_is_read_only():
-    from hypersing.fullkernel import _folded_singular
+    from hypersing.fullkernel import _FoldedGrid
 
-    singular = _folded_singular(build_grid(-1.0, 1.0, 41))
+    singular = _FoldedGrid(build_grid(-1.0, 1.0, 41)).singular
     with pytest.raises(ValueError):
         singular[0, 0] = 0.0
 
@@ -452,12 +462,14 @@ def _folded_singular_exact(n, i):
 def test_folded_singular_part_matches_40_digit_arithmetic(n):
     # rows at the tip, at the quarter point and at the centre; every row
     # holds the cells of both tips, folded onto each other.  The unfolded
-    # rows are route 2's, from the same tables as the fold.
-    from hypersing.fullkernel import _folded_singular, _HalfAngleTables, _singular_left_rows
+    # rows are route 2's, from the same tables as the fold.  The folded
+    # matrix of a zero kernel is the folded singular part alone.
+    from hypersing.fullkernel import (_FoldedGrid, _FoldedSystem, _HalfAngleTables,
+                                      _singular_left_rows)
 
     grid = build_grid(-1.0, 1.0, n)
     r = n - n // 2
-    folded = _folded_singular(grid)
+    folded = _FoldedSystem(_FoldedGrid(grid), np.zeros(n)).matrix()
     rows = sorted({0, 1, r // 2, r - 2, r - 1} if n < 3200 else {0, r - 1})
     left_rows = _singular_left_rows(_HalfAngleTables(n))
     unfolded = np.array([left_rows(i, i + 1)[0].copy() for i in rows])
@@ -503,9 +515,9 @@ def test_kernel_table_handed_to_the_solve_is_left_unwritten(monkeypatch):
     seen = []
     real = crack._solve_folded
 
-    def spy(grid, mean, rhs, singular=None):
+    def spy(folded, mean, rhs):
         seen.append((mean, mean.copy()))
-        return real(grid, mean, rhs, singular)
+        return real(folded, mean, rhs)
 
     monkeypatch.setattr(crack, "_solve_folded", spy)
     solve_crack(POROUS, 1.0, 41)
@@ -728,32 +740,6 @@ def test_porosity_sweep_memory_does_not_grow_per_target():
     assert peak(40) - peak(2) <= 256 * 1024
 
 
-def test_porosity_sweep_builds_the_singular_rows_once(monkeypatch):
-    import hypersing.fullkernel as fullkernel
-
-    columns_built = []
-    real = fullkernel._singular_fold
-
-    def counted(tables):
-        columns = real(tables)
-
-        def counted_columns(start, stop, out):
-            columns_built.append(stop - start)
-            return columns(start, stop, out)
-        return counted_columns
-
-    monkeypatch.setattr(fullkernel, "_singular_fold", counted)
-    targets = list(np.linspace(0.02, 0.62, 20))
-    assert len(porosity_sweep(CLASSICAL, targets, 1.0, 200)) == 20
-    # r = 100 columns for the whole sweep: no target forms its own, neither
-    # for its matrix nor for its residual, which takes S x from the shared S
-    assert sum(columns_built) == 100
-    # a single solve forms them twice, once for B and once for its residual
-    columns_built.clear()
-    solve_crack(POROUS, 1.0, 200)
-    assert sum(columns_built) == 200
-
-
 def test_crack_solves_build_the_half_angle_tables_once_per_system(monkeypatch):
     import hypersing.fullkernel as fullkernel
 
@@ -764,37 +750,46 @@ def test_crack_solves_build_the_half_angle_tables_once_per_system(monkeypatch):
     assert built == [200]
     built.clear()
     porosity_sweep(CLASSICAL, (0.1, 0.2, 0.3, 0.4), 1.0, 200)
-    # one per target's folded system, plus one for the shared singular block
-    assert built == [200] * 5
+    # one for the sweep's folded grid, which every target's system shares
+    assert built == [200]
 
 
-def test_single_solve_builds_no_shared_singular_half(monkeypatch):
+@pytest.mark.parametrize("n", (41, 200, 1448, 1450))
+def test_folded_grid_is_built_once_per_solve_and_keeps_its_block_within_the_budget(
+        monkeypatch, n):
     import hypersing.crack as crack
+    import hypersing.fullkernel as fullkernel
 
-    built = []
-    real = crack._folded_singular
-    monkeypatch.setattr(crack, "_folded_singular", lambda grid: built.append(grid) or real(grid))
-    solve_crack(POROUS, 1.0, 41)
-    assert not built
-    porosity_sweep(CLASSICAL, (0.2, 0.4), 1.0, 41)
-    assert len(built) == 1
+    grids, columns_built = [], []
+    real_grid, real_fold = crack._FoldedGrid, fullkernel._singular_fold
+    monkeypatch.setattr(crack, "_FoldedGrid", lambda grid: grids.append(grid) or real_grid(grid))
 
+    def counted(tables):
+        columns = real_fold(tables)
 
-@pytest.mark.parametrize("n, shared", ((1448, True), (1450, False)))
-def test_porosity_sweep_shares_the_singular_rows_only_within_the_budget(monkeypatch, n, shared):
-    import hypersing.crack as crack
+        def counted_columns(start, stop, out):
+            columns_built.append(stop - start)
+            return columns(start, stop, out)
+        return counted_columns
 
-    built = []
-    real = crack._folded_singular
-    monkeypatch.setattr(crack, "_folded_singular", lambda grid: built.append(grid) or real(grid))
+    monkeypatch.setattr(fullkernel, "_singular_fold", counted)
     # 8 r^2 bytes is just under 4 MiB at n = 1448 (r = 724) and just over
-    # it at n = 1450, where each target forms its block chunk by chunk as
-    # solve_crack does
-    [(_, center, ratio)] = porosity_sweep(CLASSICAL, (0.3,), 1.0, n)
-    assert len(built) == int(shared)
-    sol = solve_crack(_with_porosity(0.3), 1.0, n)
-    assert center == float(np.interp(0.0, sol.opening.points, sol.opening.values))
-    assert ratio == stress_concentration(sol)
+    # it at n = 1450, where each system forms its block chunk by chunk,
+    # once for its matrix and once for its residual
+    r = n - n // 2
+    kept = n <= 1448
+    targets = (0.2, 0.4)
+    rows = porosity_sweep(CLASSICAL, targets, 1.0, n)
+    assert len(grids) == 1
+    assert sum(columns_built) == (r if kept else 2 * r * len(targets))
+    for n_target, center, ratio in rows:
+        grids.clear()
+        columns_built.clear()
+        sol = solve_crack(_with_porosity(n_target), 1.0, n)
+        assert len(grids) == 1
+        assert sum(columns_built) == (r if kept else 2 * r)
+        assert center == float(np.interp(0.0, sol.opening.points, sol.opening.values))
+        assert ratio == stress_concentration(sol)
 
 
 def test_porosity_sweep_memory_is_a_single_solve_plus_the_singular_half():
@@ -818,8 +813,8 @@ def test_porosity_sweep_memory_is_a_single_solve_plus_the_singular_half():
         solve_crack(_with_porosity(0.4), 1.0, n)
 
     sweep(), single()  # warm-up
-    # the sweep holds one r-by-r folded finite-part block beyond what a
-    # single solve holds
+    # a single solve keeps its grid's r-by-r folded finite-part block as
+    # the sweep does, so the sweep holds at most one such block more
     assert peak(sweep) <= peak(single) + 8 * r * r + 256 * 1024
 
 
@@ -847,6 +842,25 @@ def test_single_solve_memory_is_the_folded_matrix_alone(monkeypatch):
     # temporary together stay within 1.15 B + 1 MiB
     assert mapped == [r, r]
     assert 8 * r * r + traced <= 1.15 * 8 * r * r + 2**20
+
+
+def test_single_solve_memory_within_the_budget_is_the_folded_matrix_and_its_block():
+    import tracemalloc
+
+    n = 1448
+    r = n - n // 2
+    material = _with_porosity(0.35)
+    solve_crack(material, 1.0, n)  # warm-up
+    tracemalloc.start()
+    try:
+        solve_crack(material, 1.0, n)
+        traced = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 8 r^2 is just under 4 MiB, so B comes from numpy's allocator and is
+    # traced, beside the grid's kept finite-part block S of the same size:
+    # B, S and every temporary together stay within 2.15 B + 1 MiB
+    assert traced <= 2.15 * 8 * r * r + 2**20
 
 
 def test_non_finite_sweep_table_is_refused(monkeypatch):
