@@ -92,7 +92,7 @@ _KEYS = {
     "rhs_degree": (_to_int, "Chebyshev degree k >= 0 for rhs=chebyshev_u (default 0)"),
     "kernel": (_to_choice(_KERNELS), "perturbing kernel for the full command (default cos_product)"),
     "kernel_scale": (_to_float, "scale applied to the perturbing kernel (default 1.0)"),
-    "half_length": (_to_float, "crack half-length b > 0, in units of sqrt(alpha/xi) (crack/sweep)"),
+    "half_length": (_to_float, "crack half-length b > 0 (crack/sweep)"),
     "lam": (_to_float, "Lame constant lambda; lam + 2 mu > 0"),
     "mu": (_to_float, "shear modulus; mu > 0"),
     "alpha": (_to_float, "void gradient constant; alpha > 0"),

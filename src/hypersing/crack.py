@@ -79,9 +79,6 @@ class MaterialParams:
     crack faces.  Constructor enforces mu > 0, lam + 2 mu > 0, alpha >
     0, xi > 0, beta >= 0, sigma0 >= 0 and that the derived coupling
     number ``beta^2 / (xi (lam + 2 mu))`` stays below one.
-
-    Crack lengths are in units of the internal length ``sqrt(alpha / xi)``:
-    the kernel is built with it set to one, so ``alpha`` is only validated.
     """
 
     lam: float
@@ -369,8 +366,10 @@ class CrackSolution:
     """Opening profile of a pressurized crack.
 
     ``opening`` holds the (nonnegative) crack-opening values at the
-    collocation midpoints; ``tip_coefficient`` is the fitted amplitude
-    C in ``opening ~ C sqrt(b^2 - x^2)`` near the tips.
+    collocation midpoints; ``tip_coefficient`` is the amplitude C in
+    ``opening ~ C sqrt(b^2 - x^2)`` at the tips.  The opening is solved
+    for as ``phi sqrt(b^2 - x^2)`` with phi constant on each cell, so C
+    is phi on the end cells, which are equal bitwise.
     """
 
     grid: Grid
@@ -398,31 +397,6 @@ def _node_mean(table: np.ndarray) -> np.ndarray:
     return mean
 
 
-def _tip_amplitude(grid: Grid, values: np.ndarray, half_length: float) -> float:
-    """Fitted amplitude C of values ~ C * sqrt(b^2 - x^2) at the right tip.
-
-    Least-squares fit of the edge profile over the outer ten percent
-    of samples, skipping the sample nearest the tip; the opening is
-    exactly reflection-symmetric, so the left tip gives the same fit up
-    to the order of its sums.  Minimizing
-    sum (v_i - C sqrt(b^2 - x_i^2))^2 is the same as a weighted
-    least-squares constant fit of the pointwise ratio with weights
-    (b^2 - x_i^2); the weighting matters because the raw ratio carries
-    a discretization boundary layer that the vanishing denominator
-    amplifies as samples approach the tip.
-    """
-    n = grid.n
-    # outer ten percent of the samples, but at least enough for a line fit
-    k = max(4, math.ceil(0.1 * n))
-    window = slice(n - k, n - 1)   # midpoints x_{n-k+1} .. x_{n-1}
-    x = grid.colloc[window]
-    v = values[window]
-    if x.size < 3:
-        raise ValueError(f"degenerate tip fit: only {x.size} usable samples (need 3)")
-    profile = np.sqrt(half_length**2 - x * x)
-    return float(np.dot(v, profile) / np.dot(profile, profile))
-
-
 def solve_crack(params: MaterialParams, half_length: float, n: int,
                 spec: Optional[OscIntSpec] = None) -> CrackSolution:
     """Opening profile of a crack on (-b, b) under remote tension.
@@ -431,8 +405,7 @@ def solve_crack(params: MaterialParams, half_length: float, n: int,
     ----------
     params : MaterialParams
     half_length : float
-        Crack half-length b > 0, in units of the internal length
-        ``sqrt(alpha / xi)``, as are the opening's sample points.
+        Crack half-length b > 0.
     n : int
         Number of collocation cells, at least 10.
     spec : OscIntSpec, optional
@@ -451,9 +424,12 @@ def solve_crack(params: MaterialParams, half_length: float, n: int,
 
     Notes
     -----
-    Dividing the physical equation by the (negative) hypersingular
-    coefficient yields the standard collocation form with the constant
-    right-hand side ``pi sigma0 / (2 mu (1 - c^2))``; the porosity
+    The kernel depends on lengths only in units of the internal length
+    ``l = sqrt(alpha / xi)``, so the cell constants phi are solved for at
+    half-length b / l, and the opening is ``phi sqrt(b^2 - x^2)`` on the
+    grid of (-b, b).  Dividing the physical equation by the (negative)
+    hypersingular coefficient yields the standard collocation form with
+    the constant right-hand side ``pi sigma0 / (2 mu (1 - c^2))``; the porosity
     factor ``(1 - N)^2`` cancels between load and kernel slope, which
     is asserted numerically.  The raw collocation solution is the
     negative of the opening; the sign is fixed once against the
@@ -480,31 +456,32 @@ def solve_crack(params: MaterialParams, half_length: float, n: int,
     Row ``n-1-i`` of the full residual equals row i, so the gates cover
     the whole system.  The opening is exactly reflection-symmetric.
     """
-    grid = _crack_grid(half_length, n)
+    grid, scaled = _crack_grids(params, half_length, n)
     dp = derive_dimensionless(params)
     # the full asymptotics (with their fit) run once, inside regular_kernel_table;
     # the table's transients are gone before the folded grid's buffers exist
-    table = regular_kernel_table(grid.h, grid.n, dp, spec)
-    return _solve_tabled(params, dp, _FoldedGrid(grid), table)
+    table = regular_kernel_table(scaled.h, scaled.n, dp, spec)
+    return _solve_tabled(params, dp, grid, _FoldedGrid(scaled), table)
 
 
-def _crack_grid(half_length: float, n: int) -> Grid:
+def _crack_grids(params: MaterialParams, half_length: float, n: int):
+    """The grid of the crack (-b, b), and the same grid in units of the
+    internal length ``sqrt(alpha / xi)``, on which it is solved."""
     half_length = float(half_length)
     if not (np.isfinite(half_length) and half_length > 0.0):
         raise ValueError(f"crack half-length must be positive, got {half_length!r}")
     if int(n) != n or n < 10:
         raise ValueError(f"crack solves need an integer n >= 10, got {n!r}")
-    return build_grid(-half_length, half_length, int(n))
+    length = math.sqrt(params.alpha / params.xi)
+    return (build_grid(-half_length, half_length, int(n)),
+            build_grid(-half_length / length, half_length / length, int(n)))
 
 
-def _solve_tabled(params: MaterialParams, dp: DimensionlessParams, folded: _FoldedGrid,
-                  kernel_table: np.ndarray) -> CrackSolution:
-    """The crack solve of ``solve_crack`` from its regular-kernel offset
-    table on, on the grid of ``folded``, which a sweep shares across its
-    targets."""
-    grid = folded.grid
-    n = grid.n
-    half_length = grid.interval.b
+def _solve_tabled(params: MaterialParams, dp: DimensionlessParams, grid: Grid,
+                  folded: _FoldedGrid, kernel_table: np.ndarray) -> CrackSolution:
+    """The crack solve of ``solve_crack`` on ``grid`` from its
+    regular-kernel offset table on, solved on the scaled grid of
+    ``folded``, which a sweep shares across its targets."""
     slope = _symbol_slope(dp)
     n_p = dp.porosity
     rhs_raw = np.pi * (1.0 - n_p) ** 2 * params.sigma0 / (2.0 * params.mu * slope)
@@ -517,24 +494,23 @@ def _solve_tabled(params: MaterialParams, dp: DimensionlessParams, folded: _Fold
     table = -(np.pi / slope) * kernel_table
     if not np.all(np.isfinite(table)):
         raise ValueError("crack kernel table has a non-finite value")
-    raw = _solve_folded(folded, _node_mean(table), np.full(n, rhs_reduced))
-    opening_values = -raw.values
+    phi = -_solve_folded(folded, _node_mean(table), np.full(grid.n, rhs_reduced))
+    opening_values = grid.interval.halfwidth * folded.tables.mid_weight * phi
     if params.sigma0 > 0.0 and np.any(opening_values < 0.0):
         raise ValueError(
             f"crack opening has negative samples (min {opening_values.min():.3g}, "
             f"max {opening_values.max():.3g}) at porosity {n_p:.6g}; the symbol "
             f"turns negative near s = 0 once N >= 1 - c^2 = {1.0 - dp.c_sq:.6g}")
     opening = SampledFunction(grid=grid, values=opening_values)
-    tip = _tip_amplitude(grid, opening_values, half_length)
     return CrackSolution(grid=grid, opening=opening, params=params,
-                         dimensionless=dp, half_length=half_length,
-                         tip_coefficient=tip)
+                         dimensionless=dp, half_length=grid.interval.b,
+                         tip_coefficient=float(phi[-1]))
 
 
 def stress_concentration(solution: CrackSolution) -> float:
     """Tip amplitude normalized by the classical elastic value.
 
-    Returns the right-tip fitted coefficient divided by
+    Returns the tip coefficient divided by
     ``sigma0 / (2 mu (1 - c^2))``, so the zero-porosity limit gives one.
     This ratio serves as the tip-strength proxy tracked across the
     porosity sweeps.
@@ -554,8 +530,7 @@ def porosity_sweep(base: MaterialParams, porosities: Sequence[float],
     For each target coupling number N the constant beta is back-solved
     from ``beta = sqrt(N xi (lam + 2 mu))`` while every other constant
     of ``base`` is kept.  Returns a list of tuples
-    ``(N, opening_at_center, normalized_tip_amplitude)``; ``half_length``
-    is in units of ``sqrt(alpha / xi)``.
+    ``(N, opening_at_center, normalized_tip_amplitude)``.
 
     Every target is checked before any work starts.  The kernel tables
     of all targets come from one ``_kernel_tables`` call, which builds
@@ -571,15 +546,15 @@ def porosity_sweep(base: MaterialParams, porosities: Sequence[float],
     for n_target in targets:
         if not 0.0 <= n_target < 1.0:
             raise ValueError(f"porosity targets must lie in [0, 1), got {n_target!r}")
-    grid = _crack_grid(half_length, n)
+    grid, scaled = _crack_grids(base, half_length, n)
     materials = [replace(base, beta=math.sqrt(n_target * base.xi * (base.lam + 2.0 * base.mu)))
                  for n_target in targets]
     dps = [derive_dimensionless(params) for params in materials]
-    tables = _kernel_tables(grid.h, grid.n, dps, spec)
-    folded = _FoldedGrid(grid)
+    tables = _kernel_tables(scaled.h, scaled.n, dps, spec)
+    folded = _FoldedGrid(scaled)
     rows = []
     for n_target, params, dp, table in zip(targets, materials, dps, tables):
-        sol = _solve_tabled(params, dp, folded, table)
+        sol = _solve_tabled(params, dp, grid, folded, table)
         opening0 = float(np.interp(0.0, sol.opening.points, sol.opening.values))
         rows.append((n_target, opening0, stress_concentration(sol)))
     return rows

@@ -388,27 +388,26 @@ def _mapped_matrix(r: int) -> np.ndarray:
     return np.ndarray((r, r), dtype=float, buffer=buffer, order="F")
 
 
-def _solve_folded(folded: _FoldedGrid, mean: np.ndarray, rhs: np.ndarray) -> SampledFunction:
+def _solve_folded(folded: _FoldedGrid, mean: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Route 2's weighted solve for the symmetric Toeplitz kernel ``mean[|i - j|]``, at half size.
 
     Forms the folded matrix B of ``_FoldedSystem`` on the grid of
     ``folded`` in a ``_mapped_matrix`` and factors it in place, so B is
     the only r-by-r array of the solve besides the finite-part block the
     grid may keep, and its pages are returned when the solve returns.
-    ``rhs`` must be reflection-symmetric; the first r cell constants are
-    solved for and mirrored back to all n cells.  The pivot and residual
-    gates are those of ``lu_solve``, with B x taken by
-    ``_FoldedSystem.matvec``.  Row ``n-1-i`` of the full residual equals
-    row i, so the gate covers the whole system.
+    ``rhs`` must be reflection-symmetric; the first r cell constants phi
+    are solved for and mirrored back to all n cells, which are returned.
+    The pivot and residual gates are those of ``lu_solve``, with B x
+    taken by ``_FoldedSystem.matvec``.  Row ``n-1-i`` of the full
+    residual equals row i, so the gate covers the whole system.
     """
-    n, r, grid = folded.n, folded.r, folded.grid
+    n, r = folded.n, folded.r
     if rhs.shape != (n,) or not np.array_equal(rhs, rhs[::-1]):
         raise ValueError("a folded system needs a reflection-symmetric right-hand side "
                          "with one entry per cell")
     system = _FoldedSystem(folded, mean)
     half = _solve_in_place(system.matrix(_mapped_matrix(r)), rhs[:r], system.matvec)
-    weight = grid.interval.halfwidth * folded.tables.mid_weight
-    return SampledFunction(grid=grid, values=weight * np.concatenate([half, half[:n - r][::-1]]))
+    return np.concatenate([half, half[:n - r][::-1]])
 
 
 def assemble_full(grid: Grid, K0) -> np.ndarray:

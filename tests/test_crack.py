@@ -3,6 +3,7 @@ opening profiles, tip amplitudes, porosity sweep."""
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from hypersing import (
     symbol_asymptotics,
 )
 from hypersing.quadrature import _halfline_cosine_tables, cosine_integral
-from oracles import cosine_transform_oracle, regular_kernel_exact
+from oracles import cosine_transform_oracle, crack_spectral, regular_kernel_exact
 
 CLASSICAL = MaterialParams(1.0, 1.0, 1.0, 0.0, 1.0, 1.0)
 POROUS = MaterialParams(1.0, 1.0, 1.0, math.sqrt(1.2), 1.0, 1.0)  # N = 0.4
@@ -357,8 +358,8 @@ def test_folded_solve_matches_full_lu(n, half_length):
     # the folded singular part is evaluated in closed form rather than
     # summed from the full rows, so the two agree to rounding per row
     from hypersing import lu_solve
-    from hypersing.fullkernel import (_FoldedGrid, _FoldedSystem, _HalfAngleTables,
-                                      _solve_folded, _weighted_matrix)
+    from hypersing.fullkernel import (_FoldedGrid, _FoldedSystem, _solve_folded,
+                                      _weighted_matrix)
 
     grid, mean, rhs = _crack_system(n, half_length)
     matrix = _weighted_matrix(grid, toeplitz(mean))
@@ -369,8 +370,8 @@ def test_folded_solve_matches_full_lu(n, half_length):
     expect[:, :n - r] += matrix[:r, r:][:, ::-1]
     row_scale = np.max(np.abs(expect), axis=1, keepdims=True)
     assert np.all(np.abs(folded - expect) <= 1e-13 * row_scale)
-    half = _solve_folded(_FoldedGrid(grid), mean, rhs).values
-    full = grid.interval.halfwidth * _HalfAngleTables(n).mid_weight * lu_solve(matrix, rhs)
+    half = _solve_folded(_FoldedGrid(grid), mean, rhs)
+    full = lu_solve(matrix, rhs)
     assert np.max(np.abs(half - full)) <= 1e-12 * np.max(np.abs(full))
 
 
@@ -597,29 +598,20 @@ def test_effective_load_agrees_between_both_reductions():
         assert abs(with_factors - reduced) <= 1e-14 * abs(reduced)
 
 
-def _mirror_tip_fit(sol):
-    """Left-tip amplitude via the same weighted fit on the mirrored window."""
-    n = sol.grid.n
-    k = max(4, math.ceil(0.1 * n))
-    window = slice(1, k)
-    x = sol.grid.colloc[window]
-    v = sol.opening.values[window]
-    profile = np.sqrt(sol.half_length**2 - x * x)
-    return float(np.dot(v, profile) / np.dot(profile, profile))
+def test_tip_coefficient_is_phi_of_both_end_cells(monkeypatch):
+    import hypersing.crack as crack
+
+    solved = []
+    real = crack._solve_folded
+    monkeypatch.setattr(crack, "_solve_folded",
+                        lambda *args: solved.append(real(*args)) or solved[-1])
+    for mat, n in ((CLASSICAL, 140), (POROUS, 75), (POROUS, 150)):
+        tip = solve_crack(mat, 1.0, n).tip_coefficient
+        phi = -solved.pop()  # the solve's constants are the opening's, negated
+        assert phi[0] == phi[-1] == tip
 
 
-def test_left_and_right_tip_fits_agree():
-    # the opening is exactly symmetric, so the two fits differ only by the
-    # order of their sums
-    sol = solve_crack(CLASSICAL, 1.0, 140)
-    assert _mirror_tip_fit(sol) == pytest.approx(sol.tip_coefficient, abs=1e-6)
-    for n in (75, 150):
-        porous = solve_crack(POROUS, 1.0, n)
-        gap = abs(_mirror_tip_fit(porous) - porous.tip_coefficient)
-        assert gap <= 1e-12 * porous.tip_coefficient
-
-
-def test_edge_ratio_bounded_over_fit_window():
+def test_edge_ratio_bounded_over_outer_tenth():
     for mat in (CLASSICAL, POROUS):
         sol = solve_crack(mat, 1.0, 160)
         n = sol.grid.n
@@ -628,6 +620,38 @@ def test_edge_ratio_bounded_over_fit_window():
         ratio = sol.opening.values[n - k : n - 1] / np.sqrt(1.0 - x * x)
         assert np.all(np.isfinite(ratio))
         assert np.ptp(ratio) <= 0.2 * np.median(ratio)
+
+
+@pytest.mark.parametrize("half_length", (1.0, 10.0))
+def test_spectral_reference_is_a_1_alone_without_porosity(half_length):
+    centre, tip = crack_spectral(0.0, 1.0 / 3.0, half_length)
+    assert centre == pytest.approx(0.75 * half_length, rel=1e-14)
+    assert tip / 0.75 == pytest.approx(1.0, abs=1e-14)
+
+
+def test_spectral_reference_centre_and_end_cell_tip():
+    dp = derive_dimensionless(POROUS)
+    centre, tip = crack_spectral(dp.porosity, dp.c_sq, 1.0)
+    assert centre == pytest.approx(0.80834865, abs=5e-9)
+    limit = tip / 0.75
+    # the end cell converges to the spectral tip limit like 1/n
+    gaps = [abs(stress_concentration(solve_crack(POROUS, 1.0, n)) - limit) for n in (200, 800)]
+    assert gaps[0] <= 3e-4
+    assert gaps[1] < gaps[0]
+
+
+def test_alpha_scales_the_crack_by_the_internal_length():
+    # l = sqrt(alpha / xi) = 2: the crack of half-length 10 is the l = 1 crack
+    # of half-length 5 scaled by 2, which is exact in binary
+    stiff = replace(POROUS, alpha=4.0)
+    sol, unit = solve_crack(stiff, 10.0, 200), solve_crack(POROUS, 5.0, 200)
+    assert np.array_equal(sol.opening.points, 2.0 * unit.opening.points)
+    assert np.array_equal(sol.opening.values, 2.0 * unit.opening.values)
+    assert sol.tip_coefficient == unit.tip_coefficient
+    assert sol.half_length == 10.0 and sol.grid.interval == Interval(-10.0, 10.0)
+    rows = porosity_sweep(replace(CLASSICAL, alpha=4.0), (0.0, 0.4), 10.0, 200)
+    unit_rows = porosity_sweep(CLASSICAL, (0.0, 0.4), 5.0, 200)
+    assert [(t, 2.0 * c, r) for t, c, r in unit_rows] == rows
 
 
 def test_crack_pipeline_bitwise_deterministic():

@@ -56,7 +56,7 @@ ASSEMBLY_HALF_LENGTH = 1.0
 ASSEMBLY_SIZES = (400, 800, 1600, 3200, 6400)
 SWEEP_CASES = ((1.0, 200), (100.0, 240))
 TARGET_COUNTS = (1, 5, 20, 80)
-LAYERS = ("_kernel_tables", "_FoldedGrid", "_solve_folded", "_tip_amplitude")
+LAYERS = ("_kernel_tables", "_FoldedGrid", "_solve_folded")
 
 
 def _porous(porosity: float) -> MaterialParams:
@@ -304,9 +304,7 @@ def _sweep_row(half_length: float, n: int, count: int, repeats: int, previous: d
         "geometry_s": geometry_s, "transforms_s": transforms_s,
         "transforms_s_per_target": transforms_s / count,
         "singular_block_s": med["_FoldedGrid"], "fold_lu_s": fold_lu,
-        "tip_fit_s": med["_tip_amplitude"],
-        "other_s": med["sweep"] - med["_kernel_tables"] - med["_FoldedGrid"] - fold_lu
-                   - med["_tip_amplitude"],
+        "other_s": med["sweep"] - med["_kernel_tables"] - med["_FoldedGrid"] - fold_lu,
         "instrumented_sweep_s": med["sweep"],
         "tracemalloc_peak_kib": _tracemalloc_peak_kib(targets, half_length, n),
         "repeats": repeats, "rows_sha256": digest,
@@ -335,7 +333,7 @@ def sweep_table(repeats: int):
                  "(quadrature._halfline_cosine_tables with the grid's chirp-z plan built once) "
                  "and one fullkernel._FoldedGrid (the grid's half-angle tables and its "
                  "folded finite-part block, kept whole for n <= 1448), then per target "
-                 "fullkernel._solve_folded (fold, in-place LU, residual gate) and the tip fit",
+                 "fullkernel._solve_folded (fold, in-place LU, residual gate)",
         "material": MATERIAL,
         "targets": "K porosities evenly spaced over [0.02, 0.62]; N = 0.35 for K = 1",
     }
