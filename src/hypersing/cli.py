@@ -93,7 +93,7 @@ _KEYS = {
     "kernel": (_to_choice(_KERNELS), "perturbing kernel for the full command (default cos_product)"),
     "kernel_scale": (_to_float, "scale applied to the perturbing kernel (default 1.0)"),
     "half_length": (_to_float, "crack half-length b > 0 (crack/sweep)"),
-    "lam": (_to_float, "Lame constant lambda; lam + 2 mu > 0"),
+    "lam": (_to_float, "Lame constant lambda; lam + mu > 0"),
     "mu": (_to_float, "shear modulus; mu > 0"),
     "alpha": (_to_float, "void gradient constant; alpha > 0"),
     "beta": (_to_float, "void coupling constant; beta >= 0, beta^2 < xi (lam + 2 mu)"),

@@ -76,9 +76,12 @@ class MaterialParams:
     ``lam`` and ``mu`` are the Lame moduli; ``alpha``, ``beta`` and
     ``xi`` are the void constants (void gradient stiffness, void-strain
     coupling, void compliance); ``sigma0`` is the remote tension on the
-    crack faces.  Constructor enforces mu > 0, lam + 2 mu > 0, alpha >
-    0, xi > 0, beta >= 0, sigma0 >= 0 and that the derived coupling
-    number ``beta^2 / (xi (lam + 2 mu))`` stays below one.
+    crack faces.  Constructor enforces mu > 0, the plane-strain rule
+    lam + mu > 0, alpha > 0, xi > 0, beta >= 0 and sigma0 >= 0, and then
+    builds the record of ``derive_dimensionless``, so that every accepted
+    material can be solved for: mu > 0 with lam + mu > 0 is exactly
+    0 < c^2 < 1, and the record also refuses a c^2 that rounds to 0 or 1
+    and a coupling number ``beta^2 / (xi (lam + 2 mu))`` of one or more.
     """
 
     lam: float
@@ -97,9 +100,9 @@ class MaterialParams:
             object.__setattr__(self, name, value)
         if self.mu <= 0.0:
             raise ValueError(f"shear modulus mu must be positive, got {self.mu!r}")
-        if self.lam + 2.0 * self.mu <= 0.0:
+        if self.lam + self.mu <= 0.0:
             raise ValueError(
-                f"lam + 2 mu must be positive, got {self.lam + 2.0 * self.mu!r}")
+                f"lam + mu must be positive (plane strain), got {self.lam + self.mu!r}")
         if self.alpha <= 0.0:
             raise ValueError(f"void gradient constant alpha must be positive, got {self.alpha!r}")
         if self.xi <= 0.0:
@@ -108,66 +111,39 @@ class MaterialParams:
             raise ValueError(f"coupling constant beta must be nonnegative, got {self.beta!r}")
         if self.sigma0 < 0.0:
             raise ValueError(f"load sigma0 must be nonnegative, got {self.sigma0!r}")
-        coupling_number = self.beta**2 / (self.xi * (self.lam + 2.0 * self.mu))
-        if coupling_number >= 1.0:
-            raise ValueError(
-                f"coupling number beta^2/(xi (lam + 2 mu)) = {coupling_number:.6g} "
-                "must stay below one")
+        derive_dimensionless(self)
 
 
 @dataclass(frozen=True)
 class DimensionlessParams:
-    """Dimensionless groups controlling the crack kernel.
+    """The two dimensionless groups that the crack kernel reads.
 
-    ``c_sq`` is the shear-to-pressure modulus ratio mu / (lam + 2 mu),
-    ``coupling`` the ratio beta / (lam + 2 mu), ``len1_sq = alpha/beta``
-    and ``len2_sq = alpha/xi`` the squared internal lengths, and
-    ``porosity`` the coupling number N in [0, 1).  At beta = 0 the
-    first length diverges; ``porosity`` is always computed from the
-    algebraic identity ``beta^2 / (xi (lam + 2 mu))`` which stays
-    finite there.
+    ``c_sq`` is the modulus ratio c^2 = mu / (lam + 2 mu), in (0, 1), and
+    ``porosity`` the coupling number N = beta^2 / (xi (lam + 2 mu)), in
+    [0, 1).  Lengths enter the solve only through the internal length
+    ``sqrt(alpha / xi)``, which scales the grid.
     """
 
     c_sq: float
-    coupling: float
-    len1_sq: float
-    len2_sq: float
     porosity: float
 
     def __post_init__(self):
-        for name in ("c_sq", "coupling", "len1_sq", "len2_sq", "porosity"):
+        for name in ("c_sq", "porosity"):
             object.__setattr__(self, name, float(getattr(self, name)))
         if not 0.0 < self.c_sq < 1.0:
             raise ValueError(f"modulus ratio c_sq must lie in (0, 1), got {self.c_sq!r}")
         if not 0.0 <= self.porosity < 1.0:
-            raise ValueError(f"porosity parameter must lie in [0, 1), got {self.porosity!r}")
-        if self.coupling < 0.0 or self.len2_sq <= 0.0 or self.len1_sq <= 0.0:
-            raise ValueError("coupling must be >= 0 and both squared lengths positive")
+            raise ValueError(
+                f"coupling number beta^2/(xi (lam + 2 mu)) must lie in [0, 1), "
+                f"got {self.porosity!r}")
 
 
 def derive_dimensionless(params: MaterialParams) -> DimensionlessParams:
-    """Form the dimensionless groups from physical constants.
-
-    The coupling number is computed from the closed form
-    ``beta^2 / (xi (lam + 2 mu))`` so the classical limit beta = 0 needs
-    no special casing beyond the infinite first length; for beta > 0 the
-    equivalent product of the length ratio and the coupling is used as a
-    consistency check.
-    """
+    """The groups ``c^2 = mu / (lam + 2 mu)`` and ``N = beta^2 / (xi (lam +
+    2 mu))`` of a material, each from its closed form."""
     stiffness = params.lam + 2.0 * params.mu
-    c_sq = params.mu / stiffness
-    coupling = params.beta / stiffness
-    len1_sq = params.alpha / params.beta if params.beta > 0.0 else math.inf
-    len2_sq = params.alpha / params.xi
-    porosity = params.beta**2 / (params.xi * stiffness)
-    if params.beta > 0.0:
-        alt = (len2_sq / len1_sq) * coupling
-        if abs(alt - porosity) > 1e-12 + 1e-10 * porosity:
-            raise ValueError(
-                "inconsistent porosity parameter: length-ratio route gives "
-                f"{alt!r}, closed form gives {porosity!r}")
-    return DimensionlessParams(c_sq=c_sq, coupling=coupling, len1_sq=len1_sq,
-                               len2_sq=len2_sq, porosity=porosity)
+    return DimensionlessParams(c_sq=params.mu / stiffness,
+                               porosity=params.beta**2 / (params.xi * stiffness))
 
 
 def crack_symbol(s, dp: DimensionlessParams):

@@ -28,10 +28,11 @@ equation converts the problem into a second-kind Fredholm equation
 
 with N1 and f1 the inversion operator, the one route 1 evaluates, applied
 to K1 and f: ``sqrt((x - a)(b - x)) / pi^2`` times a row of one
-Gauss-Chebyshev principal-value matrix (``pv_weighted_matrix``), so the
-reduction and the off-node evaluation are each two matrix applications.  The Fredholm equation is
-then solved by a Nystrom method on Chebyshev points.  Solving the same
-problem down both paths is the strongest available end-to-end check.
+Gauss-Chebyshev principal-value matrix (``pv_weighted_matrix``), applied
+to f and K1 stacked, so the reduction and the off-node evaluation are each
+one matrix application.  The Fredholm equation is then solved by a Nystrom
+method on Chebyshev points.  Solving the same problem down both paths is
+the strongest available end-to-end check.
 """
 
 from __future__ import annotations
@@ -171,8 +172,9 @@ def _singular_left_rows(t: _HalfAngleTables):
     return rows
 
 
-def _weighted_matrix(grid: Grid, kernel: np.ndarray) -> np.ndarray:
-    """Collocation matrix from the sampled kernel ``kernel[i, j] = K0(x_i, t_j)``.
+def _weighted_matrix(grid: Grid, kernel: np.ndarray, t: _HalfAngleTables) -> np.ndarray:
+    """Collocation matrix from the sampled kernel ``kernel[i, j] = K0(x_i, t_j)``
+    and the grid's tables ``t``.
 
     Returns a new array, ``kernel * W`` plus the singular part; the
     kernel array itself is only read, so it may be a read-only view.
@@ -184,7 +186,6 @@ def _weighted_matrix(grid: Grid, kernel: np.ndarray) -> np.ndarray:
     matrix, whose even half ``_FoldedSystem`` forms on its own.
     """
     n = grid.n
-    t = _HalfAngleTables(n)
     matrix = kernel * (grid.interval.halfwidth**2 * t.cell_weight)
     # a sampled kernel passed as a temporary is freed here, before the row
     # buffers are allocated; kept alive, it doubled the page faults of
@@ -432,7 +433,8 @@ def assemble_full(grid: Grid, K0) -> np.ndarray:
     vectorized over numpy arrays; scalar-only callables are evaluated
     entry by entry.
     """
-    return _weighted_matrix(grid, _sample(K0, grid.colloc[:, None], grid.nodes[None, 1:]))
+    return _weighted_matrix(grid, _sample(K0, grid.colloc[:, None], grid.nodes[None, 1:]),
+                            _HalfAngleTables(grid.n))
 
 
 def solve_full_collocation(problem: FullProblem, grid: Grid) -> SampledFunction:
@@ -440,13 +442,18 @@ def solve_full_collocation(problem: FullProblem, grid: Grid) -> SampledFunction:
 
     Solves for the cell constants of ``phi = g / w`` and returns
     ``g(x_i) = w(x_i) * phi_i`` at the cell midpoints x_1 .. x_n, the
-    same sample sites as ``solve_characteristic``.
+    same sample sites as ``solve_characteristic``.  The matrix is that of
+    ``assemble_full``, and one set of the grid's tables gives both it and
+    the basis weight w at the midpoints.
     """
     if problem.interval != grid.interval:
         raise ValueError("problem and grid are built on different intervals")
-    phi = lu_solve(assemble_full(grid, problem.K0), _sample(problem.fprime, grid.colloc))
-    weight = grid.interval.halfwidth * _HalfAngleTables(grid.n).mid_weight
-    return SampledFunction(grid=grid, values=weight * phi)
+    t = _HalfAngleTables(grid.n)
+    # the sampled kernel goes in as a temporary, which _weighted_matrix frees
+    matrix = _weighted_matrix(
+        grid, _sample(problem.K0, grid.colloc[:, None], grid.nodes[None, 1:]), t)
+    phi = lu_solve(matrix, _sample(problem.fprime, grid.colloc))
+    return SampledFunction(grid=grid, values=grid.interval.halfwidth * t.mid_weight * phi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -488,12 +495,17 @@ def chebyshev_nystrom_rule(interval: Interval, count: int):
 
 def _second_kind_rows(problem: FullProblem, spec: PVQuadSpec, xs, nodes):
     """Rows of f1 and N1 at the points xs, with N1 columns at the nodes:
-    the inversion operator applied to f and to K1."""
+    the inversion operator applied once to the stacked samples
+    ``[f | K1(., nodes)]``, whose first column is f1 and the rest N1."""
     if problem.K1 is None or problem.f is None:
         raise ValueError("the second-kind route needs both antiderivatives K1 and f")
-    iv = problem.interval
-    return (_invert(lambda p: _sample(problem.f, p), iv, xs, spec),
-            _invert(lambda p: _sample(problem.K1, p[:, None], nodes[None, :]), iv, xs, spec))
+
+    def stacked(p):
+        return np.column_stack([_sample(problem.f, p),
+                                _sample(problem.K1, p[:, None], nodes[None, :])])
+
+    rows = _invert(stacked, problem.interval, xs, spec)
+    return rows[:, 0], rows[:, 1:]
 
 
 def fredholm_reduce(problem: FullProblem, spec: PVQuadSpec, nodes) -> FredholmSystem:
@@ -506,8 +518,8 @@ def fredholm_reduce(problem: FullProblem, spec: PVQuadSpec, nodes) -> FredholmSy
 
     with ``pref(x) = sqrt((x - a)(b - x)) / pi^2``: route 1's inversion
     operator, one principal-value matrix (``pv_weighted_matrix``) applied
-    to f and to K1 with a column per node.  Requires both antiderivatives
-    ``K1`` and ``f`` on the problem.
+    once to f and K1 stacked, K1 with a column per node.  Requires both
+    antiderivatives ``K1`` and ``f`` on the problem.
     """
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 1 or nodes.size == 0:
@@ -544,8 +556,8 @@ def nystrom_eval(problem: FullProblem, spec: PVQuadSpec, system: FredholmSystem,
 
     Evaluates ``g(x) = f1(x) - sum_k w_k N1(x, node_k) g_k`` which is
     exactly how the discrete solution extends off its nodes; the new
-    rows of N1 and f1 come from the same two principal-value matrix
-    applications as ``fredholm_reduce``.
+    rows of N1 and f1 come from the same single principal-value matrix
+    application as ``fredholm_reduce``.
     """
     weights = np.asarray(weights, dtype=float)
     values = np.asarray(values, dtype=float)

@@ -19,12 +19,14 @@ import scipy.linalg
 
 __all__ = ["SingularMatrixError", "ResidualError", "lu_solve", "residual_norm"]
 
-# entries of one chunk of a blocked pass over an array (the norm scan, the
-# finite-part rows and the folded columns), which keeps a chunk's
-# temporaries in cache whatever the array's size is; a writer that
-# allocates its chunk buffers once spares the page fault per 4 KiB that
-# fresh buffers for every chunk cost
+# entries of one chunk of a blocked pass over an array (the finite-part
+# rows and the folded columns), which keeps a chunk's temporaries in cache
+# whatever the array's size is; a writer that allocates its chunk buffers
+# once spares the page fault per 4 KiB that fresh buffers for every chunk
+# cost
 _CHUNK_ENTRIES = 2**15
+
+_lange = scipy.linalg.get_lapack_funcs("lange", dtype=np.float64)
 
 
 def _chunks(count: int, width: int):
@@ -59,20 +61,16 @@ def _as_vector(v) -> np.ndarray:
 
 
 def _max_row_sum(A: np.ndarray) -> float:
-    """``||A||_inf``, with the row sums accumulated over column blocks so
-    that no temporary is larger than one block (each block is contiguous
-    in a Fortran-ordered A, the order every solve factors); raises
-    ``ValueError`` if an entry is not finite, which makes its row sum a
-    NaN or an infinity."""
-    blocks = [A.T[start:stop] for start, stop in _chunks(A.shape[1], max(1, A.shape[0]))]
-    sums = np.zeros(A.shape[0])
-    for block in blocks:
-        sums += np.abs(block).sum(axis=0)
-    if not np.all(np.isfinite(sums)):
-        if not all(np.all(np.isfinite(block)) for block in blocks):
-            raise ValueError("matrix entries must be finite")
-        return np.inf  # finite entries whose sums overflow
-    return float(sums.max(initial=0.0))
+    """``||A||_inf`` by LAPACK's ``?lange``, read in A's own memory order
+    so that a contiguous A is not copied: the one norm of ``A.T`` for a
+    C-ordered A, else the infinity norm of A (the Fortran-ordered matrix
+    every solve factors).  Raises ``ValueError`` unless the norm is
+    finite: an entry that is not, or finite entries whose row sum
+    overflows."""
+    norm = _lange("1", A.T) if A.flags.c_contiguous else _lange("I", A)
+    if not np.isfinite(norm):
+        raise ValueError("matrix entries must be finite")
+    return float(norm)
 
 
 def _residual(matvec, x, rhs) -> float:
@@ -142,7 +140,8 @@ def lu_solve(A, rhs) -> np.ndarray:
         If the max-norm residual still exceeds the bound after
         refinement.  It is an ``ArithmeticError``.
     ValueError
-        On non-square input, dimension mismatch, or non-finite entries.
+        On non-square input, dimension mismatch, non-finite entries, or
+        finite entries whose row sum overflows.
     """
     A = _as_matrix(A)
     rhs = _as_vector(rhs)
@@ -158,7 +157,7 @@ def lu_solve(A, rhs) -> np.ndarray:
 def residual_norm(A, x, rhs) -> float:
     """Max-norm residual ``||A x - rhs||_inf``."""
     A = _as_matrix(A)
-    _max_row_sum(A)  # refuses non-finite entries
+    _max_row_sum(A)  # refuses non-finite entries and overflowing row sums
     x = _as_vector(x)
     rhs = _as_vector(rhs)
     if A.shape[1] != x.shape[0] or A.shape[0] != rhs.shape[0]:

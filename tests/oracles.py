@@ -106,6 +106,42 @@ def cosine_transform_oracle(F, x, s_max, pieces=40):
     return float(total)
 
 
+def regular_kernel_oracle(x, porosity, c_sq, s_max=200.0):
+    """The crack's regular kernel at offset x != 0, truncated at s_max, by
+    scipy's adaptive oscillatory quadrature plus the cosine integral.
+
+    Written from the formulas alone.  The symbol is
+
+        L(s) = (s / q) [2 N c^2 s^2 (q - s) + (1 - N)(1 - N - c^2) q],
+
+    q = sqrt(s^2 + 1 - N), with ``q - s = (1 - N) / (q + s)``; its
+    expansion is ``L = slope s - decay / s + O(1/s^3)`` with
+    ``slope = (1 - N)^2 (1 - c^2)`` and ``decay = (3/4) N c^2 (1 - N)^2``.
+    The O(1/s^3) remainder ``L - slope s + decay s / (1 + s^2)`` and the
+    proxy ``-decay s / (1 + s^2)`` are transformed apart on [0, s_max],
+    and the proxy's tail past s_max adds ``decay Ci(s_max |x|)``.
+    """
+    from scipy.special import sici
+
+    u = abs(float(x))
+    slope = (1.0 - porosity) ** 2 * (1.0 - c_sq)
+    decay = 0.75 * porosity * c_sq * (1.0 - porosity) ** 2
+
+    def proxy(s):
+        return -decay * s / (1.0 + s * s)
+
+    def remainder(s):
+        q = np.sqrt(s * s + 1.0 - porosity)
+        q_minus_s = (1.0 - porosity) / (q + s)
+        symbol = s / q * (2.0 * porosity * c_sq * s * s * q_minus_s
+                          + (1.0 - porosity) * (1.0 - porosity - c_sq) * q)
+        return symbol - slope * s - proxy(s)
+
+    return (cosine_transform_oracle(remainder, u, s_max)
+            + cosine_transform_oracle(proxy, u, s_max)
+            + decay * float(sici(s_max * u)[1])) / np.pi
+
+
 def regular_kernel_exact(x, porosity, c_sq):
     """The crack's regular kernel at offset x != 0 in closed form, to 40 digits.
 

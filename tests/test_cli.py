@@ -238,6 +238,21 @@ def test_domain_object_failures_are_collected_with_the_rest(tmp_path, capsys):
     assert capsys.readouterr().err.count("ERROR config:") == 4
 
 
+def test_material_off_the_plane_strain_rule_is_a_config_failure(tmp_path, capsys):
+    # lam + 2 mu = 0.5 > 0, but lam + mu < 0 puts c^2 = 2 outside (0, 1)
+    sets = ("lam=-1.5", "mu=1", "panels_per_period=8")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(CRACK_CFG, overrides=("command=crack", "out=res.csv") + sets)
+    assert exc.value.failures == [
+        "panels_per_period: unknown key",
+        "material constants: lam + mu must be positive (plane strain), got -0.5"]
+    code, out = _run(tmp_path, "crack", CRACK_CFG, *sets[:2])
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "ERROR config: material constants: lam + mu must be positive (plane strain), got -0.5\n")
+
+
 def test_runtime_domain_failures_exit_3(tmp_path, capsys):
     # subnormal shear modulus overflows the effective load
     code, out = _run(tmp_path, "crack", CRACK_CFG, "mu=1e-309", "n=10")

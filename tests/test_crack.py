@@ -3,12 +3,11 @@ opening profiles, tip amplitudes, porosity sweep."""
 
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from scipy.linalg import toeplitz
-from scipy.special import sici
 
 from hypersing import (
     DimensionlessParams,
@@ -28,18 +27,17 @@ from hypersing import (
     symbol_asymptotics,
 )
 from hypersing.quadrature import _halfline_cosine_tables, cosine_integral
-from oracles import cosine_transform_oracle, crack_spectral, regular_kernel_exact
+from oracles import crack_spectral, regular_kernel_exact, regular_kernel_oracle
 
 CLASSICAL = MaterialParams(1.0, 1.0, 1.0, 0.0, 1.0, 1.0)
 POROUS = MaterialParams(1.0, 1.0, 1.0, math.sqrt(1.2), 1.0, 1.0)  # N = 0.4
 
 
 def test_dimensionless_map_frozen_values():
+    assert [field.name for field in fields(DimensionlessParams)] == ["c_sq", "porosity"]
     dp0 = derive_dimensionless(CLASSICAL)
     assert dp0.c_sq == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert dp0.porosity == 0.0
-    assert dp0.coupling == 0.0
-    assert dp0.len1_sq == math.inf
 
     dp = derive_dimensionless(MaterialParams(1.0, 1.0, 1.0, 0.6, 0.3, 1.0))
     assert dp.porosity == pytest.approx(0.4, abs=1e-14)
@@ -47,6 +45,12 @@ def test_dimensionless_map_frozen_values():
     dp4 = derive_dimensionless(POROUS)
     assert dp4.porosity == pytest.approx(0.4, abs=1e-14)
     assert dp4.c_sq == pytest.approx(1.0 / 3.0, abs=1e-15)
+
+    # each group is its closed form, bitwise
+    mat = MaterialParams(0.3, 1.7, 2.0, 0.9, 0.6, 1.0)
+    stiffness = mat.lam + 2.0 * mat.mu
+    assert derive_dimensionless(mat) == DimensionlessParams(
+        c_sq=mat.mu / stiffness, porosity=mat.beta**2 / (mat.xi * stiffness))
 
 
 def test_material_parameter_validation():
@@ -65,20 +69,34 @@ def test_material_parameter_validation():
     with pytest.raises(ValueError):
         MaterialParams(1.0, float("nan"), 1.0, 0.0, 1.0, 1.0)
     # coupling saturates at beta^2 = xi*(lam + 2 mu)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="coupling number"):
         MaterialParams(1.0, 1.0, 1.0, math.sqrt(3.0) + 1e-8, 1.0, 1.0)
     MaterialParams(1.0, 1.0, 1.0, math.sqrt(3.0) - 1e-8, 1.0, 1.0)
 
 
+def test_plane_strain_rule_gives_a_valid_record():
+    # lam + 2 mu = 0.5 > 0 but lam + mu < 0: c^2 = 2 lies outside (0, 1)
+    with pytest.raises(ValueError, match="lam \\+ mu must be positive"):
+        MaterialParams(-1.5, 1.0, 1.0, 0.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="lam \\+ mu must be positive"):
+        MaterialParams(-1.0, 1.0, 1.0, 0.0, 1.0, 1.0)
+    # lam + mu = 1.1e-16 > 0, but c^2 = 1 / (lam + 2 mu) rounds to 1
+    with pytest.raises(ValueError, match="c_sq"):
+        MaterialParams(-1.0 + 2.0**-53, 1.0, 1.0, 0.0, 1.0, 1.0)
+    for lam in (-0.99, -0.5, 0.0, 1e6):
+        dp = derive_dimensionless(MaterialParams(lam, 1.0, 1.0, 0.0, 1.0, 1.0))
+        assert 0.0 < dp.c_sq < 1.0
+    # a negative lam within the rule solves
+    sol = solve_crack(MaterialParams(-0.5, 1.0, 1.0, 0.5, 1.0, 1.0), 1.0, 20)
+    assert sol.tip_coefficient > 0.0
+
+
 def test_dimensionless_parameter_validation():
-    with pytest.raises(ValueError):
-        DimensionlessParams(c_sq=0.0, coupling=0.0, len1_sq=1.0, len2_sq=1.0, porosity=0.0)
-    with pytest.raises(ValueError):
-        DimensionlessParams(c_sq=1.0, coupling=0.0, len1_sq=1.0, len2_sq=1.0, porosity=0.0)
-    with pytest.raises(ValueError):
-        DimensionlessParams(c_sq=0.5, coupling=0.0, len1_sq=1.0, len2_sq=1.0, porosity=1.0)
-    with pytest.raises(ValueError):
-        DimensionlessParams(c_sq=0.5, coupling=-0.1, len1_sq=1.0, len2_sq=1.0, porosity=0.0)
+    DimensionlessParams(c_sq=0.5, porosity=0.0)
+    for c_sq, porosity in ((0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (0.5, -0.1),
+                           (float("nan"), 0.0), (0.5, float("nan"))):
+        with pytest.raises(ValueError):
+            DimensionlessParams(c_sq=c_sq, porosity=porosity)
 
 
 def test_symbol_vanishes_at_zero_and_is_linear_classically():
@@ -167,21 +185,7 @@ def test_regular_kernel_self_convergence_and_quad_oracle():
     assert abs(val - ref) <= 1e-6 * abs(ref)
 
     # independent reconstruction through adaptive quadrature
-    A, B = symbol_asymptotics(dp)
-
-    def remainder(s):
-        s = np.asarray(s, dtype=float)
-        return crack_symbol(s, dp) - A * s + B * s / (1.0 + s * s)
-
-    def proxy(s):
-        s = np.asarray(s, dtype=float)
-        return -B * s / (1.0 + s * s)
-
-    oracle = (
-        cosine_transform_oracle(remainder, 1.0, 200.0)
-        + cosine_transform_oracle(proxy, 1.0, 200.0)
-        + B * float(sici(200.0)[1])
-    ) / np.pi
+    oracle = regular_kernel_oracle(1.0, dp.porosity, dp.c_sq)
     assert val == pytest.approx(oracle, abs=2e-6 * abs(oracle))
 
 
@@ -218,16 +222,6 @@ def _with_porosity(n_target, sigma0=1.0):
     return MaterialParams(1.0, 1.0, 1.0, math.sqrt(3.0 * n_target), 1.0, sigma0)
 
 
-def _kernel_oracle(dp, u, s_max=200.0):
-    """Regular kernel by adaptive oscillatory quadrature plus scipy's Ci tail."""
-    A, B = symbol_asymptotics(dp)
-    remainder = lambda s: crack_symbol(s, dp) - A * s + B * s / (1.0 + s * s)
-    proxy = lambda s: -B * s / (1.0 + s * s)
-    return (cosine_transform_oracle(remainder, u, s_max)
-            + cosine_transform_oracle(proxy, u, s_max)
-            + B * float(sici(s_max * u)[1])) / np.pi
-
-
 @pytest.mark.parametrize("half_length", (1.0, 10.0, 100.0))
 def test_kernel_table_matches_quadrature_oracle(half_length):
     for n in (40, 200, 240, 3200):
@@ -237,7 +231,8 @@ def test_kernel_table_matches_quadrature_oracle(half_length):
             table = regular_kernel_table(h, n, dp)
             assert table.shape == (n,)
             for j in (0, 1, n // 2, n - 1):
-                assert abs(table[j] - _kernel_oracle(dp, (j + 0.5) * h)) <= 1e-9
+                oracle = regular_kernel_oracle((j + 0.5) * h, dp.porosity, dp.c_sq)
+                assert abs(table[j] - oracle) <= 1e-9
 
 
 def test_kernel_table_converges_to_the_exact_kernel():
@@ -328,7 +323,7 @@ def test_kernel_view_matches_offset_indexing_bitwise(n):
     # the kernel is the n-entry node-mean table; its Toeplitz matrix is
     # the kernel matrix, compared with float index recovery bitwise
     from hypersing.crack import _node_mean
-    from hypersing.fullkernel import _weighted_matrix
+    from hypersing.fullkernel import _HalfAngleTables, _weighted_matrix
 
     dp = derive_dimensionless(POROUS)
     slope, _ = symbol_asymptotics(dp)
@@ -340,15 +335,16 @@ def test_kernel_view_matches_offset_indexing_bitwise(n):
     assert mean.shape == (n,)
     kernel = toeplitz(mean)
     assert np.array_equal(kernel, reference(grid.colloc[:, None], grid.nodes[None, 1:]))
-    assert np.array_equal(_weighted_matrix(grid, kernel), assemble_full(grid, reference))
+    assert np.array_equal(_weighted_matrix(grid, kernel, _HalfAngleTables(n)),
+                          assemble_full(grid, reference))
 
 
 @pytest.mark.parametrize("n, half_length", ((7, 1.0), (8, 1.0), (241, 10.0)))
 def test_crack_matrix_is_exactly_centro_symmetric(n, half_length):
-    from hypersing.fullkernel import _weighted_matrix
+    from hypersing.fullkernel import _HalfAngleTables, _weighted_matrix
 
     grid, mean, _ = _crack_system(n, half_length)
-    matrix = _weighted_matrix(grid, toeplitz(mean))
+    matrix = _weighted_matrix(grid, toeplitz(mean), _HalfAngleTables(n))
     assert np.array_equal(matrix, matrix[::-1, ::-1])
 
 
@@ -358,11 +354,11 @@ def test_folded_solve_matches_full_lu(n, half_length):
     # the folded singular part is evaluated in closed form rather than
     # summed from the full rows, so the two agree to rounding per row
     from hypersing import lu_solve
-    from hypersing.fullkernel import (_FoldedGrid, _FoldedSystem, _solve_folded,
-                                      _weighted_matrix)
+    from hypersing.fullkernel import (_FoldedGrid, _FoldedSystem, _HalfAngleTables,
+                                      _solve_folded, _weighted_matrix)
 
     grid, mean, rhs = _crack_system(n, half_length)
-    matrix = _weighted_matrix(grid, toeplitz(mean))
+    matrix = _weighted_matrix(grid, toeplitz(mean), _HalfAngleTables(n))
     r = n - n // 2
     folded = _FoldedSystem(_FoldedGrid(grid), mean).matrix()
     assert folded.flags.f_contiguous
@@ -486,13 +482,14 @@ def test_folded_singular_part_matches_40_digit_arithmetic(n):
 
 @pytest.mark.parametrize("n", (40, 41))
 def test_mirrored_solution_passes_the_full_residual_gate(n):
-    from hypersing.fullkernel import _weighted_matrix
+    from hypersing.fullkernel import _HalfAngleTables, _weighted_matrix
 
     grid, mean, rhs = _crack_system(n, 1.0)
     sol = solve_crack(POROUS, 1.0, n)
     weight = np.sqrt(1.0 - grid.colloc**2)
     phi = -sol.opening.values / weight
-    assert residual_norm(_weighted_matrix(grid, toeplitz(mean)), phi, rhs) <= 1e-9 * rhs[0]
+    matrix = _weighted_matrix(grid, toeplitz(mean), _HalfAngleTables(n))
+    assert residual_norm(matrix, phi, rhs) <= 1e-9 * rhs[0]
 
 
 @pytest.mark.parametrize("n", (150, 151))
@@ -504,8 +501,9 @@ def test_classical_opening_equals_the_full_solve(n):
 
     material = MaterialParams(1.3, 0.8, 1.0, 0.0, 1.0, 1.7)
     grid, _, rhs = _crack_system(n, 2.0, material)
-    weight = grid.interval.halfwidth * _HalfAngleTables(n).mid_weight
-    full = -weight * lu_solve(_weighted_matrix(grid, np.zeros((n, n))), rhs)
+    tables = _HalfAngleTables(n)
+    weight = grid.interval.halfwidth * tables.mid_weight
+    full = -weight * lu_solve(_weighted_matrix(grid, np.zeros((n, n)), tables), rhs)
     opening = solve_crack(material, 2.0, n).opening.values
     assert np.max(np.abs(opening - full)) <= 1e-12 * np.max(full)
 

@@ -15,6 +15,7 @@ from hypersing import (
     chebyshev_nystrom_rule,
     fredholm_reduce,
     invert_characteristic,
+    lu_solve,
     nystrom_eval,
     solve_characteristic,
     solve_full_collocation,
@@ -177,13 +178,14 @@ def test_weighted_matrix_is_centro_symmetric_and_block_independent(monkeypatch):
 
 
 def test_assembly_is_the_weighted_matrix_of_the_sampled_kernel():
-    from hypersing.fullkernel import _weighted_matrix
+    from hypersing.fullkernel import _HalfAngleTables, _weighted_matrix
     from hypersing.quadrature import _sample
 
     for n in (1, 8, 37):
         g = build_grid(0.5, 3.5, n)
         samples = _sample(cos_kernel, g.colloc[:, None], g.nodes[None, 1:])
-        assert np.array_equal(assemble_full(g, cos_kernel), _weighted_matrix(g, samples))
+        assert np.array_equal(assemble_full(g, cos_kernel),
+                              _weighted_matrix(g, samples, _HalfAngleTables(n)))
 
 
 def test_kernel_values_must_be_finite():
@@ -257,6 +259,45 @@ def test_direct_solver_linear_in_the_load():
         + 0.5 * solve_full_collocation(p2, g).values
     )
     assert np.max(np.abs(v - v12)) <= 1e-11 * np.max(np.abs(v12))
+
+
+def test_direct_solve_builds_the_half_angle_tables_once(monkeypatch):
+    import hypersing.fullkernel as fullkernel
+
+    built = []
+    real = fullkernel._HalfAngleTables
+    monkeypatch.setattr(fullkernel, "_HalfAngleTables", lambda n: built.append(n) or real(n))
+    sol = solve_full_collocation(two_path_problem(), build_grid(-1.0, 1.0, 40))
+    assert built == [40]
+    monkeypatch.undo()
+    # the matrix and the weight are those of assemble_full and the tables
+    grid = build_grid(-1.0, 1.0, 40)
+    phi = lu_solve(assemble_full(grid, cos_kernel), flat_load(grid.colloc))
+    assert np.array_equal(sol.values, real(40).mid_weight * phi)
+
+
+def test_second_kind_rows_apply_one_operator_to_stacked_samples(monkeypatch):
+    import hypersing.characteristic as characteristic
+    from hypersing.characteristic import _invert
+    from hypersing.quadrature import _sample
+
+    prob = two_path_problem()
+    nodes, w = chebyshev_nystrom_rule(IV, 24)
+    xs = np.linspace(-0.9, 0.9, 13)
+    calls = []
+    real = characteristic.pv_weighted_matrix
+    monkeypatch.setattr(characteristic, "pv_weighted_matrix",
+                        lambda *args: calls.append(args) or real(*args))
+    system = fredholm_reduce(prob, SPEC, nodes)
+    g = solve_fredholm(system, w)
+    nystrom_eval(prob, SPEC, system, w, g, xs)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    # against the operator applied to f and to K1 apart
+    f1 = _invert(lambda p: _sample(linear_f, p), IV, nodes, SPEC)
+    N1 = _invert(lambda p: _sample(sinc_kernel, p[:, None], nodes[None, :]), IV, nodes, SPEC)
+    assert np.max(np.abs(system.f1 - f1)) <= 1e-14 * np.max(np.abs(f1))
+    assert np.max(np.abs(system.N1 - N1)) <= 1e-14 * np.max(np.abs(N1))
 
 
 def test_reduction_without_coupling_gives_plain_data():

@@ -39,6 +39,42 @@ def test_shape_and_finiteness_validation():
         lu_solve(np.eye(2), np.array([1.0, np.inf]))
 
 
+def test_infinite_entries_are_refused_by_the_norm():
+    A = np.eye(3)
+    A[2, 0] = np.inf
+    for matrix in (A, np.asfortranarray(A), A[:, ::-1]):
+        with pytest.raises(ValueError, match="entries must be finite"):
+            lu_solve(matrix, np.ones(3))
+        with pytest.raises(ValueError, match="entries must be finite"):
+            residual_norm(matrix, np.ones(3), np.ones(3))
+
+
+def test_finite_entries_whose_row_sum_overflows_are_refused():
+    # every entry is finite, but a row sums to 2.4e308, past the largest double
+    A = np.array([[1.2e308, 1.2e308], [0.0, 1.0]])
+    for matrix in (A, np.asfortranarray(A)):
+        with pytest.raises(ValueError, match="entries must be finite") as exc:
+            lu_solve(matrix, np.ones(2))
+        assert not isinstance(exc.value, SingularMatrixError)
+        with pytest.raises(ValueError, match="entries must be finite"):
+            residual_norm(matrix, np.ones(2), np.ones(2))
+    # a row sum just below the largest double is a norm like any other
+    B = np.array([[0.8e308, 0.8e308], [0.0, 0.8e308]])
+    assert np.array_equal(lu_solve(B, np.array([1.6e308, 0.8e308])), [1.0, 1.0])
+    assert residual_norm(B, np.ones(2), np.array([1.6e308, 0.8e308])) == 0.0
+
+
+def test_norm_reads_either_memory_order_like_a_row_sum_scan():
+    from hypersing.linalg import _max_row_sum
+
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((300, 200))
+    for matrix in (A, np.asfortranarray(A), A[::2]):
+        scan = float(np.max(np.abs(matrix).sum(axis=1)))
+        assert abs(_max_row_sum(matrix) - scan) <= 1e-12 * scan
+    assert _max_row_sum(np.zeros((0, 0))) == 0.0
+
+
 def _well_conditioned(rng, n, cond):
     """Random matrix with prescribed condition number via QR factors."""
     q1, _ = np.linalg.qr(rng.standard_normal((n, n)))

@@ -42,9 +42,9 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 import hypersing.crack as crack  # noqa: E402
-from hypersing import (MaterialParams, OscIntSpec, build_grid, crack_symbol,  # noqa: E402
+from hypersing import (MaterialParams, OscIntSpec, build_grid,  # noqa: E402
                        derive_dimensionless, porosity_sweep, regular_kernel_table,
-                       solve_crack, stress_concentration, symbol_asymptotics)
+                       solve_crack, stress_concentration)
 from hypersing.quadrature import _halfline_cosine_tables  # noqa: E402
 
 POROSITY = 0.35
@@ -90,20 +90,11 @@ def _centre(sol) -> float:
     return float(np.interp(0.0, sol.opening.points, sol.opening.values))
 
 
-def _offset_oracle(dp, u: float, s_max: float) -> float:
-    # Imported here, so that the crack_assembly children do not load them.
-    from oracles import cosine_transform_oracle
-    from scipy.special import sici
-
-    slope, decay = symbol_asymptotics(dp)
-    remainder = lambda s: crack_symbol(s, dp) - slope * s + decay * s / (1.0 + s * s)
-    proxy = lambda s: -decay * s / (1.0 + s * s)
-    return (cosine_transform_oracle(remainder, u, s_max)
-            + cosine_transform_oracle(proxy, u, s_max)
-            + decay * float(sici(s_max * u)[1])) / math.pi
-
-
 def _offset_row(half_length: float, n: int, repeats: int, previous: dict) -> dict:
+    # imported here, so that the crack_assembly children do not load
+    # scipy.integrate and scipy.special
+    from oracles import regular_kernel_oracle
+
     dp, spec = derive_dimensionless(_porous(POROSITY)), OscIntSpec()
     h = 2.0 * half_length / n
     table = regular_kernel_table(h, n, dp, spec)  # warm-up
@@ -111,7 +102,8 @@ def _offset_row(half_length: float, n: int, repeats: int, previous: dict) -> dic
     digest = _only_digest({_sha256(table)} | {_sha256(again) for _, again in runs},
                           f"table at b={half_length}, n={n}")
     cells = sorted({0, 1, n // 2, n - 1})
-    error = max(abs(table[j] - _offset_oracle(dp, (j + 0.5) * h, spec.s_max)) for j in cells)
+    error = max(abs(table[j] - regular_kernel_oracle((j + 0.5) * h, dp.porosity, dp.c_sq,
+                                                     spec.s_max)) for j in cells)
     return {"half_length": half_length, "n": n, "h": h,
             **_spread("time_s", [seconds for seconds, _ in runs]), "repeats": repeats,
             "oracle_cells": cells, "oracle_max_abs_error": error, "table_sha256": digest,
