@@ -19,7 +19,7 @@ import numpy as np
 
 from .grids import Interval, build_grid
 from .linalg import ResidualError, SingularMatrixError
-from .quadrature import OscIntSpec
+from .quadrature import OscIntSpec, _chebyshev_u
 from .characteristic import CharacteristicProblem, convergence_study, solve_characteristic
 from .fullkernel import FullProblem, solve_full_collocation
 from .crack import MaterialParams, porosity_sweep, solve_crack
@@ -287,10 +287,9 @@ def _rhs_functions(config: RunConfig):
         fprime = lambda x: -np.pi * scale * np.asarray(x, dtype=float)
         exact = lambda x: scale * weight(x) * (np.asarray(x, dtype=float) + mid) / 2.0
     elif config.rhs == "chebyshev_u":
-        from scipy.special import eval_chebyu
         k = config.rhs_degree
-        fprime = lambda x: -np.pi * (k + 1) * scale * eval_chebyu(k, mapped(x))
-        exact = lambda x: scale * hw * eval_chebyu(k, mapped(x)) * np.sqrt(
+        fprime = lambda x: -np.pi * (k + 1) * scale * _chebyshev_u(k, mapped(x))
+        exact = lambda x: scale * hw * _chebyshev_u(k, mapped(x)) * np.sqrt(
             np.clip(1.0 - mapped(x) ** 2, 0.0, None))
     else:
         raise ValueError(f"unknown rhs family {config.rhs!r}")

@@ -29,9 +29,10 @@ centro-symmetric and the load is constant, so the opening is exactly
 reflection-symmetric and only the folded even half of the system, a
 quarter of the matrix, is formed and factored in place.  Its finite-part
 block depends only on the grid, which ``fullkernel._FoldedGrid`` owns:
-it keeps the block whole on a grid of n <= 1448 cells, else re-forms it
-chunk by chunk, for the matrix and for the residual gate alike; a sweep
-builds one for all its targets.
+it keeps the block whole on a grid of n <= 1448 cells, else forms it
+chunk by chunk for the matrix and applies it to a vector from its
+structure for the residual gate, so the block is formed once a solve; a
+sweep builds one for all its targets.
 
 The kernel slope carries the factor ``(1 - N)^2`` that also appears in
 the load term, so the effective right-hand side is porosity
@@ -425,10 +426,11 @@ def solve_crack(params: MaterialParams, half_length: float, n: int,
     memory map from 4 MiB on, and factored in place, and its pages go
     back to the system when the solve returns.  S depends only on the
     grid: up to n = 1448 it is formed once and kept beside B, ``8 r^2``
-    bytes, at most 4 MiB; above, it is re-formed chunk by chunk, so B is
-    the only dense array of the solve.  The pivot gate runs on B before
-    the factorization; the residual gate takes B x from the chunks of S
-    plus the kernel part by convolution with the table.
+    bytes, at most 4 MiB; above, it is formed chunk by chunk into B only,
+    so B is the only dense array of the solve.  The pivot gate runs on B
+    before the factorization; the residual gate takes B x as S x, from the
+    kept S or else from the structure of S (convolutions and a power
+    series), plus the kernel part by convolution with the table.
     Row ``n-1-i`` of the full residual equals row i, so the gates cover
     the whole system.  The opening is exactly reflection-symmetric.
     """

@@ -17,12 +17,16 @@ part is the right-node kernel sample times ``W_j``.  A caller whose kernel is
 symmetric Toeplitz, given as its n-entry table, and whose load is
 reflection-symmetric (the crack solve) forms and solves only the folded
 even half of the system, a quarter of the matrix, in closed form for its
-finite-part part, which the grid keeps whole up to n = 1448 and else
-re-forms chunk by chunk; it is factored in place, and the residual gate
-takes the kernel part by convolution with the table.  Alternatively, when K0 has an
-antiderivative K1 in its first argument (K0 = dK1/dx) and fprime has
-antiderivative f, applying the inversion operator of the characteristic
-equation converts the problem into a second-kind Fredholm equation
+finite-part part, which the grid keeps whole up to n = 1448 and else forms
+chunk by chunk; it is factored in place.  The residual gate forms no
+column of it: it takes the kernel part by convolution with the table and
+the finite-part part from the kept block, or else from the block's
+structure: convolutions with the grid's odd-integer tables and a power
+series of rank-one terms, in a tenth of the time of forming the block.
+Alternatively, when K0 has an antiderivative K1 in its first argument
+(K0 = dK1/dx) and fprime has antiderivative f, applying the inversion
+operator of the characteristic equation converts the problem into a
+second-kind Fredholm equation
 
     g(x) + int N1(x, t) g(t) dt = f1(x),
 
@@ -201,14 +205,16 @@ def _weighted_matrix(grid: Grid, kernel: np.ndarray, t: _HalfAngleTables) -> np.
 
 
 def _singular_fold(t: _HalfAngleTables):
-    """Columns of the folded finite-part block ``S = A[:r, :r] + A[:r, r:] J``.
+    """Columns of the folded finite-part block ``S = A[:r, :r] + A[:r, r:] J``,
+    and its product with a vector.
 
     Returns ``columns(start, stop, out)``, which writes columns
     start .. stop-1 of S as the rows of ``out``, a (stop - start)-by-r
-    array, for a chunk of ``_chunks(r, r)``; A is the singular part of
-    ``_weighted_matrix``.  Cell n-1-j mirrors cell j and ``u_{n-k} = -u_k``,
-    so entry (i, j) is ``E(u_{j+1}) - E(u_j)`` for the odd part of the F of
-    ``_HalfAngleTables``
+    array, for a chunk of ``_chunks(r, r)``, and ``product(x)``, which
+    returns S x; A is the singular part of ``_weighted_matrix``.  Both
+    work in one pair of chunk buffers, allocated here.  Cell n-1-j mirrors
+    cell j and ``u_{n-k} = -u_k``, so entry (i, j) is ``E(u_{j+1}) -
+    E(u_j)`` for the odd part of the F of ``_HalfAngleTables``
 
         E(u; xi) = F(u; xi) - F(-u; xi)
                  = 2 u omega / (xi^2 - u^2) - 2 arcsin u
@@ -222,6 +228,21 @@ def _singular_fold(t: _HalfAngleTables):
     Toeplitz and Hankel windows of the odd-integer table: one logarithm and
     one division an entry, within 6e-14 of 40-digit arithmetic relative to
     ``max(1, |entry|)`` at n = 3200.
+
+    By parts, ``S x = sum_k E(u_k) d_k`` over k < r, with ``d_k = x_{k-1} -
+    x_k`` and ``x_{-1} = 0``.  The log factors of ``xi -+ u`` are windows of
+    the table's ``ln sqrt|d|``, and ``2 u omega / (xi^2 - u^2) = omega (n /
+    d1 - n / d2)`` for ``d1 = n (xi - u)`` and ``d2 = n (xi + u)``, so they
+    are Toeplitz and Hankel products, taken as convolutions, and the arcsin
+    term is one dot product.  The log of the cotangent ratio is ``ln
+    tanh(a_k + b_i)`` for ``alpha = tanh a`` and ``beta = tanh b``, a power
+    series in the product ``exp(-2 a_k) exp(-2 b_i)``, rank one a term,
+    except on the first few node rows, where that product nears 1 and a
+    logarithm an entry is taken.  The product equals S x to within 1e-15 of
+    ``max_i sum_j |S_ij| |x_j|`` for a smooth or random x at n = 3200, in
+    2.8 ms against 29 ms for a pass over the columns on a 2-CPU x86-64
+    virtual machine; an x that alternates in sign loses more to its
+    differences d (2.3e-14 at n = 6400).
     """
     n, r = t.n, t.r
     node_term = (-2.0 * t.arcsin[:r])[:, None]
@@ -254,7 +275,50 @@ def _singular_fold(t: _HalfAngleTables):
         if stop == r:
             np.negative(odd[-1], out=out[-1])
 
-    return columns
+    def product(x):
+        d = np.empty(r)
+        d[0] = -x[0]
+        np.subtract(x[:-1], x[1:], out=d[1:])
+        # ln[(alpha + beta) / (1 + alpha beta)] = ln[(1 - z) / (1 + z)] for
+        # z = P_k Q_i, P = (1 - alpha) / (1 + alpha) and Q the same of beta:
+        # a logarithm an entry on the first rows, where z nears 1, then
+        # -2 sum_m z^m / m over odd m, rank one a term, until z^m < 1e-20
+        p, q = (1.0 - t.alpha) / (1.0 + t.alpha), (1.0 - t.beta) / (1.0 + t.beta)
+        near = int(np.count_nonzero(p * q[0] > _SERIES_MAX_RATIO))
+        out = np.zeros(r)
+        for start, stop in _chunks(near, r):
+            ratio, den = work[:, :stop - start]
+            np.add(t.alpha[start:stop, None], t.beta, out=ratio)
+            np.multiply(t.alpha[start:stop, None], t.beta, out=den)
+            den += 1.0
+            ratio /= den
+            np.log(ratio, out=ratio)
+            out += d[start:stop] @ ratio
+        if near < r and q[0] > 0.0:
+            last = int(np.log(1e-20) / np.log(p[near] * q[0])) + 1
+            p_power, p_step, d_far = p[near:].copy(), p[near:] ** 2, d[near:]
+            q_power, q_step = q.copy(), q * q
+            for m in range(1, last + 1, 2):
+                out -= (2.0 / m * (p_power @ d_far)) * q_power
+                p_power *= p_step
+                q_power *= q_step
+        ln_root = np.log(t.root)
+        out += np.correlate(ln_root[spans], d, "valid")
+        out -= np.convolve(ln_root[gaps], d, "valid")
+        out *= t.log_scale
+        d_omega = t.omega[:r] * d
+        out += np.convolve(t.inv[gaps], d_omega, "valid")
+        out -= np.correlate(t.inv[spans], d_omega, "valid")
+        out += node_term[:, 0] @ d
+        return out
+
+    return columns, product
+
+
+# Largest z = P_k Q_i of the node rows whose log factors the product of
+# _singular_fold sums as a power series in z, at most 81 odd terms; at
+# n = 3200 that part took 2.8, 1.4, 0.9 and 1.6 ms for 0.5, 0.7, 0.8 and 0.9
+_SERIES_MAX_RATIO = 0.75
 
 
 # Largest folded finite-part block a grid keeps whole, r^2 floats for
@@ -268,15 +332,18 @@ class _FoldedGrid:
 
     It holds the grid's ``_HalfAngleTables``, ``r = ceil(n/2)``, the
     chunks ``_chunks(r, r)`` of every pass over the folded columns, the
-    cell weights ``W_j`` and one writer of the folded finite-part block S
-    of ``_singular_fold``: ``columns(start, stop, out)`` writes columns
-    start .. stop-1 of S as the rows of ``out``, for one of those chunks.
-    While S fits in ``_KEPT_SINGULAR_MAX_BYTES`` (``8 r^2`` bytes: 80 KB at
-    n = 200, at most 4 MiB at n = 1448) it is formed once, in those chunks,
-    and kept read-only as ``singular``, and ``columns`` copies its chunks;
-    on a larger grid ``singular`` is None and ``columns`` forms each chunk
-    anew.  A chunk is the same bitwise either way, so every kernel on one
-    grid, in one solve or across a sweep, may share one of these.
+    cell weights ``W_j`` and the two users of the folded finite-part block
+    S of ``_singular_fold``: ``columns(start, stop, out)`` writes columns
+    start .. stop-1 of S as the rows of ``out``, for one of those chunks,
+    and ``product(x)`` returns S x.  While S fits in
+    ``_KEPT_SINGULAR_MAX_BYTES`` (``8 r^2`` bytes: 80 KB at n = 200, at
+    most 4 MiB at n = 1448) it is formed once, in those chunks, and kept
+    read-only as ``singular``; ``columns`` copies its chunks and
+    ``product`` is ``singular @ x``.  On a larger grid ``singular`` is
+    None, ``columns`` forms each chunk anew and ``product`` takes S x from
+    the structure of S, with no pass over its columns.  A chunk is the same
+    bitwise either way, and a product the same to rounding, so every kernel
+    on one grid, in one solve or across a sweep, may share one of these.
     """
 
     def __init__(self, grid: Grid):
@@ -286,18 +353,20 @@ class _FoldedGrid:
         r = t.r
         self.chunks = _chunks(r, r)
         self.weights = grid.interval.halfwidth**2 * t.cell_weight
-        self.columns, self.singular = _singular_fold(t), None
+        self.columns, self.product = _singular_fold(t)
+        self.singular = None
         if 8 * r * r <= _KEPT_SINGULAR_MAX_BYTES:
             self.singular = singular = np.empty((r, r), order="F")
             for start, stop in self.chunks:
                 self.columns(start, stop, singular.T[start:stop])
             singular.setflags(write=False)
             self.columns = lambda start, stop, out: np.copyto(out, singular.T[start:stop])
+            self.product = lambda x: singular @ x
 
 
 class _FoldedSystem:
     """The folded even half B of a centro-symmetric system, formed
-    chunk by chunk, as often as needed.
+    chunk by chunk, and its product with a vector, formed from no chunk.
 
     A is the matrix ``_weighted_matrix`` would build on the grid of
     ``folded``, a ``_FoldedGrid``, from the symmetric Toeplitz kernel
@@ -345,16 +414,13 @@ class _FoldedSystem:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """B x: the kernel part as convolutions of ``W[:r] x`` with the
-        table's Toeplitz and Hankel halves, plus the finite-part chunks
-        of ``folded.columns`` times their stretch of x."""
+        table's Toeplitz and Hankel halves, plus the finite-part part
+        ``folded.product(x)``; no column of B is formed."""
         n, r = self.n, self.r
         y = self.folded.weights[:r] * x
         out = np.convolve(self.extended[n - r:n + r - 1], y, "valid")
         out += np.convolve(self.extended[n:], y[:n - r], "valid")[::-1]
-        for start, stop in self.folded.chunks:
-            chunk = self.spare[:stop - start]
-            self.folded.columns(start, stop, chunk)
-            out += x[start:stop] @ chunk
+        out += self.folded.product(x)
         return out
 
 
@@ -367,20 +433,25 @@ def _mapped_matrix(r: int) -> np.ndarray:
     """An r-by-r Fortran-ordered float array whose pages go back to the
     operating system as soon as it is dropped.
 
-    From ``_MAPPED_MIN_BYTES`` on it lives in its own anonymous memory
-    map, advised to use huge pages as numpy advises its large arrays:
-    faulting in 20 MB of fresh 4 KiB pages took 10.6 ms against 4.0 ms
-    with huge pages, on a 2-CPU x86-64 virtual machine.  A heap block
-    of that size may stay resident after it is freed: once the allocator
-    has freed one mapping it raises its mapping threshold, and the next
-    block of the same size comes from the heap, which it keeps.  A
-    smaller array comes from numpy, as a fresh map would cost more than
-    the solve it serves.
+    From ``_MAPPED_MIN_BYTES`` on it lives in its own private anonymous
+    memory map, advised to use huge pages as numpy advises its large
+    arrays.  The map must be private: Linux backs a shared anonymous map
+    with shared memory, which takes huge pages only where its own shmem
+    setting allows them, and that setting is often ``never``.  Writing a
+    fresh 20 MB array (n = 3200) took 5,000 page faults and 12.6-15.1 ms
+    in a shared map against 912 faults and 3.5-4.9 ms in a private one,
+    medians of 12 on a 2-CPU x86-64 virtual machine.  A heap block of that
+    size may stay resident after it is freed: once the allocator has freed
+    one mapping it raises its mapping threshold, and the next block of the
+    same size comes from the heap, which it keeps.  A smaller array comes
+    from numpy, as a fresh map would cost more than the solve it serves.
     """
     nbytes = 8 * r * r
     if nbytes < _MAPPED_MIN_BYTES:
         return np.empty((r, r), order="F")
-    buffer = mmap.mmap(-1, nbytes)
+    private = ({"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS}
+               if hasattr(mmap, "MAP_PRIVATE") else {})  # not on Windows
+    buffer = mmap.mmap(-1, nbytes, **private)
     if hasattr(mmap, "MADV_HUGEPAGE"):
         try:
             buffer.madvise(mmap.MADV_HUGEPAGE)

@@ -424,6 +424,66 @@ def test_folded_matvec_matches_the_formed_matrix(monkeypatch, n, shared):
     assert np.max(np.abs(system.matvec(x) - expect)) <= 1e-14 * np.max(np.abs(expect))
 
 
+@pytest.mark.parametrize("n", (11, 1449, 1450, 3200, 3201))
+def test_folded_product_matches_the_formed_block(n):
+    # the grid keeps S at n = 11 only; the product by S's structure is
+    # checked at every n against S formed column chunk by column chunk
+    from hypersing.fullkernel import _FoldedGrid, _singular_fold
+
+    folded = _FoldedGrid(build_grid(-1.0, 1.0, n))
+    r = folded.r
+    assert (folded.singular is not None) == (n == 11)
+    columns, product = _singular_fold(folded.tables)
+    S = np.empty((r, r), order="F")
+    for start, stop in folded.chunks:
+        columns(start, stop, S.T[start:stop])
+    for x in (np.random.default_rng(n).standard_normal(r), np.ones(r),
+              np.cos(np.linspace(0.0, 3.0, r))):
+        expect = S @ x
+        bound = 1e-14 * np.max(np.abs(S) @ np.abs(x))
+        assert np.max(np.abs(product(x) - expect)) <= bound
+        assert np.max(np.abs(folded.product(x) - expect)) <= bound
+
+
+def test_residual_gate_reads_the_structured_product(monkeypatch):
+    # above the budget the gate's S x comes from the grid's product alone:
+    # one off by noise of 1e-6, fresh on every call so that the refinement
+    # step cannot cancel it, fails the gate (tolerance 2.4e-9 here)
+    import hypersing.fullkernel as fullkernel
+    from hypersing.linalg import ResidualError
+
+    real, noise = fullkernel._singular_fold, np.random.default_rng(1450)
+
+    def skewed(tables):
+        columns, product = real(tables)
+        return columns, lambda x: product(x) + 1e-6 * noise.standard_normal(x.size)
+
+    monkeypatch.setattr(fullkernel, "_singular_fold", skewed)
+    with pytest.raises(ResidualError):
+        solve_crack(POROUS, 1.0, 1450)
+
+
+def test_folded_matrix_map_is_private_from_its_size_on(monkeypatch):
+    # a shared anonymous map is shared memory, whose huge pages a kernel
+    # may refuse whatever the advice; the matrix gets a private one
+    import mmap
+    import hypersing.fullkernel as fullkernel
+
+    calls, real = [], mmap.mmap
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fullkernel.mmap, "mmap", recorded)
+    assert fullkernel._mapped_matrix(700).shape == (700, 700)  # 3.7 MiB
+    assert calls == []
+    r = 725  # 8 r^2 bytes, just over 4 MiB
+    matrix = fullkernel._mapped_matrix(r)
+    assert matrix.shape == (r, r) and matrix.flags.f_contiguous
+    assert calls == [((-1, 8 * r * r), {"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS})]
+
+
 def test_shared_singular_half_is_read_only():
     from hypersing.fullkernel import _FoldedGrid
 
@@ -787,29 +847,29 @@ def test_folded_grid_is_built_once_per_solve_and_keeps_its_block_within_the_budg
     monkeypatch.setattr(crack, "_FoldedGrid", lambda grid: grids.append(grid) or real_grid(grid))
 
     def counted(tables):
-        columns = real_fold(tables)
+        columns, product = real_fold(tables)
 
         def counted_columns(start, stop, out):
             columns_built.append(stop - start)
             return columns(start, stop, out)
-        return counted_columns
+        return counted_columns, product
 
     monkeypatch.setattr(fullkernel, "_singular_fold", counted)
     # 8 r^2 bytes is just under 4 MiB at n = 1448 (r = 724) and just over
-    # it at n = 1450, where each system forms its block chunk by chunk,
-    # once for its matrix and once for its residual
+    # it at n = 1450, where each system forms its block chunk by chunk for
+    # its matrix only: its residual takes S x from the block's structure
     r = n - n // 2
     kept = n <= 1448
     targets = (0.2, 0.4)
     rows = porosity_sweep(CLASSICAL, targets, 1.0, n)
     assert len(grids) == 1
-    assert sum(columns_built) == (r if kept else 2 * r * len(targets))
+    assert sum(columns_built) == (r if kept else r * len(targets))
     for n_target, center, ratio in rows:
         grids.clear()
         columns_built.clear()
         sol = solve_crack(_with_porosity(n_target), 1.0, n)
         assert len(grids) == 1
-        assert sum(columns_built) == (r if kept else 2 * r)
+        assert sum(columns_built) == r
         assert center == float(np.interp(0.0, sol.opening.points, sol.opening.values))
         assert ratio == stress_concentration(sol)
 

@@ -17,7 +17,8 @@ import json, sys
 import numpy as np
 import hypersing
 from hypersing import (CharacteristicProblem, FullProblem, Interval, MaterialParams,
-                       PVQuadSpec, build_grid, chebyshev_nystrom_rule, fredholm_reduce,
+                       PVQuadSpec, build_grid, chebyshev_finite_part,
+                       chebyshev_nystrom_rule, fredholm_reduce,
                        invert_characteristic, nystrom_eval, porosity_sweep,
                        solve_characteristic, solve_crack, solve_fredholm,
                        solve_full_collocation)
@@ -39,11 +40,14 @@ solve_full_collocation(problem, build_grid(-1.0, 1.0, 20))
 nodes, weights = chebyshev_nystrom_rule(iv, 16)
 system = fredholm_reduce(problem, spec, nodes)
 nystrom_eval(problem, spec, system, weights, solve_fredholm(system, weights), [0.1, 0.5])
+chebyshev_finite_part(3, 0.25)
 
 common = ["--set", "half_length=1", "--set", "n=20", "--set", "lam=1", "--set", "mu=1",
           "--set", "alpha=1", "--set", "xi=1", "--set", "sigma0=1"]
 codes = [main(["crack", *common, "--set", "beta=1", "--out", "crack.csv"]),
-         main(["sweep", *common, "--set", "N_values=0,0.4", "--out", "sweep.csv"])]
+         main(["sweep", *common, "--set", "N_values=0,0.4", "--out", "sweep.csv"]),
+         main(["full", "--set", "a=-1", "--set", "b=1", "--set", "n=20",
+               "--set", "rhs=chebyshev_u", "--set", "rhs_degree=3", "--out", "full.csv"])]
 print(json.dumps({"codes": codes, "loaded": sorted(set(sys.argv[1:]) & set(sys.modules))}))
 """
 
@@ -56,4 +60,4 @@ def test_solves_and_cli_runs_leave_unused_scipy_modules_unloaded(tmp_path):
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
-    assert result == {"codes": [0, 0], "loaded": []}
+    assert result == {"codes": [0, 0, 0], "loaded": []}

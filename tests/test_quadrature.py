@@ -125,6 +125,20 @@ def test_finite_part_frozen_values():
     assert chebyshev_finite_part(2, 0.0) == pytest.approx(3.0 * np.pi, abs=1e-13)
 
 
+def test_chebyshev_u_matches_40_digit_arithmetic():
+    import mpmath
+
+    from hypersing.quadrature import _chebyshev_u
+
+    xs = np.concatenate([np.linspace(-0.999999, 0.999999, 61),
+                         np.random.default_rng(40).uniform(-1.0, 1.0, 20)])
+    with mpmath.workdps(40):
+        for k in range(41):
+            exact = np.array([float(mpmath.chebyu(k, mpmath.mpf(x))) for x in xs])
+            assert np.max(np.abs(_chebyshev_u(k, xs) - exact)) <= 4e-15 * (k + 1)
+    assert _chebyshev_u(3, 0.5) == -1.0
+
+
 def test_finite_part_matches_difference_oracle():
     def weighted_poly(k):
         def f(t):

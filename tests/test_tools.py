@@ -52,6 +52,31 @@ def test_crack_assembly_row_from_one_child_keeps_the_committed_keys(tool):
     assert row["previous_opening_sha256"] is None
 
 
+def test_crack_assembly_row_against_head_pairs_the_two_trees(tool):
+    import subprocess
+
+    if subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "HEAD^{commit}"],
+                      capture_output=True).returncode != 0:
+        pytest.skip("not a git checkout with a commit")
+    with tool._exported("HEAD") as tree:
+        assert (tree / "tools" / "bench_layers.py").is_file()
+        row = tool._assembly_row(40, 2, {}, tree)
+    assert not tree.exists()
+    keys = _committed_row_keys("crack_assembly")
+    assert list(row)[:len(keys)] == keys
+    assert list(row)[len(keys):] == ["against_time_s_median", "against_time_s_min",
+                                     "against_time_s_max", "against_peak_rss_mib_median",
+                                     "against_opening_sha256", "pairs_won"]
+    assert len(row["against_opening_sha256"]) == 64 and 0 <= row["pairs_won"] <= 2
+
+
+def test_against_is_refused_for_other_topics(tool, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        tool.main(["sweep_table", "--against", "HEAD"])
+    assert exit_info.value.code == 2
+    assert "--against applies to crack_assembly only" in capsys.readouterr().err
+
+
 def test_sweep_row_keeps_the_committed_keys_and_equals_single_solves(tool):
     layers = {name: getattr(tool.crack, name) for name in tool.LAYERS}
     row = tool._sweep_row(1.0, 20, 1, 1, {})

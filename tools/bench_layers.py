@@ -2,10 +2,14 @@
 """Time and check one layer of the crack pipeline; write BENCH_<topic>.json.
 
     python3 tools/bench_layers.py TOPIC [--out BENCH_<TOPIC>.json] [--repeats R]
+    python3 tools/bench_layers.py crack_assembly --against REV [--out FILE] [--repeats R]
 
 Run from the root of a checkout.  TOPIC is ``offset_table`` (R = 5 by
 default), ``crack_assembly`` (R = 3) or ``sweep_table`` (R = 5); the
-topic's function says what it records.  The material is lam = mu =
+topic's function says what it records.  ``--against REV`` pairs each
+``crack_assembly`` run with one of the commit REV, exported by ``git
+archive`` into a temporary directory, and alternates the two trees' runs,
+so that both see the same drift of the host.  The material is lam = mu =
 alpha = xi = sigma0 = 1, with porosity N = 0.35 where one is needed.
 Times are ``time.perf_counter`` medians and ranges over the R repeats.
 Every result comes with a SHA-256 of its float64 bytes, so that a faster
@@ -17,6 +21,7 @@ each file records that setting with the versions and the host.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -187,50 +192,120 @@ def _assembly_child(n: int) -> dict:
             "tip_ratio": stress_concentration(sol)}
 
 
-def _assembly_row(n: int, repeats: int, previous: dict) -> dict:
-    command = [sys.executable, __file__, "crack_assembly", "--child", str(n)]
-    runs = []
-    for _ in range(repeats):
-        done = subprocess.run(command, check=True, capture_output=True, text=True)
-        runs.append(json.loads(done.stdout.splitlines()[-1]))
-    digest = _only_digest({run["opening_sha256"] for run in runs},
+@contextlib.contextmanager
+def _exported(rev):
+    """The tree of commit ``rev`` in a temporary directory, by ``git
+    archive``, which only reads the repository; None for no rev."""
+    if rev is None:
+        yield None
+        return
+    import tempfile  # here, as it would add 0.2 MiB to the crack_assembly children
+
+    with tempfile.TemporaryDirectory(prefix="bench-against-") as tmp:
+        archive = Path(tmp) / "tree.tar"
+        subprocess.run(["git", "-C", str(ROOT), "archive", "--output", str(archive), rev],
+                       check=True, capture_output=True)
+        tree = Path(tmp) / "tree"
+        tree.mkdir()
+        subprocess.run(["tar", "-xf", str(archive), "-C", str(tree)], check=True)
+        archive.unlink()
+        yield tree
+
+
+def _commit(rev: str) -> str:
+    done = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", rev + "^{commit}"],
+                          check=True, capture_output=True, text=True)
+    return done.stdout.strip()
+
+
+def _child_run(tree: Path, n: int) -> dict:
+    """One ``--child`` solve by the tool and package of the checkout ``tree``."""
+    command = [sys.executable, str(tree / "tools" / "bench_layers.py"), "crack_assembly",
+               "--child", str(n)]
+    done = subprocess.run(command, check=True, capture_output=True, text=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _assembly_row(n: int, repeats: int, previous: dict, against=None) -> dict:
+    """The row of ``crack_assembly`` at n; with the tree of a commit as
+    ``against``, each run is paired with one of that tree, the two in
+    alternating order, and the row gains that tree's medians, its digest
+    and the pairs this checkout won, by the shorter time."""
+    trees = [ROOT] if against is None else [ROOT, against]
+    runs = {tree: [] for tree in trees}
+    for repeat in range(repeats):
+        for tree in trees[::-1] if repeat % 2 else trees:
+            runs[tree].append(_child_run(tree, n))
+    own = runs[ROOT]
+    digest = _only_digest({run["opening_sha256"] for run in own},
                           f"solve at n={n} across processes")
-    return {"n": n, **_spread("time_s", [run["time_s"] for run in runs]),
-            **_spread("peak_rss_mib", [run["peak_rss_mib"] for run in runs]),
-            "rss_before_solve_mib_median": statistics.median(
-                run["rss_before_solve_mib"] for run in runs),
-            "rss_after_solve_mib_median": statistics.median(
-                run["rss_after_solve_mib"] for run in runs),
-            "bytecode_cached": all(run["bytecode_cached"] for run in runs),
-            "repeats": repeats, "opening_sha256": digest,
-            "previous_opening_sha256": previous.get((n,)),
-            "centre_opening": runs[0]["centre_opening"], "tip_ratio": runs[0]["tip_ratio"]}
+    row = {"n": n, **_spread("time_s", [run["time_s"] for run in own]),
+           **_spread("peak_rss_mib", [run["peak_rss_mib"] for run in own]),
+           "rss_before_solve_mib_median": statistics.median(
+               run["rss_before_solve_mib"] for run in own),
+           "rss_after_solve_mib_median": statistics.median(
+               run["rss_after_solve_mib"] for run in own),
+           "bytecode_cached": all(run["bytecode_cached"] for run in own),
+           "repeats": repeats, "opening_sha256": digest,
+           "previous_opening_sha256": previous.get((n,)),
+           "centre_opening": own[0]["centre_opening"], "tip_ratio": own[0]["tip_ratio"]}
+    if against is not None:
+        other = runs[against]
+        row.update({
+            **_spread("against_time_s", [run["time_s"] for run in other]),
+            "against_peak_rss_mib_median": statistics.median(
+                run["peak_rss_mib"] for run in other),
+            "against_opening_sha256": _only_digest(
+                {run["opening_sha256"] for run in other},
+                f"solve at n={n} across processes of the compared tree"),
+            "pairs_won": sum(mine["time_s"] < theirs["time_s"]
+                             for mine, theirs in zip(own, other)),
+        })
+    return row
 
 
-def crack_assembly(repeats: int):
+def crack_assembly(repeats: int, against=None):
     """A dense ``solve_crack`` at b = 1 per n, each in a fresh process
     (``--child``): its wall time; the peak RSS and the RSS just before the
     solve, whose difference is the solve's own share; the RSS after a
     second solve, and whether the package's bytecode was cached, which
     moves the RSS by about 1 MiB; and the opening's digest next to the one
     the checkout's file held before, or null, with its centre value and
-    tip ratio.
+    tip ratio.  With ``against``, a commit, each row also holds the same
+    solve's time, peak and digest from that commit's tree, run in turn
+    with this checkout's, and the pairs won; both trees' bytecode is
+    compiled first, and each tree solves once untimed.
     """
     previous = _previous("crack_assembly", ("n",), "opening_sha256")
-    rows = [_assembly_row(n, repeats, previous) for n in ASSEMBLY_SIZES]
+    with _exported(against) as tree:
+        if tree is not None:
+            for warm in (ROOT, tree):
+                subprocess.run([sys.executable, "-m", "compileall", "-q", str(warm / "src")],
+                               check=True)
+                _child_run(warm, ASSEMBLY_SIZES[0])
+        rows = [_assembly_row(n, repeats, previous, tree) for n in ASSEMBLY_SIZES]
     fields = {
         "layer": "crack.solve_crack end to end (offset table, n-entry node-mean table, "
-                 "fullkernel._solve_folded: the folded half formed in its own memory map, "
-                 "factored in place, its residual from singular chunks plus convolution), "
+                 "fullkernel._solve_folded: the folded half formed in its own private "
+                 "memory map, factored in place, its residual from the finite-part block's "
+                 "product, by its structure above n = 1448, plus convolution), "
                  "one fresh process per run",
         "material": {**MATERIAL, "porosity": POROSITY},
         "half_length": ASSEMBLY_HALF_LENGTH,
     }
+    if against is not None:
+        fields["against"] = {"rev": against, "commit": _commit(against)}
     lines = [f"n={row['n']}: {row['time_s_median']:.3f} s, "
              f"peak {row['peak_rss_mib_median']:.1f} MiB, "
              f"before {row['rss_before_solve_mib_median']:.1f} MiB, "
              f"after {row['rss_after_solve_mib_median']:.1f} MiB "
              f"(centre {row['centre_opening']:.8f}, tip ratio {row['tip_ratio']:.7f})"
+             + ("" if against is None else
+                f"; {against}: {row['against_time_s_median']:.3f} s, "
+                f"peak {row['against_peak_rss_mib_median']:.1f} MiB, "
+                f"won {row['pairs_won']}/{repeats}, opening "
+                + ("equal" if row["against_opening_sha256"] == row["opening_sha256"]
+                   else "DIFFERS"))
              for row in rows]
     return fields, {"sizes": rows}, lines
 
@@ -357,14 +432,19 @@ def main(argv=None):
     parser.add_argument("topic", choices=TOPICS)
     parser.add_argument("--out")
     parser.add_argument("--repeats", type=positive_int)
+    parser.add_argument("--against", metavar="REV",
+                        help="pair every crack_assembly run with one of commit REV")
     parser.add_argument("--child", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child is not None:
         print(json.dumps(_assembly_child(args.child)))
         return
+    if args.against is not None and args.topic != "crack_assembly":
+        parser.error("--against applies to crack_assembly only")
 
     run, default_repeats = TOPICS[args.topic]
-    fields, rows, lines = run(args.repeats or default_repeats)
+    extra = {} if args.against is None else {"against": args.against}
+    fields, rows, lines = run(args.repeats or default_repeats, **extra)
     record = {
         "topic": args.topic, **fields,
         "blas_threads": {var: os.environ[var] for var in BLAS_VARS},
