@@ -434,12 +434,7 @@ def solve_crack(params: MaterialParams, half_length: float, n: int,
     Row ``n-1-i`` of the full residual equals row i, so the gates cover
     the whole system.  The opening is exactly reflection-symmetric.
     """
-    grid, scaled = _crack_grids(params, half_length, n)
-    dp = derive_dimensionless(params)
-    # the full asymptotics (with their fit) run once, inside regular_kernel_table;
-    # the table's transients are gone before the folded grid's buffers exist
-    table = regular_kernel_table(scaled.h, scaled.n, dp, spec)
-    return _solve_tabled(params, dp, grid, _FoldedGrid(scaled), table)
+    return next(_solutions([params], _crack_grids(params, half_length, n), spec))
 
 
 def _crack_grids(params: MaterialParams, half_length: float, n: int):
@@ -455,34 +450,41 @@ def _crack_grids(params: MaterialParams, half_length: float, n: int):
             build_grid(-half_length / length, half_length / length, int(n)))
 
 
-def _solve_tabled(params: MaterialParams, dp: DimensionlessParams, grid: Grid,
-                  folded: _FoldedGrid, kernel_table: np.ndarray) -> CrackSolution:
-    """The crack solve of ``solve_crack`` on ``grid`` from its
-    regular-kernel offset table on, solved on the scaled grid of
-    ``folded``, which a sweep shares across its targets."""
-    slope = _symbol_slope(dp)
-    n_p = dp.porosity
-    rhs_raw = np.pi * (1.0 - n_p) ** 2 * params.sigma0 / (2.0 * params.mu * slope)
-    rhs_reduced = np.pi * params.sigma0 / (2.0 * params.mu * (1.0 - dp.c_sq))
-    if abs(rhs_raw - rhs_reduced) > 1e-13 * max(abs(rhs_reduced), 1e-300):
-        raise ValueError(
-            "porosity factor failed to cancel between load and kernel slope "
-            f"({rhs_raw!r} vs {rhs_reduced!r})")
+def _solutions(materials: Sequence[MaterialParams], grids, spec: Optional[OscIntSpec]):
+    """The ``CrackSolution`` of ``solve_crack`` for each material in turn,
+    on the ``grids`` of ``_crack_grids``.  The kernel tables of all
+    materials come from one ``_kernel_tables`` call, whose transients are
+    gone before the scaled grid's ``_FoldedGrid`` exists, which every
+    material shares."""
+    spec = spec if spec is not None else OscIntSpec()
+    grid, scaled = grids
+    dps = [derive_dimensionless(params) for params in materials]
+    tables = _kernel_tables(scaled.h, scaled.n, dps, spec)
+    folded = _FoldedGrid(scaled)
+    for params, dp, kernel_table in zip(materials, dps, tables):
+        slope = _symbol_slope(dp)
+        n_p = dp.porosity
+        rhs_raw = np.pi * (1.0 - n_p) ** 2 * params.sigma0 / (2.0 * params.mu * slope)
+        rhs_reduced = np.pi * params.sigma0 / (2.0 * params.mu * (1.0 - dp.c_sq))
+        if abs(rhs_raw - rhs_reduced) > 1e-13 * max(abs(rhs_reduced), 1e-300):
+            raise ValueError(
+                "porosity factor failed to cancel between load and kernel slope "
+                f"({rhs_raw!r} vs {rhs_reduced!r})")
 
-    table = -(np.pi / slope) * kernel_table
-    if not np.all(np.isfinite(table)):
-        raise ValueError("crack kernel table has a non-finite value")
-    phi = -_solve_folded(folded, _node_mean(table), np.full(grid.n, rhs_reduced))
-    opening_values = grid.interval.halfwidth * folded.tables.mid_weight * phi
-    if params.sigma0 > 0.0 and np.any(opening_values < 0.0):
-        raise ValueError(
-            f"crack opening has negative samples (min {opening_values.min():.3g}, "
-            f"max {opening_values.max():.3g}) at porosity {n_p:.6g}; the symbol "
-            f"turns negative near s = 0 once N >= 1 - c^2 = {1.0 - dp.c_sq:.6g}")
-    opening = SampledFunction(grid=grid, values=opening_values)
-    return CrackSolution(grid=grid, opening=opening, params=params,
-                         dimensionless=dp, half_length=grid.interval.b,
-                         tip_coefficient=float(phi[-1]))
+        table = -(np.pi / slope) * kernel_table
+        if not np.all(np.isfinite(table)):
+            raise ValueError("crack kernel table has a non-finite value")
+        phi = -_solve_folded(folded, _node_mean(table), np.full(grid.n, rhs_reduced))
+        opening_values = grid.interval.halfwidth * folded.tables.mid_weight * phi
+        if params.sigma0 > 0.0 and np.any(opening_values < 0.0):
+            raise ValueError(
+                f"crack opening has negative samples (min {opening_values.min():.3g}, "
+                f"max {opening_values.max():.3g}) at porosity {n_p:.6g}; the symbol "
+                f"turns negative near s = 0 once N >= 1 - c^2 = {1.0 - dp.c_sq:.6g}")
+        opening = SampledFunction(grid=grid, values=opening_values)
+        yield CrackSolution(grid=grid, opening=opening, params=params,
+                            dimensionless=dp, half_length=grid.interval.b,
+                            tip_coefficient=float(phi[-1]))
 
 
 def stress_concentration(solution: CrackSolution) -> float:
@@ -515,24 +517,17 @@ def porosity_sweep(base: MaterialParams, porosities: Sequence[float],
     the grid's chirp-z plan, the proxy transform and its cosine-integral
     tail once.  The grid's part of the folded system, ``_FoldedGrid``, is
     built once too, after the tables, and every target shares it, with
-    the finite-part block it keeps (n <= 1448).  Each target is then
-    solved as ``solve_crack`` solves it, and each row equals
-    ``solve_crack`` with ``stress_concentration`` at that target bitwise.
+    the finite-part block it keeps (n <= 1448).  ``solve_crack`` is the
+    same sweep of one material, so each row equals ``solve_crack`` with
+    ``stress_concentration`` at that target bitwise.
     """
-    spec = spec if spec is not None else OscIntSpec()
     targets = [float(n_target) for n_target in porosities]
     for n_target in targets:
         if not 0.0 <= n_target < 1.0:
             raise ValueError(f"porosity targets must lie in [0, 1), got {n_target!r}")
-    grid, scaled = _crack_grids(base, half_length, n)
+    grids = _crack_grids(base, half_length, n)
     materials = [replace(base, beta=math.sqrt(n_target * base.xi * (base.lam + 2.0 * base.mu)))
                  for n_target in targets]
-    dps = [derive_dimensionless(params) for params in materials]
-    tables = _kernel_tables(scaled.h, scaled.n, dps, spec)
-    folded = _FoldedGrid(scaled)
-    rows = []
-    for n_target, params, dp, table in zip(targets, materials, dps, tables):
-        sol = _solve_tabled(params, dp, grid, folded, table)
-        opening0 = float(np.interp(0.0, sol.opening.points, sol.opening.values))
-        rows.append((n_target, opening0, stress_concentration(sol)))
-    return rows
+    return [(n_target, float(np.interp(0.0, sol.opening.points, sol.opening.values)),
+             stress_concentration(sol))
+            for n_target, sol in zip(targets, _solutions(materials, grids, spec))]

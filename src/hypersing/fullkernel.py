@@ -321,10 +321,10 @@ def _singular_fold(t: _HalfAngleTables):
 _SERIES_MAX_RATIO = 0.75
 
 
-# Largest folded finite-part block a grid keeps whole, r^2 floats for
-# n <= 1448; a 39 MiB block of unfolded rows kept at n = 3200 took a
-# 4-target sweep's RSS peak from 103 to 142 MiB for a 10% faster sweep.
-_KEPT_SINGULAR_MAX_BYTES = 4 << 20
+# 8 r^2 bytes past which a folded grid is large (n >= 1449): it keeps no S
+# (S kept at n = 3200 took a 4-target sweep from 103 to 142 MiB for 10% less
+# time), and B gets its own map, as numpy advises huge pages from this size on
+_LARGE_FOLD_BYTES = 4 << 20
 
 
 class _FoldedGrid:
@@ -335,11 +335,11 @@ class _FoldedGrid:
     cell weights ``W_j`` and the two users of the folded finite-part block
     S of ``_singular_fold``: ``columns(start, stop, out)`` writes columns
     start .. stop-1 of S as the rows of ``out``, for one of those chunks,
-    and ``product(x)`` returns S x.  While S fits in
-    ``_KEPT_SINGULAR_MAX_BYTES`` (``8 r^2`` bytes: 80 KB at n = 200, at
-    most 4 MiB at n = 1448) it is formed once, in those chunks, and kept
+    and ``product(x)`` returns S x.  Unless the grid is ``large``, its
+    ``8 r^2`` bytes past ``_LARGE_FOLD_BYTES`` (80 KB at n = 200, at most
+    4 MiB at n = 1448), S is formed once, in those chunks, and kept
     read-only as ``singular``; ``columns`` copies its chunks and
-    ``product`` is ``singular @ x``.  On a larger grid ``singular`` is
+    ``product`` is ``singular @ x``.  On a large grid ``singular`` is
     None, ``columns`` forms each chunk anew and ``product`` takes S x from
     the structure of S, with no pass over its columns.  A chunk is the same
     bitwise either way, and a product the same to rounding, so every kernel
@@ -354,8 +354,9 @@ class _FoldedGrid:
         self.chunks = _chunks(r, r)
         self.weights = grid.interval.halfwidth**2 * t.cell_weight
         self.columns, self.product = _singular_fold(t)
+        self.large = 8 * r * r > _LARGE_FOLD_BYTES
         self.singular = None
-        if 8 * r * r <= _KEPT_SINGULAR_MAX_BYTES:
+        if not self.large:
             self.singular = singular = np.empty((r, r), order="F")
             for start, stop in self.chunks:
                 self.columns(start, stop, singular.T[start:stop])
@@ -424,16 +425,11 @@ class _FoldedSystem:
         return out
 
 
-# Smallest folded matrix given its own memory map; numpy's allocator
-# advises huge pages from the same size on
-_MAPPED_MIN_BYTES = 4 << 20
+def _mapped_matrix(folded: _FoldedGrid) -> np.ndarray:
+    """An r-by-r Fortran-ordered float array for the folded matrix of
+    ``folded``, whose pages go back to the system as soon as it is dropped.
 
-
-def _mapped_matrix(r: int) -> np.ndarray:
-    """An r-by-r Fortran-ordered float array whose pages go back to the
-    operating system as soon as it is dropped.
-
-    From ``_MAPPED_MIN_BYTES`` on it lives in its own private anonymous
+    On a ``large`` grid it lives in its own private anonymous
     memory map, advised to use huge pages as numpy advises its large
     arrays.  The map must be private: Linux backs a shared anonymous map
     with shared memory, which takes huge pages only where its own shmem
@@ -446,12 +442,12 @@ def _mapped_matrix(r: int) -> np.ndarray:
     same size comes from the heap, which it keeps.  A smaller array comes
     from numpy, as a fresh map would cost more than the solve it serves.
     """
-    nbytes = 8 * r * r
-    if nbytes < _MAPPED_MIN_BYTES:
+    r = folded.r
+    if not folded.large:
         return np.empty((r, r), order="F")
     private = ({"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS}
                if hasattr(mmap, "MAP_PRIVATE") else {})  # not on Windows
-    buffer = mmap.mmap(-1, nbytes, **private)
+    buffer = mmap.mmap(-1, 8 * r * r, **private)
     if hasattr(mmap, "MADV_HUGEPAGE"):
         try:
             buffer.madvise(mmap.MADV_HUGEPAGE)
@@ -478,7 +474,7 @@ def _solve_folded(folded: _FoldedGrid, mean: np.ndarray, rhs: np.ndarray) -> np.
         raise ValueError("a folded system needs a reflection-symmetric right-hand side "
                          "with one entry per cell")
     system = _FoldedSystem(folded, mean)
-    half = _solve_in_place(system.matrix(_mapped_matrix(r)), rhs[:r], system.matvec)
+    half = _solve_in_place(system.matrix(_mapped_matrix(folded)), rhs[:r], system.matvec)
     return np.concatenate([half, half[:n - r][::-1]])
 
 

@@ -302,9 +302,9 @@ def _halfline_cosine_tables(Fs, h: float, n: int, spec: OscIntSpec) -> np.ndarra
     chirp, and the sliver's nodes, weights and cosine matrix.  The
     integrands are then sampled, folded and transformed one at a time, so
     memory does not grow with their number beyond the K-by-n result, and
-    each row is the same bitwise whatever the other integrands.  More
-    than 2e7 samples raise ``ValueError`` before any is taken.  The
-    discarded tail past s_max is the caller's to bound.
+    each row is the same bitwise whatever the other integrands.  More than
+    2e7 samples, or a phase period 4M past int64, raise ``ValueError``
+    before any is taken; the discarded tail past s_max is the caller's.
     """
     h = float(h)
     if not (np.isfinite(h) and h > 0.0):
@@ -314,13 +314,20 @@ def _halfline_cosine_tables(Fs, h: float, n: int, spec: OscIntSpec) -> np.ndarra
     n = int(n)
     # M of the docstring: a quarter of the phase period, in samples
     max_step = 2.0 * np.pi / (_SAMPLES_PER_PERIOD * max((n - 0.5) * h, _FREQUENCY_FLOOR))
-    quarter = int(max(np.ceil(np.pi / (h * max_step)),
-                      np.ceil(_MIN_STEPS * np.pi / (h * spec.s_max))))
-    ds = np.pi / (quarter * h)
-    last = int(np.floor(spec.s_max / ds))
-    if last > _MAX_SAMPLES:
-        raise ValueError(f"sample count {last} exceeds the supported maximum; "
+    h64 = np.float64(h)
+    with np.errstate(divide="ignore", over="ignore"):  # inf, refused below
+        quarter = float(max(np.ceil(np.pi / (h64 * max_step)),
+                            np.ceil(_MIN_STEPS * np.pi / (h64 * spec.s_max))))
+        ds = np.pi / (quarter * h64)
+        last = np.floor(spec.s_max / ds)
+    # the phases are reduced mod 4M as int64
+    if not 4 * quarter <= np.iinfo(np.int64).max:
+        raise ValueError(f"phase period of {4 * quarter:.3g} samples exceeds int64 "
+                         f"at grid step {h:.3g} and s_max {spec.s_max:.3g}")
+    if not last <= _MAX_SAMPLES:
+        raise ValueError(f"sample count {last:.3g} exceeds the supported maximum; "
                          "reduce s_max or the offsets")
+    quarter, last = int(quarter), int(last)
     period = 2 * quarter
     u = (np.arange(n) + 0.5) * h
 

@@ -262,6 +262,30 @@ def test_runtime_domain_failures_exit_3(tmp_path, capsys):
     assert "ERROR" in captured.err
 
 
+@pytest.mark.parametrize("command, sets", [
+    ("crack", ("n=10", "beta=1", "alpha=1e40")),
+    ("crack", ("n=10", "beta=1", "s_max=1e-300")),
+    ("sweep", ("n=10", "half_length=1e-17", "N_values=0.2")),
+], ids=("tiny-cell", "tiny-s_max", "tiny-sweep"))
+def test_phase_period_past_int64_exits_3(tmp_path, capsys, command, sets):
+    # the cosine rule's phases are reduced mod 4M as int64; a scaled cell
+    # width or s_max this small needs a period past it
+    code, out = _run(tmp_path, command, CRACK_CFG, *sets)
+    captured = capsys.readouterr()
+    assert code == EXIT_DOMAIN
+    assert not out.exists()
+    assert captured.err.startswith("ERROR invalid-value: phase period of ")
+    assert captured.err.count("\n") == 1
+
+
+def test_sample_count_is_printed_in_short_form(tmp_path, capsys):
+    code, out = _run(tmp_path, "crack", CRACK_CFG, "n=10", "beta=1", "half_length=1e200")
+    assert code == EXIT_DOMAIN
+    assert not out.exists()
+    assert capsys.readouterr().err == ("ERROR invalid-value: sample count 1.94e+203 exceeds "
+                                       "the supported maximum; reduce s_max or the offsets\n")
+
+
 def test_sign_flipped_crack_exits_3(tmp_path, capsys):
     # N = 0.8 > 1 - c^2 at b = 10: the solve's opening changes sign
     code, out = _run(tmp_path, "crack", CRACK_CFG, "half_length=10", f"beta={(2.4) ** 0.5!r}")

@@ -398,7 +398,7 @@ def test_shared_singular_half_gives_the_folded_matrix_bitwise(monkeypatch, n, ha
     assert kept.singular.shape == (r, r)
     if n >= 400:
         assert len(_chunks(r, r)) > 1
-    monkeypatch.setattr(fullkernel, "_KEPT_SINGULAR_MAX_BYTES", 0)
+    monkeypatch.setattr(fullkernel, "_LARGE_FOLD_BYTES", 0)
     formed = _FoldedGrid(grid)
     assert formed.singular is None
     assert np.array_equal(_FoldedSystem(kept, mean).matrix(),
@@ -415,7 +415,7 @@ def test_folded_matvec_matches_the_formed_matrix(monkeypatch, n, shared):
     from hypersing.fullkernel import _FoldedGrid, _FoldedSystem
 
     grid, mean, _ = _crack_system(n, 1.0)
-    monkeypatch.setattr(fullkernel, "_KEPT_SINGULAR_MAX_BYTES", (1 << 30) if shared else 0)
+    monkeypatch.setattr(fullkernel, "_LARGE_FOLD_BYTES", (1 << 30) if shared else 0)
     folded = _FoldedGrid(grid)
     assert (folded.singular is not None) == shared
     system = _FoldedSystem(folded, mean)
@@ -476,10 +476,17 @@ def test_folded_matrix_map_is_private_from_its_size_on(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(fullkernel.mmap, "mmap", recorded)
-    assert fullkernel._mapped_matrix(700).shape == (700, 700)  # 3.7 MiB
+    # the grid's one size rule: at r = 700 (3.7 MiB) it keeps S and B comes
+    # from numpy; at r = 725 (8 r^2 bytes, just over 4 MiB) neither holds
+    small = fullkernel._FoldedGrid(build_grid(-1.0, 1.0, 1400))
+    assert not small.large and small.singular is not None
+    assert fullkernel._mapped_matrix(small).shape == (700, 700)
     assert calls == []
-    r = 725  # 8 r^2 bytes, just over 4 MiB
-    matrix = fullkernel._mapped_matrix(r)
+    large = fullkernel._FoldedGrid(build_grid(-1.0, 1.0, 1450))
+    assert large.large and large.singular is None
+    r = large.r
+    assert r == 725
+    matrix = fullkernel._mapped_matrix(large)
     assert matrix.shape == (r, r) and matrix.flags.f_contiguous
     assert calls == [((-1, 8 * r * r), {"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS})]
 
@@ -585,17 +592,25 @@ def test_kernel_table_handed_to_the_solve_is_left_unwritten(monkeypatch):
     assert np.array_equal(mean, before)
 
 
+def test_phase_period_past_int64_is_refused():
+    # a scaled cell width near 1e-17 needs a cosine-rule period past int64
+    with pytest.raises(ValueError, match="exceeds int64"):
+        solve_crack(POROUS, 1e-16, 10)
+    with pytest.raises(ValueError, match="exceeds int64"):
+        regular_kernel(1e-17, derive_dimensionless(POROUS))
+
+
 def test_non_finite_kernel_table_is_refused(monkeypatch):
     import hypersing.crack as crack
 
-    real = crack.regular_kernel_table
+    real = crack._kernel_tables
 
-    def spoiled(h, n, dp, spec=None):
-        table = real(h, n, dp, spec)
-        table[n // 3] = np.nan
-        return table
+    def spoiled(h, n, dps, spec):
+        tables = real(h, n, dps, spec)
+        tables[0, n // 3] = np.nan
+        return tables
 
-    monkeypatch.setattr(crack, "regular_kernel_table", spoiled)
+    monkeypatch.setattr(crack, "_kernel_tables", spoiled)
     assembled = []
     monkeypatch.setattr(crack, "_solve_folded", lambda *args: assembled.append(args))
     with pytest.raises(ValueError, match="non-finite"):
@@ -910,7 +925,7 @@ def test_single_solve_memory_is_the_folded_matrix_alone(monkeypatch):
     mapped = []
     real = fullkernel._mapped_matrix
     monkeypatch.setattr(fullkernel, "_mapped_matrix",
-                        lambda size: mapped.append(size) or real(size))
+                        lambda folded: mapped.append(folded.r) or real(folded))
     material = _with_porosity(0.35)
     solve_crack(material, 1.0, n)  # warm-up
     tracemalloc.start()

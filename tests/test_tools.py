@@ -41,45 +41,87 @@ def _committed_row_keys(topic):
 
 
 def test_offset_table_row_keeps_the_committed_keys(tool):
-    row = tool._offset_row(1.0, 40, 1, {})
+    row = tool._offset_row(1.0, 40)
     assert list(row) == _committed_row_keys("offset_table")
-    assert row["previous_table_sha256"] is None
+    assert row["repeats"] == 1
 
 
 def test_crack_assembly_row_from_one_child_keeps_the_committed_keys(tool):
-    row = tool._assembly_row(40, 1, {})
+    row = tool._assembly_row(40)
     assert list(row) == _committed_row_keys("crack_assembly")
-    assert row["previous_opening_sha256"] is None
+    assert row["time_s_median"] == row["time_s_min"] == row["time_s_max"]
 
 
-def test_crack_assembly_row_against_head_pairs_the_two_trees(tool):
+def test_against_head_exports_the_committed_tree(tool):
     import subprocess
 
     if subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "HEAD^{commit}"],
                       capture_output=True).returncode != 0:
         pytest.skip("not a git checkout with a commit")
-    with tool._exported("HEAD") as tree:
+    with tool._exported("HEAD") as (commit, tree):
         assert (tree / "tools" / "bench_layers.py").is_file()
-        row = tool._assembly_row(40, 2, {}, tree)
+        assert (tree / "src" / "hypersing" / "crack.py").is_file()
     assert not tree.exists()
-    keys = _committed_row_keys("crack_assembly")
-    assert list(row)[:len(keys)] == keys
-    assert list(row)[len(keys):] == ["against_time_s_median", "against_time_s_min",
-                                     "against_time_s_max", "against_peak_rss_mib_median",
-                                     "against_opening_sha256", "pairs_won"]
-    assert len(row["against_opening_sha256"]) == 64 and 0 <= row["pairs_won"] <= 2
+    head = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"],
+                          capture_output=True, text=True).stdout.strip()
+    assert commit == head
 
 
-def test_against_is_refused_for_other_topics(tool, capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        tool.main(["sweep_table", "--against", "HEAD"])
-    assert exit_info.value.code == 2
-    assert "--against applies to crack_assembly only" in capsys.readouterr().err
+def test_records_merge_by_key_suffix(tool):
+    runs = [{"topic": "t", "sizes": [{"n": 8, "t_median": t, "t_min": t, "t_max": t,
+                                      "repeats": 1, "ok": ok, "cells": [0, 4],
+                                      "first_row": [0.5, t], "table_sha256": "a" * 64}]}
+            for t, ok in ((3.0, True), (1.0, True), (2.0, False))]
+    merged = tool._merged(runs)
+    assert merged == {"topic": "t", "sizes": [{
+        "n": 8, "t_median": 2.0, "t_min": 1.0, "t_max": 3.0, "repeats": 3, "ok": False,
+        "cells": [0, 4], "first_row": [0.5, 2.0], "table_sha256": "a" * 64}]}
+    runs[1]["sizes"][0]["table_sha256"] = "b" * 64
+    with pytest.raises(RuntimeError, match="table_sha256 differs across runs"):
+        tool._merged(runs)
+    with pytest.raises(RuntimeError, match="other keys"):
+        tool._merged([{"n": 1}, {"m": 1}])
+
+
+# a tool that writes a canned record: run k of tree NAME takes TIMES[NAME][k]
+# seconds, and every run appends NAME to the order log beside the trees
+STUB_TOOL = """
+import json, sys
+from pathlib import Path
+
+tree = Path(__file__).resolve().parent.parent
+log = tree.parent / "order.log"
+done = log.read_text().split() if log.exists() else []
+log.write_text(" ".join(done + [tree.name]))
+seconds = {"own": [1.0, 3.0, 1.0], "rev": [2.0, 2.0, 2.0]}[tree.name][done.count(tree.name)]
+assert sys.argv[1:4] == ["crack_assembly", "--repeats", "1"]
+Path(sys.argv[5]).write_text(json.dumps({"topic": "crack_assembly", "sizes": [
+    {"n": 40, "time_s_median": seconds, "repeats": 1,
+     "opening_sha256": tree.name[0] * 64}]}))
+"""
+
+
+def test_paired_runs_alternate_and_count_the_pairs_won(tool, tmp_path):
+    trees = [tmp_path / "own", tmp_path / "rev"]
+    for tree in trees:
+        (tree / "tools").mkdir(parents=True)
+        (tree / "src").mkdir()
+        (tree / "tools" / "bench_layers.py").write_text(STUB_TOOL)
+    own, rev = tool._repeated("crack_assembly", 3, trees)
+    assert (tmp_path / "order.log").read_text().split() == ["own", "rev", "rev", "own",
+                                                             "own", "rev"]
+    [row], [theirs] = own["sizes"], rev["sizes"]
+    assert row == {"n": 40, "time_s_median": 1.0, "repeats": 3,
+                   "opening_sha256": "o" * 64, "pairs_won": 2}
+    assert theirs == {"n": 40, "time_s_median": 2.0, "repeats": 3, "opening_sha256": "r" * 64}
+    own["against"] = {"rev": "REV", "commit": "0" * 40, "record": rev}
+    lines = tool._paired_lines(["n=40"], own, "REV")
+    assert lines == ["n=40; REV: 2 s, won 2/3, digests DIFFER", "digests DIFFER from REV's"]
 
 
 def test_sweep_row_keeps_the_committed_keys_and_equals_single_solves(tool):
     layers = {name: getattr(tool.crack, name) for name in tool.LAYERS}
-    row = tool._sweep_row(1.0, 20, 1, 1, {})
+    row = tool._sweep_row(1.0, 20, 1)
     assert list(row) == _committed_row_keys("sweep_table")
     assert row["rows_equal_single_solves"] is True
     assert all(getattr(tool.crack, name) is layer for name, layer in layers.items())
@@ -98,15 +140,3 @@ def test_importing_the_tool_is_undone():
     with _imported_tool() as tool:
         assert all(os.environ[var] == "1" for var in tool.BLAS_VARS)
     assert (os.environ.copy(), list(sys.path)) == before
-
-
-def test_previous_digests_are_read_by_row_key(tool):
-    sweep = json.loads((ROOT / "BENCH_sweep_table.json").read_text())
-    expect = {(case["half_length"], case["n"], row["targets"]): row["rows_sha256"]
-              for case in sweep["cases"] for row in case["curve"]}
-    assert tool._previous("sweep_table", ("half_length", "n", "targets"),
-                          "rows_sha256") == expect
-    assembly = json.loads((ROOT / "BENCH_crack_assembly.json").read_text())
-    assert tool._previous("crack_assembly", ("n",), "opening_sha256") == {
-        (row["n"],): row["opening_sha256"] for row in assembly["sizes"]}
-    assert tool._previous("no_such_topic", ("n",), "opening_sha256") == {}
