@@ -15,10 +15,8 @@ from .quadrature import (
     PVQuadSpec,
     OscIntSpec,
     chebyshev_nodes,
-    weighted_integral,
     pv_weighted_integral,
     pv_weighted_matrix,
-    chebyshev_finite_part,
 )
 from .characteristic import (
     CharacteristicProblem,
@@ -30,7 +28,6 @@ from .characteristic import (
 from .fullkernel import (
     FullProblem,
     FredholmSystem,
-    assemble_full,
     solve_full_collocation,
     chebyshev_nystrom_rule,
     fredholm_reduce,
@@ -57,11 +54,10 @@ __all__ = [
     "Interval", "Grid", "SampledFunction", "build_grid",
     "SingularMatrixError", "ResidualError", "lu_solve", "residual_norm",
     "PVQuadSpec", "OscIntSpec", "chebyshev_nodes",
-    "weighted_integral", "pv_weighted_integral", "pv_weighted_matrix",
-    "chebyshev_finite_part",
+    "pv_weighted_integral", "pv_weighted_matrix",
     "CharacteristicProblem", "assemble_characteristic", "solve_characteristic",
     "invert_characteristic", "convergence_study",
-    "FullProblem", "FredholmSystem", "assemble_full", "solve_full_collocation",
+    "FullProblem", "FredholmSystem", "solve_full_collocation",
     "chebyshev_nystrom_rule", "fredholm_reduce", "solve_fredholm", "nystrom_eval",
     "MaterialParams", "DimensionlessParams", "CrackSolution",
     "derive_dimensionless", "crack_symbol", "symbol_asymptotics",

@@ -210,7 +210,9 @@ def parse_config(text: str, overrides=()) -> RunConfig:
     spec = build("s_max", OscIntSpec, raw.pop("s_max")) if "s_max" in raw else _DEFAULT_SPEC
     if "N_values" in raw:
         bad = [v for v in raw["N_values"] if not 0.0 <= v < 1.0]
-        if bad:
+        if not raw["N_values"]:
+            failures.append("N_values: needs at least one porosity target")
+        elif bad:
             failures.append(f"N_values: every target must lie in [0, 1), got {bad!r}")
     constants = {"beta": 0.0, **{k: raw.pop(k) for k in _MATERIAL_KEYS if k in raw}}
     material = None
@@ -255,16 +257,6 @@ class ResultTable:
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(self.to_csv())
-
-    @classmethod
-    def read(cls, path) -> "ResultTable":
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            lines = [line.rstrip("\n") for line in handle if line.strip() != ""]
-        if not lines:
-            raise ValueError(f"empty CSV file: {path}")
-        columns = lines[0].split(",")
-        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
-        return cls(columns=columns, rows=rows)
 
 
 def _rhs_functions(config: RunConfig):

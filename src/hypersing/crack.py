@@ -512,16 +512,19 @@ def porosity_sweep(base: MaterialParams, porosities: Sequence[float],
     of ``base`` is kept.  Returns a list of tuples
     ``(N, opening_at_center, normalized_tip_amplitude)``.
 
-    Every target is checked before any work starts.  The kernel tables
-    of all targets come from one ``_kernel_tables`` call, which builds
-    the grid's chirp-z plan, the proxy transform and its cosine-integral
-    tail once.  The grid's part of the folded system, ``_FoldedGrid``, is
-    built once too, after the tables, and every target shares it, with
-    the finite-part block it keeps (n <= 1448).  ``solve_crack`` is the
-    same sweep of one material, so each row equals ``solve_crack`` with
+    Every target is checked, and an empty list refused, before any work
+    starts.  The kernel tables of all targets come from one
+    ``_kernel_tables`` call, which builds the grid's chirp-z plan, the
+    proxy transform and its cosine-integral tail once.  The grid's part
+    of the folded system, ``_FoldedGrid``, is built once too, after the
+    tables, and every target shares it, with the finite-part block it
+    keeps (n <= 1448).  ``solve_crack`` is the same sweep of one
+    material, so each row equals ``solve_crack`` with
     ``stress_concentration`` at that target bitwise.
     """
     targets = [float(n_target) for n_target in porosities]
+    if not targets:
+        raise ValueError("porosity sweep needs at least one target")
     for n_target in targets:
         if not 0.0 <= n_target < 1.0:
             raise ValueError(f"porosity targets must lie in [0, 1), got {n_target!r}")

@@ -56,7 +56,6 @@ from .characteristic import _check_antiderivative, _invert
 __all__ = [
     "FullProblem",
     "FredholmSystem",
-    "assemble_full",
     "solve_full_collocation",
     "chebyshev_nystrom_rule",
     "fredholm_reduce",
@@ -478,40 +477,19 @@ def _solve_folded(folded: _FoldedGrid, mean: np.ndarray, rhs: np.ndarray) -> np.
     return np.concatenate([half, half[:n - r][::-1]])
 
 
-def assemble_full(grid: Grid, K0) -> np.ndarray:
-    """Collocation matrix of the perturbed equation in the weighted basis.
-
-    The unknown on cell j is ``phi_j = g / w``, constant on the cell,
-    with ``w(t) = sqrt((t - a)(b - t))``; row i collocates at the
-    midpoint x_i.  Entry (i, j) is
-
-        F(u_j; xi_i) - F(u_{j-1}; xi_i)  +  K0(x_i, t_j) * W_j,
-
-    where the first part is the exact finite-part integral of
-    ``w(t) / (x_i - t)^2`` over the cell after the affine map to
-    (-1, 1), under which it is scale-free (F is that of
-    ``_HalfAngleTables``), and ``W_j`` is the exact integral of w over
-    cell j.  The kernel is sampled at the right node t_j, never at zero
-    offset.
-
-    The callable is sampled into one n-by-n array before the matrix
-    exists, so the peak memory is the larger of the callable's own
-    sampling cost and two n-by-n arrays.  The kernel callable may be
-    vectorized over numpy arrays; scalar-only callables are evaluated
-    entry by entry.
-    """
-    return _weighted_matrix(grid, _sample(K0, grid.colloc[:, None], grid.nodes[None, 1:]),
-                            _HalfAngleTables(grid.n))
-
-
 def solve_full_collocation(problem: FullProblem, grid: Grid) -> SampledFunction:
     """Solve the perturbed equation by direct collocation.
 
-    Solves for the cell constants of ``phi = g / w`` and returns
-    ``g(x_i) = w(x_i) * phi_i`` at the cell midpoints x_1 .. x_n, the
-    same sample sites as ``solve_characteristic``.  The matrix is that of
-    ``assemble_full``, and one set of the grid's tables gives both it and
-    the basis weight w at the midpoints.
+    Solves for the cell constants of ``phi = g / w``, with
+    ``w(t) = sqrt((t - a)(b - t))``, collocated at the cell midpoints x_i.
+    Entry (i, j) of the matrix is the exact finite-part integral of
+    ``w(t) / (x_i - t)^2`` over cell j plus ``K0(x_i, t_j) W_j``, with
+    ``W_j`` the exact integral of w over the cell and the kernel sampled
+    at the right node t_j, never at zero offset, into one n-by-n array
+    (a scalar-only callable entry by entry).  Returns
+    ``g(x_i) = w(x_i) * phi_i`` at x_1 .. x_n, the same sample sites as
+    ``solve_characteristic``; one set of the grid's tables gives both the
+    matrix and w at the midpoints.
     """
     if problem.interval != grid.interval:
         raise ValueError("problem and grid are built on different intervals")

@@ -16,9 +16,6 @@ Two families:
   once by one chirp-z FFT whose plan is shared by every integrand on the
   same grid.  It is a private helper of :mod:`hypersing.crack`, which
   declares and checks the O(1/s^3) decay that bounds the discarded tail.
-
-The closed-form finite-part transform of the weighted Chebyshev
-polynomials is exposed as an oracle for testing solvers built on top.
 """
 
 from __future__ import annotations
@@ -33,11 +30,8 @@ __all__ = [
     "PVQuadSpec",
     "OscIntSpec",
     "chebyshev_nodes",
-    "weighted_integral",
     "pv_weighted_integral",
     "pv_weighted_matrix",
-    "chebyshev_finite_part",
-    "cosine_integral",
 ]
 
 # Gregory end weights of the trapezoid rule, eight points at each end,
@@ -127,13 +121,6 @@ def chebyshev_nodes(interval: Interval, m: int) -> np.ndarray:
     return interval.midpoint + interval.halfwidth * np.cos(theta[::-1])
 
 
-def weighted_integral(f, interval: Interval, spec: PVQuadSpec) -> float:
-    """Integral of ``f(t) / sqrt((t - a)(b - t))`` over the interval."""
-    nodes = chebyshev_nodes(interval, spec.m)
-    vals = _sample(f, nodes)
-    return float(np.pi / spec.m * vals.sum())
-
-
 def pv_weighted_matrix(sample, interval: Interval, xs, spec: PVQuadSpec) -> np.ndarray:
     """Principal values of ``f(tau) / (w(tau) (x_i - tau))`` at many points at once.
 
@@ -187,22 +174,6 @@ def pv_weighted_integral(f, interval: Interval, x, spec: PVQuadSpec) -> float:
     inside the interval and f is finite on the closed interval.
     """
     return float(pv_weighted_matrix(lambda p: _sample(f, p), interval, [float(x)], spec)[0])
-
-
-def chebyshev_finite_part(degree: int, x) -> float:
-    """Closed-form finite part of ``sqrt(1 - t^2) U_degree(t) / (x - t)^2``.
-
-    The Hadamard finite-part transform of the weighted second-kind
-    Chebyshev polynomial on (-1, 1) evaluates to
-    ``-pi (degree + 1) U_degree(x)``; this is the reference against
-    which the collocation solvers are validated.
-    """
-    if int(degree) != degree or degree < 0:
-        raise ValueError(f"degree must be a nonnegative integer, got {degree!r}")
-    x = float(x)
-    if not -1.0 < x < 1.0:
-        raise ValueError(f"evaluation point must satisfy |x| < 1, got {x!r}")
-    return float(-np.pi * (degree + 1) * _chebyshev_u(int(degree), x))
 
 
 def _chebyshev_u(degree: int, x) -> np.ndarray:

@@ -3,10 +3,11 @@
 Nothing in here shares code or algorithmic structure with the package:
 the principal values come from a symmetric-exclusion midpoint rule with
 analytic endpoint slivers, the finite-part values from numerically
-differentiating the principal value, and the cosine transforms from
-scipy's adaptive oscillatory quadrature.  Agreement between these and
-the package's Chebyshev/panel rules is therefore a genuine two-route
-check, not a reflection.
+differentiating the principal value or, for the weighted Chebyshev
+polynomials, from their closed form with scipy's polynomials, and the
+cosine transforms from scipy's adaptive oscillatory quadrature.
+Agreement between these and the package's Chebyshev/panel rules is
+therefore a genuine two-route check, not a reflection.
 """
 
 import numpy as np
@@ -81,6 +82,15 @@ def finite_part_oracle(f, a, b, x, m=400, delta=1e-5):
     up = pv_weighted_integral(f, _interval(a, b), x + delta, spec)
     dn = pv_weighted_integral(f, _interval(a, b), x - delta, spec)
     return -(up - dn) / (2.0 * delta)
+
+
+def chebyshev_finite_part(degree, x):
+    """Closed-form finite part of ``sqrt(1 - t^2) U_degree(t) / (x - t)^2``
+    over (-1, 1), ``-pi (degree + 1) U_degree(x)`` for |x| < 1, with scipy's
+    second-kind Chebyshev polynomial."""
+    from scipy.special import eval_chebyu
+
+    return float(-np.pi * (degree + 1) * eval_chebyu(degree, x))
 
 
 def _interval(a, b):

@@ -22,6 +22,12 @@ CRACK_CFG = (
 )
 
 
+def _read(path):
+    """The header and the rows of a written CSV table."""
+    header = path.read_text(encoding="utf-8").split("\n", 1)[0].split(",")
+    return header, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
 def _run(tmp_path, command, text, *sets, out_name="out.csv"):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
@@ -85,7 +91,7 @@ def test_command_specific_requirements():
                         ).spec.s_max == 400.0
 
 
-def test_n_list_and_porosity_bounds():
+def test_n_list_and_porosity_bounds(tmp_path):
     base = "a = -1\nb = 1\nrhs = constant_pi\nn_list = 25,50,100\n"
     cfg = parse_config(base, overrides=("command=convergence", "out=res.csv"))
     assert cfg.n_list == [25, 50, 100]
@@ -95,6 +101,12 @@ def test_n_list_and_porosity_bounds():
         parse_config(
             CRACK_CFG, overrides=("command=sweep", "out=res.csv", "N_values=0,0.5,1.0")
         )
+    with pytest.raises(ConfigError) as exc:
+        parse_config(CRACK_CFG, overrides=("command=sweep", "out=res.csv", "N_values="))
+    assert exc.value.failures == ["N_values: needs at least one porosity target"]
+    code, out = _run(tmp_path, "sweep", CRACK_CFG, "N_values=")
+    assert code == EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_result_table_validation():
@@ -111,9 +123,9 @@ def test_result_table_round_trips_float64_exactly(tmp_path):
     table = ResultTable(["u", "v"], rows)
     path = tmp_path / "t.csv"
     table.write(path)
-    back = ResultTable.read(path)
-    assert back.columns == ["u", "v"]
-    assert back.rows.tolist() == [list(row) for row in rows]
+    columns, back = _read(path)
+    assert columns == ["u", "v"]
+    assert back.tolist() == [list(row) for row in rows]
 
 
 def test_result_table_csv_literal():
@@ -130,9 +142,8 @@ def test_result_table_csv_literal():
 def test_characteristic_run_writes_expected_profile(tmp_path):
     code, out = _run(tmp_path, "characteristic", CHAR_CFG, "n=100")
     assert code == EXIT_OK
-    table = ResultTable.read(out)
-    assert table.columns == ["t", "g"]
-    arr = np.asarray(table.rows, dtype=float)
+    columns, arr = _read(out)
+    assert columns == ["t", "g"]
     x, g = arr[:, 0], arr[:, 1]
     inside = np.abs(x) <= 0.9
     assert np.max(np.abs(g - np.sqrt(1.0 - x * x))[inside]) <= 2e-2
@@ -145,7 +156,7 @@ def test_zero_kernel_full_run_matches_characteristic_bytes(tmp_path):
     # and its weighted basis holds the constant-data semicircle to rounding
     first = lambda path: [line.split(b",")[0] for line in path.read_bytes().splitlines()]
     assert first(out1) == first(out2)
-    arr = np.asarray(ResultTable.read(out2).rows, dtype=float)
+    _, arr = _read(out2)
     x, g = arr[:, 0], arr[:, 1]
     assert np.max(np.abs(g - np.sqrt(1.0 - x * x))) <= 1e-12
 
@@ -161,7 +172,7 @@ def test_linear_family_solves_on_shifted_interval(tmp_path):
         tmp_path, "characteristic", "a = 0\nb = 4\nn = 200\nrhs = linear_pi\n"
     )
     assert code == EXIT_OK
-    arr = np.asarray(ResultTable.read(out).rows, dtype=float)
+    _, arr = _read(out)
     x, g = arr[:, 0], arr[:, 1]
     exact = np.sqrt(x * (4.0 - x)) * (x + 2.0) / 2.0
     inside = np.abs(x - 2.0) <= 1.8
@@ -172,7 +183,7 @@ def test_chebyshev_family_respects_degree_and_scale(tmp_path):
     text = "a = -1\nb = 1\nn = 200\nrhs = chebyshev_u\nrhs_degree = 1\nrhs_scale = 2\n"
     code, out = _run(tmp_path, "characteristic", text)
     assert code == EXIT_OK
-    arr = np.asarray(ResultTable.read(out).rows, dtype=float)
+    _, arr = _read(out)
     x, g = arr[:, 0], arr[:, 1]
     exact = 4.0 * x * np.sqrt(1.0 - x * x)
     assert np.max(np.abs(g - exact)[np.abs(x) <= 0.9]) <= 6e-2
@@ -181,9 +192,8 @@ def test_chebyshev_family_respects_degree_and_scale(tmp_path):
 def test_crack_run_reproduces_classical_ellipse(tmp_path):
     code, out = _run(tmp_path, "crack", CRACK_CFG)
     assert code == EXIT_OK
-    table = ResultTable.read(out)
-    assert table.columns == ["x", "opening"]
-    arr = np.asarray(table.rows, dtype=float)
+    columns, arr = _read(out)
+    assert columns == ["x", "opening"]
     x, v = arr[:, 0], arr[:, 1]
     err = np.abs(v - 0.75 * np.sqrt(1.0 - x * x))
     assert np.max(err[np.abs(x) <= 0.9]) <= 0.01 * 0.75
@@ -192,9 +202,8 @@ def test_crack_run_reproduces_classical_ellipse(tmp_path):
 def test_sweep_run_rows_and_normalization(tmp_path):
     code, out = _run(tmp_path, "sweep", CRACK_CFG, "N_values=0,0.2,0.4", "n=120")
     assert code == EXIT_OK
-    table = ResultTable.read(out)
-    assert table.columns == ["N", "opening0", "tip_coeff"]
-    arr = np.asarray(table.rows, dtype=float)
+    columns, arr = _read(out)
+    assert columns == ["N", "opening0", "tip_coeff"]
     assert arr.shape == (3, 3)
     assert np.allclose(arr[:, 0], [0.0, 0.2, 0.4], atol=1e-15)
     assert abs(arr[0, 2] - 1.0) <= 0.05
@@ -205,9 +214,9 @@ def test_convergence_run_errors_shrink(tmp_path):
     text = "a = -1\nb = 1\nn_list = 25,50,100\nrhs = constant_pi\n"
     code, out = _run(tmp_path, "convergence", text)
     assert code == EXIT_OK
-    table = ResultTable.read(out)
-    assert table.columns == ["n", "max_error"]
-    errs = [r[1] for r in table.rows]
+    columns, arr = _read(out)
+    assert columns == ["n", "max_error"]
+    errs = arr[:, 1]
     assert errs[0] > errs[1] > errs[2]
 
 

@@ -14,7 +14,6 @@ from hypersing import (
     Interval,
     MaterialParams,
     OscIntSpec,
-    assemble_full,
     build_grid,
     crack_symbol,
     derive_dimensionless,
@@ -323,7 +322,6 @@ def test_kernel_view_matches_offset_indexing_bitwise(n):
     # the kernel is the n-entry node-mean table; its Toeplitz matrix is
     # the kernel matrix, compared with float index recovery bitwise
     from hypersing.crack import _node_mean
-    from hypersing.fullkernel import _HalfAngleTables, _weighted_matrix
 
     dp = derive_dimensionless(POROUS)
     slope, _ = symbol_asymptotics(dp)
@@ -335,8 +333,6 @@ def test_kernel_view_matches_offset_indexing_bitwise(n):
     assert mean.shape == (n,)
     kernel = toeplitz(mean)
     assert np.array_equal(kernel, reference(grid.colloc[:, None], grid.nodes[None, 1:]))
-    assert np.array_equal(_weighted_matrix(grid, kernel, _HalfAngleTables(n)),
-                          assemble_full(grid, reference))
 
 
 @pytest.mark.parametrize("n, half_length", ((7, 1.0), (8, 1.0), (241, 10.0)))
@@ -780,6 +776,15 @@ def test_porosity_sweep_validates_targets(monkeypatch):
         with pytest.raises(ValueError):
             porosity_sweep(CLASSICAL, (0.3,), half_length, n)
     assert not tabled
+
+
+def test_porosity_sweep_refuses_an_empty_target_list(monkeypatch):
+    import hypersing.crack as crack
+
+    monkeypatch.setattr(crack, "_kernel_tables", None)  # refused before any table
+    for targets in ((), []):
+        with pytest.raises(ValueError, match="at least one target"):
+            porosity_sweep(CLASSICAL, targets, 1.0, 40)
 
 
 SWEEP_TARGETS = (0.0, 0.05, 0.2, 0.35, 0.5, 0.62)

@@ -9,7 +9,6 @@ from hypersing import (
     Interval,
     PVQuadSpec,
     SingularMatrixError,
-    assemble_full,
     build_grid,
     chebyshev_nodes,
     chebyshev_nystrom_rule,
@@ -22,9 +21,18 @@ from hypersing import (
     solve_fredholm,
 )
 from hypersing import CharacteristicProblem
+from hypersing.fullkernel import _HalfAngleTables, _weighted_matrix
+from hypersing.quadrature import _sample
 
 IV = Interval(-1.0, 1.0)
 SPEC = PVQuadSpec(m=200)
+
+
+def collocation_matrix(grid, K0):
+    """Route 2's matrix, as ``solve_full_collocation`` forms it: K0 sampled
+    at the midpoints and right nodes, then the weighted matrix."""
+    return _weighted_matrix(grid, _sample(K0, grid.colloc[:, None], grid.nodes[None, 1:]),
+                            _HalfAngleTables(grid.n))
 
 
 def flat_load(x):
@@ -86,7 +94,7 @@ def test_one_cell_matrix_with_unit_kernel():
     # F(1) - F(-1) = -pi, and K0 = 1 times W = r^2 * pi/2 = pi/8
     g = build_grid(0.0, 1.0, 1)
     one = lambda x, t: np.ones(np.broadcast(np.asarray(x), np.asarray(t)).shape)
-    assert np.allclose(assemble_full(g, one), [[-7.0 * np.pi / 8.0]], rtol=0.0, atol=1e-14)
+    assert np.allclose(collocation_matrix(g, one), [[-7.0 * np.pi / 8.0]], rtol=0.0, atol=1e-14)
 
 
 def test_two_cell_matrix_with_product_kernel():
@@ -97,7 +105,7 @@ def test_two_cell_matrix_with_product_kernel():
     # nodes t = 1/2, 1 and the midpoints x = 1/4, 3/4.
     g = build_grid(0.0, 1.0, 2)
     prod = lambda x, t: np.asarray(x, dtype=float) * np.asarray(t, dtype=float)
-    M = assemble_full(g, prod)
+    M = collocation_matrix(g, prod)
     near = -2.0 - np.pi / 2.0 - np.log(2.0 + np.sqrt(3.0)) / np.sqrt(3.0)
     far = 2.0 - np.pi / 2.0 + np.log(2.0 + np.sqrt(3.0)) / np.sqrt(3.0)
     expect = np.array([[near + np.pi / 128.0, far + np.pi / 64.0],
@@ -112,7 +120,7 @@ def test_singular_cell_integrals_match_adaptive_quadrature():
 
     a, b, n = 0.5, 3.5, 9
     g = build_grid(a, b, n)
-    M = assemble_full(g, kernel_zero)
+    M = collocation_matrix(g, kernel_zero)
     w = lambda t: np.sqrt((t - a) * (b - t))
     for i in (0, 4, 8):
         x = g.colloc[i]
@@ -130,7 +138,6 @@ def test_edge_weights_match_40_digit_arithmetic(n):
     # the basis weight sqrt(1 - u^2) on (-1, 1) at the midpoints, and its
     # integral over each cell, both read from the integer tables
     import mpmath
-    from hypersing.fullkernel import _HalfAngleTables
 
     t = _HalfAngleTables(n)
     with mpmath.workdps(40):
@@ -159,11 +166,11 @@ def test_weighted_matrix_is_centro_symmetric_and_block_independent(monkeypatch):
 
     for n, steps in ((37, (1, 6, 5, 19)), (36, (1, 6, 5, 18))):
         g = build_grid(-2.0, 2.0, n)
-        M = assemble_full(g, kernel_zero)
+        M = collocation_matrix(g, kernel_zero)
         assert np.array_equal(M, M[::-1, ::-1])
         r = n - n // 2
         assert fullkernel._chunks(r, n + 1) == [(0, r)]
-        whole = assemble_full(g, cos_kernel)
+        whole = collocation_matrix(g, cos_kernel)
         for step in steps:
             monkeypatch.setattr(linalg, "_CHUNK_ENTRIES", step * (n + 1))
             chunks = fullkernel._chunks(r, n + 1)
@@ -171,28 +178,17 @@ def test_weighted_matrix_is_centro_symmetric_and_block_independent(monkeypatch):
             if n % 2:
                 start, _ = chunks[-1]
                 assert (start == r - 1) == (step in (1, 6))
-            assert np.array_equal(assemble_full(g, cos_kernel), whole)
-            M = assemble_full(g, kernel_zero)
+            assert np.array_equal(collocation_matrix(g, cos_kernel), whole)
+            M = collocation_matrix(g, kernel_zero)
             assert np.array_equal(M, M[::-1, ::-1])
         monkeypatch.undo()
-
-
-def test_assembly_is_the_weighted_matrix_of_the_sampled_kernel():
-    from hypersing.fullkernel import _HalfAngleTables, _weighted_matrix
-    from hypersing.quadrature import _sample
-
-    for n in (1, 8, 37):
-        g = build_grid(0.5, 3.5, n)
-        samples = _sample(cos_kernel, g.colloc[:, None], g.nodes[None, 1:])
-        assert np.array_equal(assemble_full(g, cos_kernel),
-                              _weighted_matrix(g, samples, _HalfAngleTables(n)))
 
 
 def test_kernel_values_must_be_finite():
     g = build_grid(-1.0, 1.0, 8)
     bad = lambda x, t: np.where(np.asarray(t) > 0.5, np.nan, 1.0)
     with pytest.raises(ValueError):
-        assemble_full(g, bad)
+        solve_full_collocation(FullProblem(IV, bad, flat_load), g)
 
 
 def _scalar_only(fn):
@@ -213,11 +209,12 @@ def _route3_problem(scalar):
     return FullProblem(IV, cos_kernel, flat_load, K1=sinc, f=linear)
 
 
-def _collocation_matrix(scalar):
+def _collocation_values(scalar):
     import math
 
     kernel = _scalar_only(lambda x, t: math.cos(x * t)) if scalar else cos_kernel
-    return assemble_full(build_grid(-1.0, 1.0, 12), kernel)
+    load = _scalar_only(lambda x: -math.pi) if scalar else flat_load
+    return solve_full_collocation(FullProblem(IV, kernel, load), build_grid(-1.0, 1.0, 12)).values
 
 
 def _reduced_system(scalar):
@@ -234,8 +231,8 @@ def _nystrom_values(scalar):
 
 
 @pytest.mark.parametrize(
-    "build", [_collocation_matrix, _reduced_system, _nystrom_values],
-    ids=["assemble_full", "fredholm_reduce", "nystrom_eval"])
+    "build", [_collocation_values, _reduced_system, _nystrom_values],
+    ids=["solve_full_collocation", "fredholm_reduce", "nystrom_eval"])
 def test_scalar_only_kernel_falls_back_elementwise(build):
     assert np.allclose(build(True), build(False), rtol=0.0, atol=1e-14)
 
@@ -270,16 +267,16 @@ def test_direct_solve_builds_the_half_angle_tables_once(monkeypatch):
     sol = solve_full_collocation(two_path_problem(), build_grid(-1.0, 1.0, 40))
     assert built == [40]
     monkeypatch.undo()
-    # the matrix and the weight are those of assemble_full and the tables
+    # the matrix and the weight are the sampled kernel's weighted matrix
+    # and the tables
     grid = build_grid(-1.0, 1.0, 40)
-    phi = lu_solve(assemble_full(grid, cos_kernel), flat_load(grid.colloc))
+    phi = lu_solve(collocation_matrix(grid, cos_kernel), flat_load(grid.colloc))
     assert np.array_equal(sol.values, real(40).mid_weight * phi)
 
 
 def test_second_kind_rows_apply_one_operator_to_stacked_samples(monkeypatch):
     import hypersing.characteristic as characteristic
     from hypersing.characteristic import _invert
-    from hypersing.quadrature import _sample
 
     prob = two_path_problem()
     nodes, w = chebyshev_nystrom_rule(IV, 24)

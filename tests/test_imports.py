@@ -1,5 +1,7 @@
-"""The package's import budget: the solves load no scipy module they do not use."""
+"""The package's import surface and budget: it exports what its modules
+declare, and the solves load no scipy module they do not use."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+MODULES = ("grids", "linalg", "quadrature", "characteristic", "fullkernel", "crack")
 
 # scipy.fft alone took a fresh process from 57.1 to 60.6 MiB, more than 5%
 # of a small sweep's peak
@@ -17,8 +21,7 @@ import json, sys
 import numpy as np
 import hypersing
 from hypersing import (CharacteristicProblem, FullProblem, Interval, MaterialParams,
-                       PVQuadSpec, build_grid, chebyshev_finite_part,
-                       chebyshev_nystrom_rule, fredholm_reduce,
+                       PVQuadSpec, build_grid, chebyshev_nystrom_rule, fredholm_reduce,
                        invert_characteristic, nystrom_eval, porosity_sweep,
                        solve_characteristic, solve_crack, solve_fredholm,
                        solve_full_collocation)
@@ -40,7 +43,6 @@ solve_full_collocation(problem, build_grid(-1.0, 1.0, 20))
 nodes, weights = chebyshev_nystrom_rule(iv, 16)
 system = fredholm_reduce(problem, spec, nodes)
 nystrom_eval(problem, spec, system, weights, solve_fredholm(system, weights), [0.1, 0.5])
-chebyshev_finite_part(3, 0.25)
 
 common = ["--set", "half_length=1", "--set", "n=20", "--set", "lam=1", "--set", "mu=1",
           "--set", "alpha=1", "--set", "xi=1", "--set", "sigma0=1"]
@@ -61,3 +63,15 @@ def test_solves_and_cli_runs_leave_unused_scipy_modules_unloaded(tmp_path):
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result == {"codes": [0, 0, 0], "loaded": []}
+
+
+def test_package_exports_what_its_modules_declare():
+    import hypersing
+
+    declared = [name for module in MODULES
+                for name in importlib.import_module(f"hypersing.{module}").__all__]
+    assert len(set(declared)) == len(declared)
+    assert sorted(hypersing.__all__) == sorted(declared)
+    for module in MODULES:
+        owner = importlib.import_module(f"hypersing.{module}")
+        assert all(getattr(hypersing, name) is getattr(owner, name) for name in owner.__all__)

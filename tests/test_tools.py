@@ -123,8 +123,23 @@ def test_sweep_row_keeps_the_committed_keys_and_equals_single_solves(tool):
     layers = {name: getattr(tool.crack, name) for name in tool.LAYERS}
     row = tool._sweep_row(1.0, 20, 1)
     assert list(row) == _committed_row_keys("sweep_table")
+    assert row["sweep_s_min"] == row["sweep_s"] <= row["sweep_s_max"]
     assert row["rows_equal_single_solves"] is True
     assert all(getattr(tool.crack, name) is layer for name, layer in layers.items())
+
+
+def test_sweep_row_refuses_a_timed_sweep_with_other_rows(tool, monkeypatch):
+    # the warm-up, then SWEEP_TIMINGS timed sweeps, the last of which differs
+    calls = []
+
+    def sweep(*args):
+        calls.append(args)
+        return [(0.35, 1.0, 1.0 + (len(calls) > tool.SWEEP_TIMINGS))]
+
+    monkeypatch.setattr(tool, "porosity_sweep", sweep)
+    with pytest.raises(RuntimeError, match="not deterministic"):
+        tool._sweep_row(1.0, 20, 1)
+    assert len(calls) == 1 + tool.SWEEP_TIMINGS
 
 
 @pytest.mark.parametrize("topic", ["offset_table", "crack_assembly", "sweep_table"])
