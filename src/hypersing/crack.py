@@ -27,12 +27,11 @@ kernel matrix a symmetric Toeplitz one, handed to the solver as its n
 node-mean values.  The collocation matrix is then exactly
 centro-symmetric and the load is constant, so the opening is exactly
 reflection-symmetric and only the folded even half of the system, a
-quarter of the matrix, is formed and factored in place.  Its finite-part
-block depends only on the grid, which ``fullkernel._FoldedGrid`` owns:
-it keeps the block whole on a grid of n <= 1448 cells, else forms it
-chunk by chunk for the matrix and applies it to a vector from its
-structure for the residual gate, so the block is formed once a solve; a
-sweep builds one for all its targets.
+quarter of the matrix, is formed and factored in place, by
+``fullkernel._FoldedGrid``, which also owns the system's finite-part
+block: it depends only on the grid, and its docstring gives the one size
+rule by which the block is kept or applied from its structure.  A sweep
+builds one for all its targets.
 
 The kernel slope carries the factor ``(1 - N)^2`` that also appears in
 the load term, so the effective right-hand side is porosity
@@ -53,7 +52,7 @@ import numpy as np
 from .grids import Grid, SampledFunction, build_grid
 from .quadrature import (OscIntSpec, cosine_integral, _check_cubic_decay,
                          _halfline_cosine_tables)
-from .fullkernel import _FoldedGrid, _solve_folded
+from .fullkernel import _FoldedGrid
 
 __all__ = [
     "MaterialParams",
@@ -421,18 +420,12 @@ def solve_crack(params: MaterialParams, half_length: float, n: int,
     constant load is reflection-symmetric, so the solution is too: its
     first ``r = ceil(n/2)`` cell constants solve the folded system
     ``B = A[:r, :r] + A[:r, r:] J`` (J the column reversal), and the
-    rest are their mirror image.  B is built chunk by chunk from the
-    table and the closed-form folded finite-part block S, in its own
-    memory map from 4 MiB on, and factored in place, and its pages go
-    back to the system when the solve returns.  S depends only on the
-    grid: up to n = 1448 it is formed once and kept beside B, ``8 r^2``
-    bytes, at most 4 MiB; above, it is formed chunk by chunk into B only,
-    so B is the only dense array of the solve.  The pivot gate runs on B
-    before the factorization; the residual gate takes B x as S x, from the
-    kept S or else from the structure of S (convolutions and a power
-    series), plus the kernel part by convolution with the table.
-    Row ``n-1-i`` of the full residual equals row i, so the gates cover
-    the whole system.  The opening is exactly reflection-symmetric.
+    rest are their mirror image.  ``fullkernel._FoldedGrid.solve`` forms
+    B from the table and the closed-form folded finite-part block S of
+    the grid, factors it in place and gates it; its class docstring gives
+    the size rule by which S is kept or applied from its structure, and
+    where B lives.  The gates cover the whole system, and the opening is
+    exactly reflection-symmetric.
     """
     return next(_solutions([params], _crack_grids(params, half_length, n), spec))
 
@@ -474,7 +467,7 @@ def _solutions(materials: Sequence[MaterialParams], grids, spec: Optional[OscInt
         table = -(np.pi / slope) * kernel_table
         if not np.all(np.isfinite(table)):
             raise ValueError("crack kernel table has a non-finite value")
-        phi = -_solve_folded(folded, _node_mean(table), np.full(grid.n, rhs_reduced))
+        phi = -folded.solve(_node_mean(table), rhs_reduced)
         opening_values = grid.interval.halfwidth * folded.tables.mid_weight * phi
         if params.sigma0 > 0.0 and np.any(opening_values < 0.0):
             raise ValueError(
@@ -518,7 +511,7 @@ def porosity_sweep(base: MaterialParams, porosities: Sequence[float],
     proxy transform and its cosine-integral tail once.  The grid's part
     of the folded system, ``_FoldedGrid``, is built once too, after the
     tables, and every target shares it, with the finite-part block it
-    keeps (n <= 1448).  ``solve_crack`` is the same sweep of one
+    may keep.  ``solve_crack`` is the same sweep of one
     material, so each row equals ``solve_crack`` with
     ``stress_concentration`` at that target bitwise.
     """

@@ -15,14 +15,15 @@ w at the midpoints all come from one set of integer tables, which the
 full matrix's rows and the crack's folded columns both read.  The regular
 part is the right-node kernel sample times ``W_j``.  A caller whose kernel is
 symmetric Toeplitz, given as its n-entry table, and whose load is
-reflection-symmetric (the crack solve) forms and solves only the folded
-even half of the system, a quarter of the matrix, in closed form for its
-finite-part part, which the grid keeps whole up to n = 1448 and else forms
-chunk by chunk; it is factored in place.  The residual gate forms no
-column of it: it takes the kernel part by convolution with the table and
-the finite-part part from the kept block, or else from the block's
-structure: convolutions with the grid's odd-integer tables and a power
-series of rank-one terms, in a tenth of the time of forming the block.
+constant (the crack solve) forms and solves only the folded even half of
+the system, a quarter of the matrix, with ``_FoldedGrid``: in closed form
+for its finite-part part, which the grid keeps whole up to n = 1448 and
+else forms chunk by chunk; it is factored in place.  The residual gate
+forms no column of it: it takes the kernel part by convolution with the
+table and the finite-part part from the kept block, or else from the
+block's structure: convolutions with the grid's odd-integer tables and a
+power series of rank-one terms, in a tenth of the time of forming the
+block.
 Alternatively, when K0 has an antiderivative K1 in its first argument
 (K0 = dK1/dx) and fprime has antiderivative f, applying the inversion
 operator of the characteristic equation converts the problem into a
@@ -49,7 +50,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import Grid, Interval, SampledFunction
-from .linalg import SingularMatrixError, _chunks, _solve_in_place, lu_solve
+from .linalg import SingularMatrixError, _solve_in_place, lu_solve
 from .quadrature import PVQuadSpec, chebyshev_nodes, _sample
 from .characteristic import _check_antiderivative, _invert
 
@@ -144,21 +145,49 @@ class _HalfAngleTables:
         self.inv_root = 1.0 / self.root
 
 
-def _singular_left_rows(t: _HalfAngleTables):
-    """Route 2's finite-part cell integrals ``F(u_{j+1}; xi_i) - F(u_j; xi_i)``
-    on the left rows i < r of the tables ``t``.
+# entries of one chunk of a blocked pass over an array (the finite-part
+# rows and the folded columns), which keeps a chunk's temporaries in cache
+# whatever the array's size is; a writer that allocates its chunk buffers
+# once spares the page fault per 4 KiB that fresh buffers for every chunk
+# cost
+_CHUNK_ENTRIES = 2**15
 
-    Returns ``rows(start, stop)``: rows start .. stop-1, a view into one of
-    two buffers allocated once, valid until the next call.  Within 6e-14 of
-    40-digit arithmetic relative to ``max(1, |entry|)`` at n = 3200.
+
+def _chunks(count: int, width: int):
+    """(start, stop) ranges covering ``count`` rows of ``width`` entries
+    each, at most ``_CHUNK_ENTRIES`` entries a chunk."""
+    step = max(1, _CHUNK_ENTRIES // width)
+    return [(start, min(start + step, count)) for start in range(0, count, step)]
+
+
+def _weighted_matrix(grid: Grid, kernel: np.ndarray, t: _HalfAngleTables) -> np.ndarray:
+    """Collocation matrix from the sampled kernel ``kernel[i, j] = K0(x_i, t_j)``
+    and the grid's tables ``t``.
+
+    Returns a new array, ``kernel * W`` plus the singular part; the
+    kernel array itself is only read, so it may be a read-only view.
+    The singular part, the finite-part cell integrals ``F(u_{j+1}; xi_i) -
+    F(u_j; xi_i)`` of ``_HalfAngleTables``, is exactly centro-symmetric, so
+    only its left rows i < r are formed, chunk by chunk in one pair of
+    buffers, within 6e-14 of 40-digit arithmetic relative to ``max(1,
+    |entry|)`` at n = 3200, and each chunk is also added reversed into the
+    mirrored rows; the middle row of an odd grid is its own mirror.  A
+    kernel that is itself centro-symmetric therefore gives an exactly
+    centro-symmetric matrix, whose even half ``_FoldedGrid`` forms on its
+    own.
     """
-    n = t.n
+    n, r = t.n, t.r
+    matrix = kernel * (grid.interval.halfwidth**2 * t.cell_weight)
+    # a sampled kernel passed as a temporary is freed here, before the row
+    # buffers are allocated; kept alive, it doubled the page faults of
+    # repeated route-2 solves at n = 200 and 400
+    del kernel
     # entry (i, k) of a view is the odd-integer table at i - k + n
     inv = sliding_window_view(t.inv[::-1], n + 1)[::-1]
     inv_root = sliding_window_view(t.inv_root[::-1], n + 1)[::-1]
-    work = np.empty((2, _chunks(t.r, n + 1)[0][1], n + 1))
-
-    def rows(start, stop):
+    chunks, half = _chunks(r, n + 1), n // 2
+    work = np.empty((2, chunks[0][1], n + 1))
+    for start, stop in chunks:
         at, term = work[:, :stop - start]
         i = slice(start, stop)
         np.multiply(t.beta[i, None], t.root_rest, out=at)
@@ -170,50 +199,44 @@ def _singular_left_rows(t: _HalfAngleTables):
         np.multiply(t.omega, inv[i], out=term)
         at += term
         at -= t.arcsin
-        return np.subtract(at[:, 1:], at[:, :-1], out=term[:, :n])
-
-    return rows
-
-
-def _weighted_matrix(grid: Grid, kernel: np.ndarray, t: _HalfAngleTables) -> np.ndarray:
-    """Collocation matrix from the sampled kernel ``kernel[i, j] = K0(x_i, t_j)``
-    and the grid's tables ``t``.
-
-    Returns a new array, ``kernel * W`` plus the singular part; the
-    kernel array itself is only read, so it may be a read-only view.
-    The singular part is exactly centro-symmetric, so only the left
-    half of its rows is formed, in the chunks of ``_singular_left_rows``,
-    and each chunk is also added reversed into the mirrored rows; the
-    middle row of an odd grid is its own mirror.  A kernel that is
-    itself centro-symmetric therefore gives an exactly centro-symmetric
-    matrix, whose even half ``_FoldedSystem`` forms on its own.
-    """
-    n = grid.n
-    matrix = kernel * (grid.interval.halfwidth**2 * t.cell_weight)
-    # a sampled kernel passed as a temporary is freed here, before the row
-    # buffers are allocated; kept alive, it doubled the page faults of
-    # repeated route-2 solves at n = 200 and 400
-    del kernel
-    rows, half = _singular_left_rows(t), n // 2
-    for start, stop in _chunks(n - half, n + 1):
-        block = rows(start, stop)
+        block = np.subtract(at[:, 1:], at[:, :-1], out=term[:, :n])
         matrix[start:stop] += block
         mirrored = block[:min(stop, half) - start]  # rows whose mirror is another row
         matrix[n - start - len(mirrored):n - start] += mirrored[::-1, ::-1]
     return matrix
 
 
-def _singular_fold(t: _HalfAngleTables):
-    """Columns of the folded finite-part block ``S = A[:r, :r] + A[:r, r:] J``,
-    and its product with a vector.
+# Largest z = P_k Q_i of the node rows whose log factors _FoldedGrid.product
+# sums as a power series in z, at most 81 odd terms; at n = 3200 that part
+# took 2.8, 1.4, 0.9 and 1.6 ms for 0.5, 0.7, 0.8 and 0.9
+_SERIES_MAX_RATIO = 0.75
 
-    Returns ``columns(start, stop, out)``, which writes columns
-    start .. stop-1 of S as the rows of ``out``, a (stop - start)-by-r
-    array, for a chunk of ``_chunks(r, r)``, and ``product(x)``, which
-    returns S x; A is the singular part of ``_weighted_matrix``.  Both
-    work in one pair of chunk buffers, allocated here.  Cell n-1-j mirrors
-    cell j and ``u_{n-k} = -u_k``, so entry (i, j) is ``E(u_{j+1}) -
-    E(u_j)`` for the odd part of the F of ``_HalfAngleTables``
+
+# 8 r^2 bytes past which a folded grid is large (n >= 1449): it keeps no S
+# (S kept at n = 3200 took a 4-target sweep from 103 to 142 MiB for 10% less
+# time), and B gets its own map, as numpy advises huge pages from this size on
+_LARGE_FOLD_BYTES = 4 << 20
+
+
+class _FoldedGrid:
+    """The folded even half B of a centro-symmetric system on one grid:
+    its finite-part block S, kept or applied from its structure, and the
+    solve of B for any symmetric Toeplitz kernel.
+
+    A is the matrix ``_weighted_matrix`` would build on the grid from the
+    symmetric Toeplitz kernel ``mean[|i - j|]`` of an n-entry table
+    ``mean``, so it is exactly centro-symmetric, and ``B = A[:r, :r] +
+    A[:r, r:] J`` with J the column reversal and ``r = ceil(n/2)``.  For
+    a constant load the solution is symmetric too, ``phi_j =
+    phi_{n-1-j}``, so its first r cell constants solve ``B y = load``.  B
+    is S, the same fold of the singular part of A, which depends on the
+    grid alone, plus the folded kernel part ``W_j (mean[|i - j|] +
+    mean[n-1-i-j])``, with no mirror term in the middle column of an odd
+    grid, which is its own mirror.
+
+    S in closed form: cell n-1-j mirrors cell j and ``u_{n-k} = -u_k``, so
+    entry (i, j) is ``E(u_{j+1}) - E(u_j)`` for the odd part of the F of
+    ``_HalfAngleTables``
 
         E(u; xi) = F(u; xi) - F(-u; xi)
                  = 2 u omega / (xi^2 - u^2) - 2 arcsin u
@@ -228,53 +251,90 @@ def _singular_fold(t: _HalfAngleTables):
     one division an entry, within 6e-14 of 40-digit arithmetic relative to
     ``max(1, |entry|)`` at n = 3200.
 
-    By parts, ``S x = sum_k E(u_k) d_k`` over k < r, with ``d_k = x_{k-1} -
-    x_k`` and ``x_{-1} = 0``.  The log factors of ``xi -+ u`` are windows of
-    the table's ``ln sqrt|d|``, and ``2 u omega / (xi^2 - u^2) = omega (n /
-    d1 - n / d2)`` for ``d1 = n (xi - u)`` and ``d2 = n (xi + u)``, so they
-    are Toeplitz and Hankel products, taken as convolutions, and the arcsin
-    term is one dot product.  The log of the cotangent ratio is ``ln
-    tanh(a_k + b_i)`` for ``alpha = tanh a`` and ``beta = tanh b``, a power
-    series in the product ``exp(-2 a_k) exp(-2 b_i)``, rank one a term,
-    except on the first few node rows, where that product nears 1 and a
-    logarithm an entry is taken.  The product equals S x to within 1e-15 of
-    ``max_i sum_j |S_ij| |x_j|`` for a smooth or random x at n = 3200, in
-    2.8 ms against 29 ms for a pass over the columns on a 2-CPU x86-64
-    virtual machine; an x that alternates in sign loses more to its
-    differences d (2.3e-14 at n = 6400).
-    """
-    n, r = t.n, t.r
-    node_term = (-2.0 * t.arcsin[:r])[:, None]
-    node_scale = (2.0 * t.u[:r] * t.omega[:r])[:, None]
-    # entry (j, i) of a view is the odd-integer table at i - j + n, or at i + j
-    gaps, spans = slice(n - r + 1, None), slice(2 * r - 1)
-    inv_gap = sliding_window_view(t.inv[gaps], r)[::-1]
-    inv_root_gap = sliding_window_view(t.inv_root[gaps], r)[::-1]
-    inv_span = sliding_window_view(t.inv[spans], r)
-    root_span = sliding_window_view(t.root[spans], r)
-    work = np.empty((2, _chunks(r, r)[0][1] + 1, r))
+    S x from its structure: by parts, ``S x = sum_k E(u_k) d_k`` over k <
+    r, with ``d_k = x_{k-1} - x_k`` and ``x_{-1} = 0``.  The log factors of
+    ``xi -+ u`` are windows of the table's ``ln sqrt|d|``, and ``2 u omega
+    / (xi^2 - u^2) = omega (n / d1 - n / d2)`` for ``d1 = n (xi - u)`` and
+    ``d2 = n (xi + u)``, so they are Toeplitz and Hankel products, taken as
+    convolutions, and the arcsin term is one dot product.  The log of the
+    cotangent ratio is ``ln tanh(a_k + b_i)`` for ``alpha = tanh a`` and
+    ``beta = tanh b``, a power series in the product ``exp(-2 a_k) exp(-2
+    b_i)``, rank one a term, except on the first few node rows, where that
+    product nears 1 and a logarithm an entry is taken.  The product equals
+    S x to within 1e-15 of ``max_i sum_j |S_ij| |x_j|`` for a smooth or
+    random x at n = 3200, in 2.8 ms against 29 ms for a pass over the
+    columns on a 2-CPU x86-64 virtual machine; an x that alternates in sign
+    loses more to its differences d (2.3e-14 at n = 6400).
 
-    def columns(start, stop, out):
+    One size rule, ``8 r^2`` bytes against ``_LARGE_FOLD_BYTES``, chooses
+    between two regimes.  Unless the grid is ``large``, that is for n <=
+    1448 (80 KB at n = 200, at most 4 MiB), S is formed once, in the
+    chunks ``_chunks(r, r)`` of every pass over the folded columns, and
+    kept read-only as ``singular``: ``columns`` copies its chunks and
+    ``product`` is ``singular @ x``.  On a large grid ``singular`` is
+    None, ``columns`` forms each chunk anew and ``product`` takes S x from
+    the structure of S, with no pass over its columns, so that S is formed
+    once a solve, into B.  A chunk is the same bitwise either way, and a
+    product the same to rounding, so every kernel on one grid, in one
+    solve or across a sweep, may share one of these.  ``weights`` are the
+    cell weights ``W_j``.
+    """
+
+    def __init__(self, grid: Grid):
+        self.tables = t = _HalfAngleTables(grid.n)
+        self.n, self.r = n, r = t.n, t.r
+        self.chunks = _chunks(r, r)
+        self.weights = grid.interval.halfwidth**2 * t.cell_weight
+        self.large = 8 * r * r > _LARGE_FOLD_BYTES
+        self.node_term = (-2.0 * t.arcsin[:r])[:, None]
+        self.node_scale = (2.0 * t.u[:r] * t.omega[:r])[:, None]
+        # entry (j, i) of a window is the odd-integer table at i - j + n, or at i + j
+        self.gaps, self.spans = gaps, spans = slice(n - r + 1, None), slice(2 * r - 1)
+        self.inv_gap = sliding_window_view(t.inv[gaps], r)[::-1]
+        self.inv_root_gap = sliding_window_view(t.inv_root[gaps], r)[::-1]
+        self.inv_span = sliding_window_view(t.inv[spans], r)
+        self.root_span = sliding_window_view(t.root[spans], r)
+        self.work = np.empty((2, self.chunks[0][1] + 1, r))
+        self.singular = None
+        if not self.large:
+            singular = np.empty((r, r), order="F")
+            for start, stop in self.chunks:
+                self.columns(start, stop, singular.T[start:stop])
+            singular.setflags(write=False)
+            # the closed form's work buffer goes before the solves, which read S alone
+            self.singular, self.work = singular, None
+
+    def columns(self, start: int, stop: int, out: np.ndarray) -> None:
+        """Write columns start .. stop-1 of S as the rows of ``out``, a
+        (stop - start)-by-r array, for one of ``chunks``."""
+        if self.singular is not None:
+            np.copyto(out, self.singular.T[start:stop])
+            return
+        t, r = self.tables, self.r
         j = slice(start, min(stop + 1, r))  # E at one node past the chunk
-        odd, den = work[:, :j.stop - start]
+        odd, den = self.work[:, :j.stop - start]
         # (xi / s) ln[N1 |xi + u| / (N2 |u - xi|)] as 2 (xi / s) ln of its root
         np.add(t.alpha[j, None], t.beta, out=odd)
         np.multiply(t.alpha[j, None], t.beta, out=den)
         den += 1.0
-        odd *= root_span[j]
-        odd *= inv_root_gap[j]
+        odd *= self.root_span[j]
+        odd *= self.inv_root_gap[j]
         odd /= den
         np.log(odd, out=odd)
         odd *= t.log_scale
-        np.multiply(inv_gap[j], inv_span[j], out=den)
-        den *= node_scale[j]
+        np.multiply(self.inv_gap[j], self.inv_span[j], out=den)
+        den *= self.node_scale[j]
         odd += den
-        odd += node_term[j]
+        odd += self.node_term[j]
         np.subtract(odd[1:], odd[:-1], out=out[:len(odd) - 1])
         if stop == r:
             np.negative(odd[-1], out=out[-1])
 
-    def product(x):
+    def product(self, x: np.ndarray) -> np.ndarray:
+        """S x, as ``singular @ x`` when the grid keeps S, else from its structure."""
+        if self.singular is not None:
+            return self.singular @ x
+        t, r, gaps, spans = self.tables, self.r, self.gaps, self.spans
         d = np.empty(r)
         d[0] = -x[0]
         np.subtract(x[:-1], x[1:], out=d[1:])
@@ -286,7 +346,7 @@ def _singular_fold(t: _HalfAngleTables):
         near = int(np.count_nonzero(p * q[0] > _SERIES_MAX_RATIO))
         out = np.zeros(r)
         for start, stop in _chunks(near, r):
-            ratio, den = work[:, :stop - start]
+            ratio, den = self.work[:, :stop - start]
             np.add(t.alpha[start:stop, None], t.beta, out=ratio)
             np.multiply(t.alpha[start:stop, None], t.beta, out=den)
             den += 1.0
@@ -308,173 +368,81 @@ def _singular_fold(t: _HalfAngleTables):
         d_omega = t.omega[:r] * d
         out += np.convolve(t.inv[gaps], d_omega, "valid")
         out -= np.correlate(t.inv[spans], d_omega, "valid")
-        out += node_term[:, 0] @ d
+        out += self.node_term[:, 0] @ d
         return out
 
-    return columns, product
+    def solve(self, mean: np.ndarray, load: float) -> np.ndarray:
+        """The n cell constants phi of route 2's weighted solve for the
+        symmetric Toeplitz kernel ``mean[|i - j|]`` and the constant load
+        ``load``, at half size: the first r solve ``B y = load`` and are
+        mirrored back to all n cells.
 
+        B is formed chunk by chunk, each chunk the ``columns`` of S plus
+        the kernel part, whose column j reads both of its terms as
+        contiguous windows of ``[mean reversed, mean[1:]]``, at n-1-j and at
+        j; it equals the fold of ``_weighted_matrix`` to rounding, not
+        bitwise.  B is Fortran-ordered, the order in which LAPACK factors in
+        place and in which each chunk is one contiguous stretch, and it is
+        factored in place, so it is the only r-by-r array of the solve
+        besides the S the grid may keep.  The pivot and residual gates are
+        those of ``lu_solve``, with B x taken as ``product(x)`` plus the
+        kernel part, by convolutions of ``W[:r] x`` with the table's
+        Toeplitz and Hankel halves, so no column of B is formed.  Row
+        ``n-1-i`` of the full residual equals row i, so the gates cover the
+        whole system.
 
-# Largest z = P_k Q_i of the node rows whose log factors the product of
-# _singular_fold sums as a power series in z, at most 81 odd terms; at
-# n = 3200 that part took 2.8, 1.4, 0.9 and 1.6 ms for 0.5, 0.7, 0.8 and 0.9
-_SERIES_MAX_RATIO = 0.75
-
-
-# 8 r^2 bytes past which a folded grid is large (n >= 1449): it keeps no S
-# (S kept at n = 3200 took a 4-target sweep from 103 to 142 MiB for 10% less
-# time), and B gets its own map, as numpy advises huge pages from this size on
-_LARGE_FOLD_BYTES = 4 << 20
-
-
-class _FoldedGrid:
-    """What the folded system of ``_FoldedSystem`` takes from its grid alone.
-
-    It holds the grid's ``_HalfAngleTables``, ``r = ceil(n/2)``, the
-    chunks ``_chunks(r, r)`` of every pass over the folded columns, the
-    cell weights ``W_j`` and the two users of the folded finite-part block
-    S of ``_singular_fold``: ``columns(start, stop, out)`` writes columns
-    start .. stop-1 of S as the rows of ``out``, for one of those chunks,
-    and ``product(x)`` returns S x.  Unless the grid is ``large``, its
-    ``8 r^2`` bytes past ``_LARGE_FOLD_BYTES`` (80 KB at n = 200, at most
-    4 MiB at n = 1448), S is formed once, in those chunks, and kept
-    read-only as ``singular``; ``columns`` copies its chunks and
-    ``product`` is ``singular @ x``.  On a large grid ``singular`` is
-    None, ``columns`` forms each chunk anew and ``product`` takes S x from
-    the structure of S, with no pass over its columns.  A chunk is the same
-    bitwise either way, and a product the same to rounding, so every kernel
-    on one grid, in one solve or across a sweep, may share one of these.
-    """
-
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        self.tables = t = _HalfAngleTables(grid.n)
-        self.n, self.r = t.n, t.r
-        r = t.r
-        self.chunks = _chunks(r, r)
-        self.weights = grid.interval.halfwidth**2 * t.cell_weight
-        self.columns, self.product = _singular_fold(t)
-        self.large = 8 * r * r > _LARGE_FOLD_BYTES
-        self.singular = None
-        if not self.large:
-            self.singular = singular = np.empty((r, r), order="F")
-            for start, stop in self.chunks:
-                self.columns(start, stop, singular.T[start:stop])
-            singular.setflags(write=False)
-            self.columns = lambda start, stop, out: np.copyto(out, singular.T[start:stop])
-            self.product = lambda x: singular @ x
-
-
-class _FoldedSystem:
-    """The folded even half B of a centro-symmetric system, formed
-    chunk by chunk, and its product with a vector, formed from no chunk.
-
-    A is the matrix ``_weighted_matrix`` would build on the grid of
-    ``folded``, a ``_FoldedGrid``, from the symmetric Toeplitz kernel
-    ``mean[|i - j|]`` of the n-entry table ``mean``, so it is exactly
-    centro-symmetric, and ``B = A[:r, :r] + A[:r, r:] J`` with J the
-    column reversal and ``r = ceil(n/2)``.  For a reflection-symmetric
-    right-hand side the solution is symmetric too, ``phi_j =
-    phi_{n-1-j}``, so its first r constants solve ``B y = rhs[:r]``.  A
-    chunk of ``folded.chunks`` is the folded finite-part part, from
-    ``folded.columns``, plus the folded kernel part ``W_j (mean[|i - j|] +
-    mean[n-1-i-j])``, with no mirror term in the middle column of an odd
-    grid, which is its own mirror.  Column j reads both terms as
-    contiguous windows of ``[mean reversed, mean[1:]]``, at n-1-j and at
-    j.  Equals the fold of ``_weighted_matrix`` to rounding, not bitwise.
-    """
-
-    def __init__(self, folded: _FoldedGrid, mean: np.ndarray):
-        self.folded = folded
-        self.n, self.r = n, r = folded.n, folded.r
-        self.spare = np.empty((folded.chunks[0][1], r))
-        self.extended = np.concatenate([mean[:0:-1], mean])
-        windows = sliding_window_view(self.extended, r)
-        self.toeplitz, self.hankel = windows[n - r:n][::-1], windows[:n - r]
-
-    def fill(self, start: int, stop: int, out) -> None:
-        """Write columns start .. stop-1 of B as the rows of ``out``."""
-        self.folded.columns(start, stop, out)
-        kernel = self.spare[:stop - start]
-        np.copyto(kernel, self.toeplitz[start:stop])
-        mirrored = min(stop, self.n - self.r)
-        if start < mirrored:
-            kernel[:mirrored - start] += self.hankel[start:mirrored]
-        kernel *= self.folded.weights[start:stop, None]
-        out += kernel
-
-    def matrix(self, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """B, written into ``out`` when given, else into a new array;
-        Fortran-ordered, the order in which LAPACK factors in place and
-        in which each chunk is one contiguous stretch."""
-        if out is None:
-            out = np.empty((self.r, self.r), order="F")
-        for start, stop in self.folded.chunks:
-            self.fill(start, stop, out.T[start:stop])
-        return out
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """B x: the kernel part as convolutions of ``W[:r] x`` with the
-        table's Toeplitz and Hankel halves, plus the finite-part part
-        ``folded.product(x)``; no column of B is formed."""
+        On a ``large`` grid B lives in its own private anonymous memory
+        map, advised to use huge pages as numpy advises its large arrays,
+        whose pages go back to the system as soon as the solve returns.
+        The map must be private: Linux backs a shared anonymous map with
+        shared memory, which takes huge pages only where its own shmem
+        setting allows them, and that setting is often ``never``.  Writing
+        a fresh 20 MB array (n = 3200) took 5,000 page faults and 12.6-15.1
+        ms in a shared map against 912 faults and 3.5-4.9 ms in a private
+        one, medians of 12 on a 2-CPU x86-64 virtual machine.  A heap block
+        of that size may stay resident after it is freed: once the
+        allocator has freed one mapping it raises its mapping threshold,
+        and the next block of the same size comes from the heap, which it
+        keeps.  A smaller B comes from numpy, as a fresh map would cost
+        more than the solve it serves.
+        """
         n, r = self.n, self.r
-        y = self.folded.weights[:r] * x
-        out = np.convolve(self.extended[n - r:n + r - 1], y, "valid")
-        out += np.convolve(self.extended[n:], y[:n - r], "valid")[::-1]
-        out += self.folded.product(x)
-        return out
+        spare = np.empty((self.chunks[0][1], r))
+        extended = np.concatenate([mean[:0:-1], mean])
+        windows = sliding_window_view(extended, r)
+        toeplitz, hankel = windows[n - r:n][::-1], windows[:n - r]
+        if self.large:
+            private = ({"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS}
+                       if hasattr(mmap, "MAP_PRIVATE") else {})  # not on Windows
+            buffer = mmap.mmap(-1, 8 * r * r, **private)
+            if hasattr(mmap, "MADV_HUGEPAGE"):
+                try:
+                    buffer.madvise(mmap.MADV_HUGEPAGE)
+                except OSError:  # a kernel without transparent huge pages
+                    pass
+            matrix = np.ndarray((r, r), dtype=float, buffer=buffer, order="F")
+        else:
+            matrix = np.empty((r, r), order="F")
+        for start, stop in self.chunks:
+            out = matrix.T[start:stop]
+            self.columns(start, stop, out)
+            kernel = spare[:stop - start]
+            np.copyto(kernel, toeplitz[start:stop])
+            mirrored = min(stop, n - r)
+            if start < mirrored:
+                kernel[:mirrored - start] += hankel[start:mirrored]
+            kernel *= self.weights[start:stop, None]
+            out += kernel
 
+        def matvec(x):
+            y = self.weights[:r] * x
+            out = np.convolve(extended[n - r:n + r - 1], y, "valid")
+            out += np.convolve(extended[n:], y[:n - r], "valid")[::-1]
+            out += self.product(x)
+            return out
 
-def _mapped_matrix(folded: _FoldedGrid) -> np.ndarray:
-    """An r-by-r Fortran-ordered float array for the folded matrix of
-    ``folded``, whose pages go back to the system as soon as it is dropped.
-
-    On a ``large`` grid it lives in its own private anonymous
-    memory map, advised to use huge pages as numpy advises its large
-    arrays.  The map must be private: Linux backs a shared anonymous map
-    with shared memory, which takes huge pages only where its own shmem
-    setting allows them, and that setting is often ``never``.  Writing a
-    fresh 20 MB array (n = 3200) took 5,000 page faults and 12.6-15.1 ms
-    in a shared map against 912 faults and 3.5-4.9 ms in a private one,
-    medians of 12 on a 2-CPU x86-64 virtual machine.  A heap block of that
-    size may stay resident after it is freed: once the allocator has freed
-    one mapping it raises its mapping threshold, and the next block of the
-    same size comes from the heap, which it keeps.  A smaller array comes
-    from numpy, as a fresh map would cost more than the solve it serves.
-    """
-    r = folded.r
-    if not folded.large:
-        return np.empty((r, r), order="F")
-    private = ({"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS}
-               if hasattr(mmap, "MAP_PRIVATE") else {})  # not on Windows
-    buffer = mmap.mmap(-1, 8 * r * r, **private)
-    if hasattr(mmap, "MADV_HUGEPAGE"):
-        try:
-            buffer.madvise(mmap.MADV_HUGEPAGE)
-        except OSError:  # a kernel without transparent huge pages
-            pass
-    return np.ndarray((r, r), dtype=float, buffer=buffer, order="F")
-
-
-def _solve_folded(folded: _FoldedGrid, mean: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Route 2's weighted solve for the symmetric Toeplitz kernel ``mean[|i - j|]``, at half size.
-
-    Forms the folded matrix B of ``_FoldedSystem`` on the grid of
-    ``folded`` in a ``_mapped_matrix`` and factors it in place, so B is
-    the only r-by-r array of the solve besides the finite-part block the
-    grid may keep, and its pages are returned when the solve returns.
-    ``rhs`` must be reflection-symmetric; the first r cell constants phi
-    are solved for and mirrored back to all n cells, which are returned.
-    The pivot and residual gates are those of ``lu_solve``, with B x
-    taken by ``_FoldedSystem.matvec``.  Row ``n-1-i`` of the full
-    residual equals row i, so the gate covers the whole system.
-    """
-    n, r = folded.n, folded.r
-    if rhs.shape != (n,) or not np.array_equal(rhs, rhs[::-1]):
-        raise ValueError("a folded system needs a reflection-symmetric right-hand side "
-                         "with one entry per cell")
-    system = _FoldedSystem(folded, mean)
-    half = _solve_in_place(system.matrix(_mapped_matrix(folded)), rhs[:r], system.matvec)
-    return np.concatenate([half, half[:n - r][::-1]])
+        half = _solve_in_place(matrix, np.full(r, load), matvec)
+        return np.concatenate([half, half[:n - r][::-1]])
 
 
 def solve_full_collocation(problem: FullProblem, grid: Grid) -> SampledFunction:

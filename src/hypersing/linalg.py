@@ -19,21 +19,7 @@ import scipy.linalg
 
 __all__ = ["SingularMatrixError", "ResidualError", "lu_solve", "residual_norm"]
 
-# entries of one chunk of a blocked pass over an array (the finite-part
-# rows and the folded columns), which keeps a chunk's temporaries in cache
-# whatever the array's size is; a writer that allocates its chunk buffers
-# once spares the page fault per 4 KiB that fresh buffers for every chunk
-# cost
-_CHUNK_ENTRIES = 2**15
-
 _lange = scipy.linalg.get_lapack_funcs("lange", dtype=np.float64)
-
-
-def _chunks(count: int, width: int):
-    """(start, stop) ranges covering ``count`` rows of ``width`` entries
-    each, at most ``_CHUNK_ENTRIES`` entries a chunk."""
-    step = max(1, _CHUNK_ENTRIES // width)
-    return [(start, min(start + step, count)) for start in range(0, count, step)]
 
 
 class SingularMatrixError(ValueError):

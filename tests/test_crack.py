@@ -317,6 +317,32 @@ def _crack_system(n, half_length, material=POROUS):
     return grid, _node_mean(table), rhs
 
 
+def _formed_system(monkeypatch, folded, mean, load):
+    """B as ``folded.solve`` forms it, before its in-place factorization,
+    the B x of its residual gate, and the n cell constants it returns."""
+    import hypersing.fullkernel as fullkernel
+
+    seen, real = [], fullkernel._solve_in_place
+
+    def spy(matrix, rhs, matvec):
+        seen.append((matrix.copy(order="A"), matvec))
+        return real(matrix, rhs, matvec)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fullkernel, "_solve_in_place", spy)
+        phi = folded.solve(mean, load)
+    [(matrix, matvec)] = seen
+    return matrix, matvec, phi
+
+
+def _singular_block(folded):
+    """The folded finite-part block S of ``folded``, column chunk by column chunk."""
+    S = np.empty((folded.r, folded.r), order="F")
+    for start, stop in folded.chunks:
+        folded.columns(start, stop, S.T[start:stop])
+    return S
+
+
 @pytest.mark.parametrize("n", (7, 8, 240))
 def test_kernel_view_matches_offset_indexing_bitwise(n):
     # the kernel is the n-entry node-mean table; its Toeplitz matrix is
@@ -346,38 +372,23 @@ def test_crack_matrix_is_exactly_centro_symmetric(n, half_length):
 
 @pytest.mark.parametrize("n, half_length", ((7, 1.0), (8, 1.0), (241, 10.0),
                                             (400, 1.0), (240, 100.0)))
-def test_folded_solve_matches_full_lu(n, half_length):
+def test_folded_solve_matches_full_lu(monkeypatch, n, half_length):
     # the folded singular part is evaluated in closed form rather than
     # summed from the full rows, so the two agree to rounding per row
     from hypersing import lu_solve
-    from hypersing.fullkernel import (_FoldedGrid, _FoldedSystem, _HalfAngleTables,
-                                      _solve_folded, _weighted_matrix)
+    from hypersing.fullkernel import _FoldedGrid, _HalfAngleTables, _weighted_matrix
 
     grid, mean, rhs = _crack_system(n, half_length)
     matrix = _weighted_matrix(grid, toeplitz(mean), _HalfAngleTables(n))
     r = n - n // 2
-    folded = _FoldedSystem(_FoldedGrid(grid), mean).matrix()
+    folded, _, half = _formed_system(monkeypatch, _FoldedGrid(grid), mean, rhs[0])
     assert folded.flags.f_contiguous
     expect = matrix[:r, :r].copy()
     expect[:, :n - r] += matrix[:r, r:][:, ::-1]
     row_scale = np.max(np.abs(expect), axis=1, keepdims=True)
     assert np.all(np.abs(folded - expect) <= 1e-13 * row_scale)
-    half = _solve_folded(_FoldedGrid(grid), mean, rhs)
     full = lu_solve(matrix, rhs)
     assert np.max(np.abs(half - full)) <= 1e-12 * np.max(np.abs(full))
-
-
-def test_folded_solve_refuses_an_asymmetric_load():
-    from hypersing.fullkernel import _FoldedGrid, _solve_folded
-
-    grid, mean, rhs = _crack_system(9, 1.0)
-    folded = _FoldedGrid(grid)
-    skewed = rhs.copy()
-    skewed[-1] *= 2.0
-    with pytest.raises(ValueError, match="reflection-symmetric"):
-        _solve_folded(folded, mean, skewed)
-    with pytest.raises(ValueError, match="one entry per cell"):
-        _solve_folded(folded, mean, rhs[1:-1])
 
 
 @pytest.mark.parametrize("half_length", (1.0, 10.0, 100.0))
@@ -386,9 +397,9 @@ def test_shared_singular_half_gives_the_folded_matrix_bitwise(monkeypatch, n, ha
     # the shared block is the folded r-by-r singular part that a folded grid
     # keeps within its budget; with no budget, each chunk is formed anew
     import hypersing.fullkernel as fullkernel
-    from hypersing.fullkernel import _chunks, _FoldedGrid, _FoldedSystem
+    from hypersing.fullkernel import _chunks, _FoldedGrid
 
-    grid, mean, _ = _crack_system(n, half_length)
+    grid, mean, rhs = _crack_system(n, half_length)
     kept = _FoldedGrid(grid)
     r = n - n // 2
     assert kept.singular.shape == (r, r)
@@ -397,8 +408,8 @@ def test_shared_singular_half_gives_the_folded_matrix_bitwise(monkeypatch, n, ha
     monkeypatch.setattr(fullkernel, "_LARGE_FOLD_BYTES", 0)
     formed = _FoldedGrid(grid)
     assert formed.singular is None
-    assert np.array_equal(_FoldedSystem(kept, mean).matrix(),
-                          _FoldedSystem(formed, mean).matrix())
+    assert np.array_equal(_formed_system(monkeypatch, kept, mean, rhs[0])[0],
+                          _formed_system(monkeypatch, formed, mean, rhs[0])[0])
 
 
 @pytest.mark.parametrize("shared", (False, True), ids=("own", "shared"))
@@ -408,36 +419,35 @@ def test_folded_matvec_matches_the_formed_matrix(monkeypatch, n, shared):
     # not from the formed columns, so the two agree to rounding; the
     # budget is set so that the grid keeps its block, or forms it anew
     import hypersing.fullkernel as fullkernel
-    from hypersing.fullkernel import _FoldedGrid, _FoldedSystem
+    from hypersing.fullkernel import _FoldedGrid
 
-    grid, mean, _ = _crack_system(n, 1.0)
+    grid, mean, rhs = _crack_system(n, 1.0)
     monkeypatch.setattr(fullkernel, "_LARGE_FOLD_BYTES", (1 << 30) if shared else 0)
     folded = _FoldedGrid(grid)
     assert (folded.singular is not None) == shared
-    system = _FoldedSystem(folded, mean)
-    x = np.random.default_rng(n).standard_normal(system.r)
-    expect = system.matrix() @ x
-    assert np.max(np.abs(system.matvec(x) - expect)) <= 1e-14 * np.max(np.abs(expect))
+    matrix, matvec, _ = _formed_system(monkeypatch, folded, mean, rhs[0])
+    x = np.random.default_rng(n).standard_normal(folded.r)
+    expect = matrix @ x
+    assert np.max(np.abs(matvec(x) - expect)) <= 1e-14 * np.max(np.abs(expect))
 
 
 @pytest.mark.parametrize("n", (11, 1449, 1450, 3200, 3201))
-def test_folded_product_matches_the_formed_block(n):
-    # the grid keeps S at n = 11 only; the product by S's structure is
-    # checked at every n against S formed column chunk by column chunk
-    from hypersing.fullkernel import _FoldedGrid, _singular_fold
+def test_folded_product_matches_the_formed_block(monkeypatch, n):
+    # the product by S's structure is checked at every n against S formed
+    # column chunk by column chunk, on a grid that keeps no S: by the size
+    # rule from n = 1449 on, and at n = 11 with the rule set to zero
+    import hypersing.fullkernel as fullkernel
 
-    folded = _FoldedGrid(build_grid(-1.0, 1.0, n))
+    if n == 11:
+        monkeypatch.setattr(fullkernel, "_LARGE_FOLD_BYTES", 0)
+    folded = fullkernel._FoldedGrid(build_grid(-1.0, 1.0, n))
     r = folded.r
-    assert (folded.singular is not None) == (n == 11)
-    columns, product = _singular_fold(folded.tables)
-    S = np.empty((r, r), order="F")
-    for start, stop in folded.chunks:
-        columns(start, stop, S.T[start:stop])
+    assert folded.singular is None
+    S = _singular_block(folded)
     for x in (np.random.default_rng(n).standard_normal(r), np.ones(r),
               np.cos(np.linspace(0.0, 3.0, r))):
         expect = S @ x
         bound = 1e-14 * np.max(np.abs(S) @ np.abs(x))
-        assert np.max(np.abs(product(x) - expect)) <= bound
         assert np.max(np.abs(folded.product(x) - expect)) <= bound
 
 
@@ -448,13 +458,9 @@ def test_residual_gate_reads_the_structured_product(monkeypatch):
     import hypersing.fullkernel as fullkernel
     from hypersing.linalg import ResidualError
 
-    real, noise = fullkernel._singular_fold, np.random.default_rng(1450)
-
-    def skewed(tables):
-        columns, product = real(tables)
-        return columns, lambda x: product(x) + 1e-6 * noise.standard_normal(x.size)
-
-    monkeypatch.setattr(fullkernel, "_singular_fold", skewed)
+    real, noise = fullkernel._FoldedGrid.product, np.random.default_rng(1450)
+    monkeypatch.setattr(fullkernel._FoldedGrid, "product",
+                        lambda self, x: real(self, x) + 1e-6 * noise.standard_normal(x.size))
     with pytest.raises(ResidualError):
         solve_crack(POROUS, 1.0, 1450)
 
@@ -474,15 +480,17 @@ def test_folded_matrix_map_is_private_from_its_size_on(monkeypatch):
     monkeypatch.setattr(fullkernel.mmap, "mmap", recorded)
     # the grid's one size rule: at r = 700 (3.7 MiB) it keeps S and B comes
     # from numpy; at r = 725 (8 r^2 bytes, just over 4 MiB) neither holds
-    small = fullkernel._FoldedGrid(build_grid(-1.0, 1.0, 1400))
+    grid, mean, rhs = _crack_system(1400, 1.0)
+    small = fullkernel._FoldedGrid(grid)
     assert not small.large and small.singular is not None
-    assert fullkernel._mapped_matrix(small).shape == (700, 700)
+    assert _formed_system(monkeypatch, small, mean, rhs[0])[0].shape == (700, 700)
     assert calls == []
-    large = fullkernel._FoldedGrid(build_grid(-1.0, 1.0, 1450))
+    grid, mean, rhs = _crack_system(1450, 1.0)
+    large = fullkernel._FoldedGrid(grid)
     assert large.large and large.singular is None
     r = large.r
     assert r == 725
-    matrix = fullkernel._mapped_matrix(large)
+    matrix = _formed_system(monkeypatch, large, mean, rhs[0])[0]
     assert matrix.shape == (r, r) and matrix.flags.f_contiguous
     assert calls == [((-1, 8 * r * r), {"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS})]
 
@@ -522,17 +530,16 @@ def _folded_singular_exact(n, i):
 def test_folded_singular_part_matches_40_digit_arithmetic(n):
     # rows at the tip, at the quarter point and at the centre; every row
     # holds the cells of both tips, folded onto each other.  The unfolded
-    # rows are route 2's, from the same tables as the fold.  The folded
-    # matrix of a zero kernel is the folded singular part alone.
-    from hypersing.fullkernel import (_FoldedGrid, _FoldedSystem, _HalfAngleTables,
-                                      _singular_left_rows)
+    # rows are route 2's, from the same tables as the fold: its matrix of
+    # a zero kernel is the singular part alone.
+    from hypersing.fullkernel import _FoldedGrid, _HalfAngleTables, _weighted_matrix
 
     grid = build_grid(-1.0, 1.0, n)
     r = n - n // 2
-    folded = _FoldedSystem(_FoldedGrid(grid), np.zeros(n)).matrix()
+    folded = _singular_block(_FoldedGrid(grid))
     rows = sorted({0, 1, r // 2, r - 2, r - 1} if n < 3200 else {0, r - 1})
-    left_rows = _singular_left_rows(_HalfAngleTables(n))
-    unfolded = np.array([left_rows(i, i + 1)[0].copy() for i in rows])
+    zero = np.broadcast_to(0.0, (n, n))
+    unfolded = _weighted_matrix(grid, zero, _HalfAngleTables(n))[rows]
     summed = unfolded[:, :r].copy()
     summed[:, :n - r] += unfolded[:, r:][:, ::-1]
     for cells, row, i in zip(unfolded, summed, rows):
@@ -575,13 +582,13 @@ def test_kernel_table_handed_to_the_solve_is_left_unwritten(monkeypatch):
     import hypersing.crack as crack
 
     seen = []
-    real = crack._solve_folded
+    real = crack._FoldedGrid.solve
 
-    def spy(folded, mean, rhs):
+    def spy(folded, mean, load):
         seen.append((mean, mean.copy()))
-        return real(folded, mean, rhs)
+        return real(folded, mean, load)
 
-    monkeypatch.setattr(crack, "_solve_folded", spy)
+    monkeypatch.setattr(crack._FoldedGrid, "solve", spy)
     solve_crack(POROUS, 1.0, 41)
     [(mean, before)] = seen
     assert mean.shape == (41,)
@@ -608,7 +615,7 @@ def test_non_finite_kernel_table_is_refused(monkeypatch):
 
     monkeypatch.setattr(crack, "_kernel_tables", spoiled)
     assembled = []
-    monkeypatch.setattr(crack, "_solve_folded", lambda *args: assembled.append(args))
+    monkeypatch.setattr(crack._FoldedGrid, "solve", lambda *args: assembled.append(args))
     with pytest.raises(ValueError, match="non-finite"):
         solve_crack(POROUS, 1.0, 40)
     assert not assembled
@@ -671,8 +678,8 @@ def test_tip_coefficient_is_phi_of_both_end_cells(monkeypatch):
     import hypersing.crack as crack
 
     solved = []
-    real = crack._solve_folded
-    monkeypatch.setattr(crack, "_solve_folded",
+    real = crack._FoldedGrid.solve
+    monkeypatch.setattr(crack._FoldedGrid, "solve",
                         lambda *args: solved.append(real(*args)) or solved[-1])
     for mat, n in ((CLASSICAL, 140), (POROUS, 75), (POROUS, 150)):
         tip = solve_crack(mat, 1.0, n).tip_coefficient
@@ -790,10 +797,16 @@ def test_porosity_sweep_refuses_an_empty_target_list(monkeypatch):
 SWEEP_TARGETS = (0.0, 0.05, 0.2, 0.35, 0.5, 0.62)
 
 
-@pytest.mark.parametrize("half_length, n", ((1.0, 200), (100.0, 240)))
-def test_porosity_sweep_rows_equal_single_solves_bitwise(half_length, n):
-    rows = porosity_sweep(CLASSICAL, SWEEP_TARGETS, half_length, n)
-    for n_target, (got_target, center, ratio) in zip(SWEEP_TARGETS, rows):
+@pytest.mark.parametrize("half_length, n, targets", (
+    pytest.param(1.0, 200, SWEEP_TARGETS, id="1.0-200"),
+    pytest.param(100.0, 240, SWEEP_TARGETS, id="100.0-240"),
+    # above the size rule the shared grid forms S anew for every target;
+    # three targets keep this case short
+    pytest.param(1.0, 1450, SWEEP_TARGETS[1::2], id="1.0-1450")))
+def test_porosity_sweep_rows_equal_single_solves_bitwise(half_length, n, targets):
+    rows = porosity_sweep(CLASSICAL, targets, half_length, n)
+    assert len(rows) == len(targets)
+    for n_target, (got_target, center, ratio) in zip(targets, rows):
         sol = solve_crack(_with_porosity(n_target), half_length, n)
         assert got_target == n_target
         assert center == float(np.interp(0.0, sol.opening.points, sol.opening.values))
@@ -863,18 +876,15 @@ def test_folded_grid_is_built_once_per_solve_and_keeps_its_block_within_the_budg
     import hypersing.fullkernel as fullkernel
 
     grids, columns_built = [], []
-    real_grid, real_fold = crack._FoldedGrid, fullkernel._singular_fold
+    real_grid, real_columns = fullkernel._FoldedGrid, fullkernel._FoldedGrid.columns
     monkeypatch.setattr(crack, "_FoldedGrid", lambda grid: grids.append(grid) or real_grid(grid))
 
-    def counted(tables):
-        columns, product = real_fold(tables)
-
-        def counted_columns(start, stop, out):
+    def counted(folded, start, stop, out):
+        if folded.singular is None:  # formed in closed form, not copied from a kept S
             columns_built.append(stop - start)
-            return columns(start, stop, out)
-        return counted_columns, product
+        return real_columns(folded, start, stop, out)
 
-    monkeypatch.setattr(fullkernel, "_singular_fold", counted)
+    monkeypatch.setattr(real_grid, "columns", counted)
     # 8 r^2 bytes is just under 4 MiB at n = 1448 (r = 724) and just over
     # it at n = 1450, where each system forms its block chunk by chunk for
     # its matrix only: its residual takes S x from the block's structure
@@ -928,9 +938,9 @@ def test_single_solve_memory_is_the_folded_matrix_alone(monkeypatch):
     n = 1600
     r = n - n // 2
     mapped = []
-    real = fullkernel._mapped_matrix
-    monkeypatch.setattr(fullkernel, "_mapped_matrix",
-                        lambda folded: mapped.append(folded.r) or real(folded))
+    real = fullkernel.mmap.mmap
+    monkeypatch.setattr(fullkernel.mmap, "mmap",
+                        lambda *args, **kwargs: mapped.append(args[1]) or real(*args, **kwargs))
     material = _with_porosity(0.35)
     solve_crack(material, 1.0, n)  # warm-up
     tracemalloc.start()
@@ -942,7 +952,7 @@ def test_single_solve_memory_is_the_folded_matrix_alone(monkeypatch):
     # B is factored in place in its own memory map, which tracemalloc does
     # not see, and nothing else of r-by-r size is formed: B and every
     # temporary together stay within 1.15 B + 1 MiB
-    assert mapped == [r, r]
+    assert mapped == [8 * r * r] * 2
     assert 8 * r * r + traced <= 1.15 * 8 * r * r + 2**20
 
 
@@ -977,9 +987,9 @@ def test_non_finite_sweep_table_is_refused(monkeypatch):
 
     monkeypatch.setattr(crack, "_kernel_tables", spoiled)
     assembled = []
-    real_folded = crack._solve_folded
-    monkeypatch.setattr(crack, "_solve_folded",
-                        lambda *args: assembled.append(args) or real_folded(*args))
+    real_solve = crack._FoldedGrid.solve
+    monkeypatch.setattr(crack._FoldedGrid, "solve",
+                        lambda *args: assembled.append(args) or real_solve(*args))
     with pytest.raises(ValueError, match="non-finite"):
         porosity_sweep(CLASSICAL, (0.2, 0.4), 1.0, 40)
     # the first target solved; the spoiled second one was refused before assembly

@@ -162,7 +162,6 @@ def test_weighted_matrix_is_centro_symmetric_and_block_independent(monkeypatch):
     # last left row, so a chunk holds it alone, at its start, or as the
     # last of several rows
     import hypersing.fullkernel as fullkernel
-    import hypersing.linalg as linalg
 
     for n, steps in ((37, (1, 6, 5, 19)), (36, (1, 6, 5, 18))):
         g = build_grid(-2.0, 2.0, n)
@@ -172,7 +171,7 @@ def test_weighted_matrix_is_centro_symmetric_and_block_independent(monkeypatch):
         assert fullkernel._chunks(r, n + 1) == [(0, r)]
         whole = collocation_matrix(g, cos_kernel)
         for step in steps:
-            monkeypatch.setattr(linalg, "_CHUNK_ENTRIES", step * (n + 1))
+            monkeypatch.setattr(fullkernel, "_CHUNK_ENTRIES", step * (n + 1))
             chunks = fullkernel._chunks(r, n + 1)
             assert chunks[0] == (0, step) and chunks[-1][1] == r
             if n % 2:

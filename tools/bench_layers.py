@@ -71,7 +71,7 @@ ASSEMBLY_SIZES = (400, 800, 1600, 3200, 6400)
 SWEEP_CASES = ((1.0, 200), (100.0, 240))
 TARGET_COUNTS = (1, 5, 20, 80)
 SWEEP_TIMINGS = 5  # timed sweeps per row after the warm-up; sweep_s is their minimum
-LAYERS = ("_kernel_tables", "_FoldedGrid", "_solve_folded")
+LAYERS = ("_kernel_tables", "_FoldedGrid")  # wrapped in the crack module, with _FoldedGrid.solve
 
 
 def _porous(porosity: float) -> MaterialParams:
@@ -193,7 +193,7 @@ def crack_assembly():
     """
     fields = {
         "layer": "crack.solve_crack end to end (offset table, n-entry node-mean table, "
-                 "fullkernel._solve_folded: the folded half formed in its own private "
+                 "fullkernel._FoldedGrid.solve: the folded half formed in its own private "
                  "memory map, factored in place, its residual from the finite-part block's "
                  "product, by its structure above n = 1448, plus convolution), "
                  "one fresh process per run",
@@ -213,9 +213,11 @@ def _assembly_lines(record):
 
 
 def _instrumented_sweep(targets, half_length: float, n: int) -> dict:
-    """One sweep with the crack module's layers wrapped; seconds per layer."""
+    """One sweep with the crack module's ``LAYERS`` and the ``solve``
+    method of its ``_FoldedGrid`` class wrapped; seconds per layer."""
     spent = defaultdict(float)
-    originals = {name: getattr(crack, name) for name in LAYERS}
+    originals = [(crack, name, getattr(crack, name)) for name in LAYERS]
+    originals.append((crack._FoldedGrid, "solve", crack._FoldedGrid.solve))
 
     def wrap(name, fn):
         def timed(*args):
@@ -224,11 +226,13 @@ def _instrumented_sweep(targets, half_length: float, n: int) -> dict:
             return result
         return timed
 
-    vars(crack).update({name: wrap(name, fn) for name, fn in originals.items()})
+    for owner, name, fn in originals:
+        setattr(owner, name, wrap(name, fn))
     try:
         spent["sweep"] = _timed(porosity_sweep, BASE, targets, half_length, n)[0]
     finally:
-        vars(crack).update(originals)
+        for owner, name, fn in originals:
+            setattr(owner, name, fn)
     return spent
 
 
@@ -263,7 +267,7 @@ def _sweep_row(half_length: float, n: int, count: int) -> dict:
     geometry_s = _timed(_halfline_cosine_tables, [], h, n, OscIntSpec())[0]
     layers = _instrumented_sweep(targets, half_length, n)
     transforms_s = layers["_kernel_tables"] - geometry_s
-    fold_lu = layers["_solve_folded"]
+    fold_lu = layers["solve"]
     return {
         "targets": count, "sweep_s": seconds, "sweep_s_min": seconds,
         "sweep_s_max": max(times),
@@ -285,11 +289,14 @@ def sweep_table():
     """A porosity sweep of K = 1, 5, 20 and 80 targets in N = [0.02, 0.62]
     per (b, n), after a warm-up sweep: ``sweep_s``, the least of
     ``SWEEP_TIMINGS`` sweeps timed without instruments, each with the
-    warm-up's rows bitwise, and ``sweep_s_max`` the most; its split into the crack module's private layers, wrapped
-    in one more sweep, with ``geometry_s`` a ``_halfline_cosine_tables``
-    call with no integrand; the tracemalloc peak; the rows' digest (other
-    numpy builds may round differently); and whether every row equals
-    ``solve_crack`` at its target bitwise.
+    warm-up's rows bitwise, and ``sweep_s_max`` the most; its split into
+    the crack module's private layers, wrapped in one more sweep:
+    ``transforms_s`` in ``_kernel_tables``, ``singular_block_s`` building
+    the ``_FoldedGrid`` and ``fold_lu_s`` in its ``solve``, with
+    ``geometry_s`` a ``_halfline_cosine_tables`` call with no integrand;
+    the tracemalloc peak; the rows' digest (other numpy builds may round
+    differently); and whether every row equals ``solve_crack`` at its
+    target bitwise.
     """
     cases = [{"half_length": b, "n": n,
               "curve": [_sweep_row(b, n, count) for count in TARGET_COUNTS]}
@@ -299,7 +306,7 @@ def sweep_table():
                  "(quadrature._halfline_cosine_tables with the grid's chirp-z plan built once) "
                  "and one fullkernel._FoldedGrid (the grid's half-angle tables and its "
                  "folded finite-part block, kept whole for n <= 1448), then per target "
-                 "fullkernel._solve_folded (fold, in-place LU, residual gate); "
+                 "fullkernel._FoldedGrid.solve (fold, in-place LU, residual gate); "
                  "crack.solve_crack is the same sweep of one target",
         "material": MATERIAL,
         "targets": "K porosities evenly spaced over [0.02, 0.62]; N = 0.35 for K = 1",
