@@ -27,7 +27,8 @@ kernel matrix a symmetric Toeplitz one, handed to the solver as its n
 node-mean values.  The collocation matrix is then exactly
 centro-symmetric and the load is constant, so the opening is exactly
 reflection-symmetric and only the folded even half of the system, a
-quarter of the matrix, is formed and factored in place, by
+quarter of the matrix, is formed in float32, factored in place and
+refined to float64 accuracy, by
 ``fullkernel._FoldedGrid``, which also owns the system's finite-part
 block: it depends only on the grid, and its docstring gives the one size
 rule by which the block is kept or applied from its structure.  A sweep
@@ -422,7 +423,8 @@ def solve_crack(params: MaterialParams, half_length: float, n: int,
     ``B = A[:r, :r] + A[:r, r:] J`` (J the column reversal), and the
     rest are their mirror image.  ``fullkernel._FoldedGrid.solve`` forms
     B from the table and the closed-form folded finite-part block S of
-    the grid, factors it in place and gates it; its class docstring gives
+    the grid in float32, factors it in place, refines the solution to
+    float64 accuracy and gates it; its class docstring gives
     the size rule by which S is kept or applied from its structure, and
     where B lives.  The gates cover the whole system, and the opening is
     exactly reflection-symmetric.

@@ -18,11 +18,12 @@ symmetric Toeplitz, given as its n-entry table, and whose load is
 constant (the crack solve) forms and solves only the folded even half of
 the system, a quarter of the matrix, with ``_FoldedGrid``: in closed form
 for its finite-part part, which the grid keeps whole up to n = 1448 and
-else forms chunk by chunk; it is factored in place.  The residual gate
-forms no column of it: it takes the kernel part by convolution with the
-table and the finite-part part from the kept block, or else from the
-block's structure: convolutions with the grid's odd-integer tables and a
-power series of rank-one terms, in a tenth of the time of forming the
+else forms chunk by chunk; it is stored in float32, factored in place and
+refined to float64 accuracy.  The residual, which the refinement and the
+gate read, forms no column of it: it takes the kernel part by convolution
+with the table and the finite-part part from the kept block, or else from
+the block's structure: convolutions with the grid's odd-integer tables and
+a power series of rank-one terms, in a tenth of the time of forming the
 block.
 Alternatively, when K0 has an antiderivative K1 in its first argument
 (K0 = dK1/dx) and fprime has antiderivative f, applying the inversion
@@ -212,9 +213,10 @@ def _weighted_matrix(grid: Grid, kernel: np.ndarray, t: _HalfAngleTables) -> np.
 _SERIES_MAX_RATIO = 0.75
 
 
-# 8 r^2 bytes past which a folded grid is large (n >= 1449): it keeps no S
-# (S kept at n = 3200 took a 4-target sweep from 103 to 142 MiB for 10% less
-# time), and B gets its own map, as numpy advises huge pages from this size on
+# S's 8 r^2 float64 bytes past which a folded grid is large (n >= 1449): it
+# keeps no S (S kept at n = 3200 took a 4-target sweep from 103 to 142 MiB for
+# 10% less time), and B, float32 and so 4 r^2 bytes, gets its own map, as
+# numpy advises huge pages from 4 MiB on; one rule, on S, for both
 _LARGE_FOLD_BYTES = 4 << 20
 
 
@@ -270,7 +272,7 @@ class _FoldedGrid:
     between two regimes.  Unless the grid is ``large``, that is for n <=
     1448 (80 KB at n = 200, at most 4 MiB), S is formed once, in the
     chunks ``_chunks(r, r)`` of every pass over the folded columns, and
-    kept read-only as ``singular``: ``columns`` copies its chunks and
+    kept read-only as ``singular``: ``columns`` adds its chunks and
     ``product`` is ``singular @ x``.  On a large grid ``singular`` is
     None, ``columns`` forms each chunk anew and ``product`` takes S x from
     the structure of S, with no pass over its columns, so that S is formed
@@ -297,7 +299,7 @@ class _FoldedGrid:
         self.work = np.empty((2, self.chunks[0][1] + 1, r))
         self.singular = None
         if not self.large:
-            singular = np.empty((r, r), order="F")
+            singular = np.zeros((r, r), order="F")
             for start, stop in self.chunks:
                 self.columns(start, stop, singular.T[start:stop])
             singular.setflags(write=False)
@@ -305,10 +307,10 @@ class _FoldedGrid:
             self.singular, self.work = singular, None
 
     def columns(self, start: int, stop: int, out: np.ndarray) -> None:
-        """Write columns start .. stop-1 of S as the rows of ``out``, a
-        (stop - start)-by-r array, for one of ``chunks``."""
+        """Add columns start .. stop-1 of S to the rows of ``out``, a
+        (stop - start)-by-r float64 array, for one of ``chunks``."""
         if self.singular is not None:
-            np.copyto(out, self.singular.T[start:stop])
+            out += self.singular.T[start:stop]
             return
         t, r = self.tables, self.r
         j = slice(start, min(stop + 1, r))  # E at one node past the chunk
@@ -326,9 +328,10 @@ class _FoldedGrid:
         den *= self.node_scale[j]
         odd += den
         odd += self.node_term[j]
-        np.subtract(odd[1:], odd[:-1], out=out[:len(odd) - 1])
+        cells = np.subtract(odd[1:], odd[:-1], out=den[:len(odd) - 1])
+        out[:len(cells)] += cells
         if stop == r:
-            np.negative(odd[-1], out=out[-1])
+            out[-1] -= odd[-1]
 
     def product(self, x: np.ndarray) -> np.ndarray:
         """S x, as ``singular @ x`` when the grid keeps S, else from its structure."""
@@ -377,19 +380,33 @@ class _FoldedGrid:
         ``load``, at half size: the first r solve ``B y = load`` and are
         mirrored back to all n cells.
 
-        B is formed chunk by chunk, each chunk the ``columns`` of S plus
-        the kernel part, whose column j reads both of its terms as
-        contiguous windows of ``[mean reversed, mean[1:]]``, at n-1-j and at
-        j; it equals the fold of ``_weighted_matrix`` to rounding, not
-        bitwise.  B is Fortran-ordered, the order in which LAPACK factors in
-        place and in which each chunk is one contiguous stretch, and it is
-        factored in place, so it is the only r-by-r array of the solve
-        besides the S the grid may keep.  The pivot and residual gates are
-        those of ``lu_solve``, with B x taken as ``product(x)`` plus the
-        kernel part, by convolutions of ``W[:r] x`` with the table's
-        Toeplitz and Hankel halves, so no column of B is formed.  Row
-        ``n-1-i`` of the full residual equals row i, so the gates cover the
-        whole system.
+        B is formed chunk by chunk in one float64 buffer: the kernel part,
+        whose column j reads both of its terms as contiguous windows of
+        ``[mean reversed, mean[1:]]``, at n-1-j and at j, plus the ``columns``
+        of S, rounded once to float32 into B.  In float64 it would equal the
+        fold of ``_weighted_matrix`` to rounding, not bitwise.  B is a float32
+        Fortran-ordered array, the order in which LAPACK factors in place and
+        in which each chunk is one contiguous stretch, and it is factored in
+        place, so it is the only r-by-r array of the solve besides the S the
+        grid may keep, which stays float64, as the refinement needs B x to
+        float64 accuracy.  The float32 factors are refined by
+        ``_solve_in_place`` until the residual is at float64 level, against B
+        x taken in float64 as ``product(x)`` plus the kernel part, by
+        convolutions of ``W[:r] x`` with the table's Toeplitz and Hankel
+        halves, so no column of B is formed; the residual gate is that of
+        ``lu_solve``.  Row ``n-1-i`` of the full residual equals row i, so the
+        gates cover the whole system.
+
+        B is well conditioned (cond 4.3e3 at n = 3200), so each refinement
+        step gains about four digits, and a solve takes two or three.  The
+        float32 pivot gate, ``r eps32 ||B||_inf``, holds with a margin: the
+        smallest pivot over ``||B||_inf`` is 5.8e-2 against 1.2e-5 at
+        n = 200, 1.44e-2 against 1.9e-4 at n = 3200 and 1.01e-2 against
+        3.8e-4 at n = 6400, for N = 0.1, 0.35 and 0.6 and, at n = 3200,
+        b = 1, 10 and 100.  The margin falls about threefold each time n
+        doubles, so the gate would refuse B near n = 50,000, where B takes
+        2.5 GB.  The float32 LU of B took 30 to 49 ms against 54 to 80 ms
+        for the float64 one at n = 3200, one thread, in two measurements.
 
         On a ``large`` grid B lives in its own private anonymous memory
         map, advised to use huge pages as numpy advises its large arrays,
@@ -397,42 +414,42 @@ class _FoldedGrid:
         The map must be private: Linux backs a shared anonymous map with
         shared memory, which takes huge pages only where its own shmem
         setting allows them, and that setting is often ``never``.  Writing
-        a fresh 20 MB array (n = 3200) took 5,000 page faults and 12.6-15.1
-        ms in a shared map against 912 faults and 3.5-4.9 ms in a private
-        one, medians of 12 on a 2-CPU x86-64 virtual machine.  A heap block
-        of that size may stay resident after it is freed: once the
+        a fresh 10 MB B (n = 3200) took a median of 2,500 page faults and
+        4.4-10.8 ms in a shared map against 456 faults and 1.2-2.3 ms in a
+        private one, over 12 runs on a 2-CPU x86-64 virtual machine.  A heap
+        block of that size may stay resident after it is freed: once the
         allocator has freed one mapping it raises its mapping threshold,
         and the next block of the same size comes from the heap, which it
         keeps.  A smaller B comes from numpy, as a fresh map would cost
         more than the solve it serves.
         """
         n, r = self.n, self.r
-        spare = np.empty((self.chunks[0][1], r))
+        part = np.empty((self.chunks[0][1], r))
         extended = np.concatenate([mean[:0:-1], mean])
         windows = sliding_window_view(extended, r)
         toeplitz, hankel = windows[n - r:n][::-1], windows[:n - r]
         if self.large:
             private = ({"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS}
                        if hasattr(mmap, "MAP_PRIVATE") else {})  # not on Windows
-            buffer = mmap.mmap(-1, 8 * r * r, **private)
+            buffer = mmap.mmap(-1, 4 * r * r, **private)
             if hasattr(mmap, "MADV_HUGEPAGE"):
                 try:
                     buffer.madvise(mmap.MADV_HUGEPAGE)
                 except OSError:  # a kernel without transparent huge pages
                     pass
-            matrix = np.ndarray((r, r), dtype=float, buffer=buffer, order="F")
+            matrix = np.ndarray((r, r), dtype=np.float32, buffer=buffer, order="F")
         else:
-            matrix = np.empty((r, r), order="F")
+            matrix = np.empty((r, r), dtype=np.float32, order="F")
         for start, stop in self.chunks:
-            out = matrix.T[start:stop]
-            self.columns(start, stop, out)
-            kernel = spare[:stop - start]
-            np.copyto(kernel, toeplitz[start:stop])
-            mirrored = min(stop, n - r)
-            if start < mirrored:
-                kernel[:mirrored - start] += hankel[start:mirrored]
-            kernel *= self.weights[start:stop, None]
-            out += kernel
+            rows = part[:stop - start]
+            mirrored = max(start, min(stop, n - r))
+            np.add(toeplitz[start:mirrored], hankel[start:mirrored],
+                   out=rows[:mirrored - start])
+            rows[mirrored - start:] = toeplitz[mirrored:stop]  # an odd grid's middle column
+            rows *= self.weights[start:stop, None]
+            self.columns(start, stop, rows)
+            matrix.T[start:stop] = rows  # the one rounding to float32
+        del part, rows  # the chunk buffer goes before the factorization
 
         def matvec(x):
             y = self.weights[:r] * x

@@ -305,12 +305,16 @@ def test_sign_flipped_crack_exits_3(tmp_path, capsys):
 
 
 def test_residual_gate_failure_exits_4(tmp_path, capsys, monkeypatch):
-    import scipy.linalg
+    import hypersing.linalg as linalg
 
-    real = scipy.linalg.lu_solve
-    # every solve, the refinement step included, lands 1e-3 off
-    monkeypatch.setattr(scipy.linalg, "lu_solve",
-                        lambda factors, b, **kwargs: real(factors, b, **kwargs) + 1e-3)
+    real = linalg._GETRS[np.dtype(float)]
+
+    def spoiled(lu, pivots, b, **kwargs):
+        x, info = real(lu, pivots, b, **kwargs)
+        return x + 1e-3, info
+
+    # every triangular solve, the refinement step's included, lands 1e-3 off
+    monkeypatch.setitem(linalg._GETRS, np.dtype(float), spoiled)
     code, out = _run(tmp_path, "characteristic", CHAR_CFG)
     captured = capsys.readouterr()
     assert code == EXIT_SINGULAR

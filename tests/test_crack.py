@@ -279,6 +279,18 @@ def test_sign_flipped_opening_is_refused():
     assert np.all(solve_crack(_with_porosity(0.89), 1.0, 200).opening.values > 0.0)
 
 
+@pytest.mark.parametrize("n", (200, 3200))
+@pytest.mark.parametrize("sigma0", (1e300, 1e-300, 0.0))
+def test_opening_is_linear_in_the_load_at_any_magnitude(n, sigma0):
+    # each right-hand side of the float32 triangular solves is scaled to
+    # unit max-norm, so a load near the ends of the float64 range neither
+    # overflows nor underflows float32, and a zero load solves to zero
+    unit = solve_crack(_with_porosity(0.35), 1.0, n).opening.values
+    opening = solve_crack(_with_porosity(0.35, sigma0=sigma0), 1.0, n).opening.values
+    assert np.all(np.isfinite(opening))
+    assert np.max(np.abs(opening - sigma0 * unit)) <= 1e-13 * sigma0 * np.max(unit)
+
+
 def test_symbol_asymptotics_runs_once_per_crack_solve(monkeypatch):
     import hypersing.crack as crack
 
@@ -337,7 +349,7 @@ def _formed_system(monkeypatch, folded, mean, load):
 
 def _singular_block(folded):
     """The folded finite-part block S of ``folded``, column chunk by column chunk."""
-    S = np.empty((folded.r, folded.r), order="F")
+    S = np.zeros((folded.r, folded.r), order="F")
     for start, stop in folded.chunks:
         folded.columns(start, stop, S.T[start:stop])
     return S
@@ -374,7 +386,8 @@ def test_crack_matrix_is_exactly_centro_symmetric(n, half_length):
                                             (400, 1.0), (240, 100.0)))
 def test_folded_solve_matches_full_lu(monkeypatch, n, half_length):
     # the folded singular part is evaluated in closed form rather than
-    # summed from the full rows, so the two agree to rounding per row
+    # summed from the full rows, so the two agree to rounding per row, and B
+    # is stored in float32; its refined solve matches the full float64 LU
     from hypersing import lu_solve
     from hypersing.fullkernel import _FoldedGrid, _HalfAngleTables, _weighted_matrix
 
@@ -382,13 +395,14 @@ def test_folded_solve_matches_full_lu(monkeypatch, n, half_length):
     matrix = _weighted_matrix(grid, toeplitz(mean), _HalfAngleTables(n))
     r = n - n // 2
     folded, _, half = _formed_system(monkeypatch, _FoldedGrid(grid), mean, rhs[0])
-    assert folded.flags.f_contiguous
+    assert folded.flags.f_contiguous and folded.dtype == np.float32
     expect = matrix[:r, :r].copy()
     expect[:, :n - r] += matrix[:r, r:][:, ::-1]
     row_scale = np.max(np.abs(expect), axis=1, keepdims=True)
-    assert np.all(np.abs(folded - expect) <= 1e-13 * row_scale)
+    rounding = np.finfo(np.float32).eps / 2 * np.abs(expect)
+    assert np.all(np.abs(folded - expect) <= rounding + 1e-13 * row_scale)
     full = lu_solve(matrix, rhs)
-    assert np.max(np.abs(half - full)) <= 1e-12 * np.max(np.abs(full))
+    assert np.max(np.abs(half - full)) <= 1e-13 * np.max(np.abs(full))
 
 
 @pytest.mark.parametrize("half_length", (1.0, 10.0, 100.0))
@@ -416,8 +430,10 @@ def test_shared_singular_half_gives_the_folded_matrix_bitwise(monkeypatch, n, ha
 @pytest.mark.parametrize("n", (11, 12, 241, 1601))
 def test_folded_matvec_matches_the_formed_matrix(monkeypatch, n, shared):
     # the kernel part of B x is taken by convolution with the table,
-    # not from the formed columns, so the two agree to rounding; the
-    # budget is set so that the grid keeps its block, or forms it anew
+    # not from the formed columns, so the two agree to rounding with B
+    # formed in float64 from its parts, which the float32 B the solve
+    # factors rounds; the budget is set so that the grid keeps its block,
+    # or forms it anew
     import hypersing.fullkernel as fullkernel
     from hypersing.fullkernel import _FoldedGrid
 
@@ -426,8 +442,14 @@ def test_folded_matvec_matches_the_formed_matrix(monkeypatch, n, shared):
     folded = _FoldedGrid(grid)
     assert (folded.singular is not None) == shared
     matrix, matvec, _ = _formed_system(monkeypatch, folded, mean, rhs[0])
-    x = np.random.default_rng(n).standard_normal(folded.r)
-    expect = matrix @ x
+    r = folded.r
+    kernel = toeplitz(mean) * folded.weights
+    formed = _singular_block(folded) + kernel[:r, :r]
+    formed[:, :n - r] += kernel[:r, r:][:, ::-1]
+    assert matrix.dtype == np.float32
+    assert np.all(np.abs(matrix - formed) <= np.finfo(np.float32).eps * np.abs(formed))
+    x = np.random.default_rng(n).standard_normal(r)
+    expect = formed @ x
     assert np.max(np.abs(matvec(x) - expect)) <= 1e-14 * np.max(np.abs(expect))
 
 
@@ -478,8 +500,9 @@ def test_folded_matrix_map_is_private_from_its_size_on(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(fullkernel.mmap, "mmap", recorded)
-    # the grid's one size rule: at r = 700 (3.7 MiB) it keeps S and B comes
-    # from numpy; at r = 725 (8 r^2 bytes, just over 4 MiB) neither holds
+    # the grid's one size rule, on S's 8 r^2 bytes: at r = 700 (3.7 MiB) it
+    # keeps S and B comes from numpy; at r = 725 (just over 4 MiB) neither
+    # holds, and the float32 B has a map of 4 r^2 bytes
     grid, mean, rhs = _crack_system(1400, 1.0)
     small = fullkernel._FoldedGrid(grid)
     assert not small.large and small.singular is not None
@@ -492,7 +515,8 @@ def test_folded_matrix_map_is_private_from_its_size_on(monkeypatch):
     assert r == 725
     matrix = _formed_system(monkeypatch, large, mean, rhs[0])[0]
     assert matrix.shape == (r, r) and matrix.flags.f_contiguous
-    assert calls == [((-1, 8 * r * r), {"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS})]
+    assert matrix.dtype == np.float32
+    assert calls == [((-1, 4 * r * r), {"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS})]
 
 
 def test_shared_singular_half_is_read_only():
@@ -949,11 +973,11 @@ def test_single_solve_memory_is_the_folded_matrix_alone(monkeypatch):
         traced = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # B is factored in place in its own memory map, which tracemalloc does
-    # not see, and nothing else of r-by-r size is formed: B and every
-    # temporary together stay within 1.15 B + 1 MiB
-    assert mapped == [8 * r * r] * 2
-    assert 8 * r * r + traced <= 1.15 * 8 * r * r + 2**20
+    # the float32 B is factored in place in its own memory map, which
+    # tracemalloc does not see, and nothing else of r-by-r size is formed:
+    # B and every temporary together stay within 1.15 B + 1 MiB
+    assert mapped == [4 * r * r] * 2
+    assert 4 * r * r + traced <= 1.15 * 4 * r * r + 2**20
 
 
 def test_single_solve_memory_within_the_budget_is_the_folded_matrix_and_its_block():

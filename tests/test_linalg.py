@@ -116,20 +116,29 @@ def test_repeated_solves_are_bitwise_deterministic():
 
 
 def _spy_on_lapack(monkeypatch, spoil):
-    """Record factorizations and solves; add ``spoil(call)`` to each solve."""
+    """Record factorizations and the LU factors of each triangular solve
+    (LAPACK's ?getrs, which the core calls directly); add ``spoil(call)``
+    to each solve, which the core then scales by the power of two it took
+    out of the right-hand side."""
+    import hypersing.linalg as linalg
+
     factored, solved = [], []
-    real_factor, real_solve = scipy.linalg.lu_factor, scipy.linalg.lu_solve
+    real_factor = scipy.linalg.lu_factor
 
     def factor(*args, **kwargs):
         factored.append(args[0])
         return real_factor(*args, **kwargs)
 
-    def solve(factors, b, **kwargs):
-        solved.append(factors)
-        return real_solve(factors, b, **kwargs) + spoil(len(solved))
+    def spied(real_getrs):
+        def getrs(lu, pivots, b, **kwargs):
+            solved.append(lu)
+            x, info = real_getrs(lu, pivots, b, **kwargs)
+            return x + spoil(len(solved)), info
+        return getrs
 
     monkeypatch.setattr(scipy.linalg, "lu_factor", factor)
-    monkeypatch.setattr(scipy.linalg, "lu_solve", solve)
+    for dtype, real_getrs in list(linalg._GETRS.items()):
+        monkeypatch.setitem(linalg._GETRS, dtype, spied(real_getrs))
     return factored, solved
 
 
@@ -187,7 +196,7 @@ def test_every_solve_route_factors_through_one_gated_lu_solve(monkeypatch):
     real = linalg._solve_in_place
 
     def spy(matrix, rhs, matvec):
-        calls.append(np.shape(matrix))
+        calls.append((np.shape(matrix), matrix.dtype))
         return real(matrix, rhs, matvec)
 
     for module in (linalg, fullkernel):
@@ -214,8 +223,9 @@ def test_every_solve_route_factors_through_one_gated_lu_solve(monkeypatch):
         solve()
         assert len(calls) == 1, name
         shapes[name] = calls[0]
-    assert shapes == {"characteristic": (20, 20), "full": (20, 20), "crack": (10, 10),
-                      "fredholm": (12, 12)}
+    # routes 1-3 factor in float64; the crack's folded system in float32
+    assert shapes == {"characteristic": ((20, 20), np.float64), "full": ((20, 20), np.float64),
+                      "crack": ((10, 10), np.float32), "fredholm": ((12, 12), np.float64)}
 
 
 def _core_with_a_disagreeing_matvec(delta):
@@ -256,3 +266,59 @@ def test_in_place_core_factors_its_matrix_without_a_copy(monkeypatch):
     assert len(factored) == 1 and factored[0] is work
     assert not np.array_equal(work, A)  # now holds the LU factors
     assert np.max(np.abs(x - scipy.linalg.solve(A, [1.0, 2.0]))) <= 1e-15
+
+
+def _float32_system(n, cond, seed):
+    """A float32 Fortran-ordered matrix, the float64 matrix it stores, and a rhs."""
+    rng = np.random.default_rng(seed)
+    stored = np.asfortranarray(_well_conditioned(rng, n, cond), dtype=np.float32)
+    return stored, stored.astype(float), rng.standard_normal(n)
+
+
+def test_float32_core_refines_to_a_float64_solve(monkeypatch):
+    # the float32 factors of a matrix with condition 1e3 solve to 1e-4;
+    # refinement against the float64 product of the matrix they round
+    # brings the solution within 1e-13 of its float64 LU solve, in a few
+    # steps, each one product and one triangular solve
+    from hypersing.linalg import _MAX_REFINEMENT_STEPS, _solve_in_place
+
+    for n, seed in ((7, 1), (200, 2), (400, 3)):
+        work, A, rhs = _float32_system(n, 1e3, seed)
+        products = []
+        factored, solved = _spy_on_lapack(monkeypatch, lambda call: 0.0)
+        x = _solve_in_place(work, rhs, lambda v: products.append(v) or A @ v)
+        assert len(factored) == 1 and factored[0] is work and work.dtype == np.float32
+        assert not np.array_equal(work, A)  # now holds the float32 LU factors
+        assert 2 <= len(solved) == len(products) <= 1 + _MAX_REFINEMENT_STEPS
+        expect = scipy.linalg.solve(A, rhs)
+        assert np.max(np.abs(x - expect)) <= 1e-13 * np.max(np.abs(expect))
+        assert residual_norm(A, x, rhs) <= 1e-14 * np.max(np.abs(A).sum(axis=1)) * np.max(
+            np.abs(x))
+        monkeypatch.undo()
+
+
+def test_float32_pivot_threshold_uses_the_float32_epsilon():
+    # a pivot of 1e-7 against a norm of 1 is singular to float32 working
+    # precision (threshold 2 * 1.19e-7) and not to float64's (4.4e-16)
+    from hypersing.linalg import _solve_in_place
+
+    A = np.diag([1.0, 1e-7])
+    rhs = np.array([1.0, 1.0])
+    with pytest.raises(SingularMatrixError) as exc:
+        _solve_in_place(np.asfortranarray(A, dtype=np.float32), rhs, lambda v: A @ v)
+    threshold = 2 * np.finfo(np.float32).eps
+    assert f"threshold {threshold:.3e}" in str(exc.value)
+    x = _solve_in_place(np.asfortranarray(A), rhs, lambda v: A @ v)
+    assert np.array_equal(x, [1.0, 1e7])
+
+
+@pytest.mark.parametrize("dtype", (np.float64, np.float32))
+def test_a_nan_residual_is_refused(dtype):
+    # nan > tol is False, so a gate that tests for excess passes a NaN; the
+    # gate passes only a residual that is at most its tolerance
+    from hypersing.linalg import ResidualError, _solve_in_place
+
+    A = np.array([[4.0, 1.0], [1.0, 3.0]])
+    with pytest.raises(ResidualError, match="nan"):
+        _solve_in_place(np.asfortranarray(A, dtype=dtype), np.array([1.0, 2.0]),
+                        lambda v: np.full(2, np.nan))

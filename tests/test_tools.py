@@ -35,9 +35,11 @@ def tool():
 
 
 def _committed_row_keys(topic):
+    """The keys of a committed row, less ``pairs_won``, which only a record
+    paired ``--against`` a commit carries."""
     record = json.loads((ROOT / f"BENCH_{topic}.json").read_text())
     rows = record["sizes"] if "sizes" in record else record["cases"][0]["curve"]
-    return list(rows[0])
+    return [key for key in rows[0] if key != "pairs_won"]
 
 
 def test_offset_table_row_keeps_the_committed_keys(tool):
@@ -97,7 +99,8 @@ seconds = {"own": [1.0, 3.0, 1.0], "rev": [2.0, 2.0, 2.0]}[tree.name][done.count
 assert sys.argv[1:4] == ["crack_assembly", "--repeats", "1"]
 Path(sys.argv[5]).write_text(json.dumps({"topic": "crack_assembly", "sizes": [
     {"n": 40, "time_s_median": seconds, "repeats": 1,
-     "opening_sha256": tree.name[0] * 64}]}))
+     "opening_sha256": tree.name[0] * 64,
+     "centre_opening": {"own": 2.0 + 3e-14, "rev": 2.0}[tree.name]}]}))
 """
 
 
@@ -112,11 +115,21 @@ def test_paired_runs_alternate_and_count_the_pairs_won(tool, tmp_path):
                                                              "own", "rev"]
     [row], [theirs] = own["sizes"], rev["sizes"]
     assert row == {"n": 40, "time_s_median": 1.0, "repeats": 3,
-                   "opening_sha256": "o" * 64, "pairs_won": 2}
-    assert theirs == {"n": 40, "time_s_median": 2.0, "repeats": 3, "opening_sha256": "r" * 64}
+                   "opening_sha256": "o" * 64, "centre_opening": 2.0 + 3e-14, "pairs_won": 2}
+    assert theirs == {"n": 40, "time_s_median": 2.0, "repeats": 3, "opening_sha256": "r" * 64,
+                      "centre_opening": 2.0}
     own["against"] = {"rev": "REV", "commit": "0" * 40, "record": rev}
     lines = tool._paired_lines(["n=40"], own, "REV")
-    assert lines == ["n=40; REV: 2 s, won 2/3, digests DIFFER", "digests DIFFER from REV's"]
+    assert lines == ["n=40; REV: 2 s, won 2/3, digests DIFFER, answers moved 1.5e-14",
+                     "digests DIFFER from REV's"]
+
+
+def test_answer_change_reads_every_answer_entry(tool):
+    ours = {"centre_opening": 1.0, "tip_ratio": 2.0, "first_row": [0.35, 4.0, -1.0 - 4e-12]}
+    theirs = {"centre_opening": 1.0, "tip_ratio": 2.0 + 2e-15, "first_row": [0.35, 4.0, -1.0]}
+    assert tool._answer_change(ours, theirs) == pytest.approx(4e-12, rel=1e-3)
+    assert tool._answer_change(ours, ours) == 0.0
+    assert tool._answer_change({"n": 8}, {"n": 8}) == 0.0
 
 
 def test_sweep_row_keeps_the_committed_keys_and_equals_single_solves(tool):

@@ -56,6 +56,7 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 import hypersing.crack as crack  # noqa: E402
+import hypersing.linalg as linalg  # noqa: E402
 from hypersing import (MaterialParams, OscIntSpec, build_grid,  # noqa: E402
                        derive_dimensionless, porosity_sweep, regular_kernel_table,
                        solve_crack, stress_concentration)
@@ -157,14 +158,22 @@ def _assembly_child(n: int) -> dict:
     """One timed solve in this process, with its RSS before the solve and
     at its peak; then a second solve of the same size, with the RSS after
     it, which is back at the RSS before the solve when the solve's pages
-    went back to the system."""
+    went back to the system, and the triangular solves (LAPACK ``?getrs``
+    calls) that it took: one, plus one per refinement step."""
     before = _rss_mib()
     wall, sol = _timed(solve_crack, _porous(POROSITY), ASSEMBLY_HALF_LENGTH, n)
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
-    again = solve_crack(_porous(POROSITY), ASSEMBLY_HALF_LENGTH, n)
+    solves, real = [], dict(linalg._GETRS)
+    for dtype, getrs in real.items():
+        linalg._GETRS[dtype] = (lambda *args, getrs=getrs, **kwargs:
+                                solves.append(1) or getrs(*args, **kwargs))
+    try:
+        again = solve_crack(_porous(POROSITY), ASSEMBLY_HALF_LENGTH, n)
+    finally:
+        linalg._GETRS.update(real)
     after = _rss_mib()
     return {"time_s": wall, "rss_before_solve_mib": before, "peak_rss_mib": peak,
-            "rss_after_solve_mib": after,
+            "rss_after_solve_mib": after, "triangular_solves": len(solves),
             "opening_sha256": _same_digest(sol.opening.values, again.opening.values,
                                            f"solve at n={n}"),
             "centre_opening": _centre(sol), "tip_ratio": stress_concentration(sol)}
@@ -180,6 +189,7 @@ def _assembly_row(n: int) -> dict:
             **_spread("peak_rss_mib", run["peak_rss_mib"]),
             "rss_before_solve_mib_median": run["rss_before_solve_mib"],
             "rss_after_solve_mib_median": run["rss_after_solve_mib"],
+            "triangular_solves": run["triangular_solves"],
             "repeats": 1, "opening_sha256": run["opening_sha256"],
             "centre_opening": run["centre_opening"], "tip_ratio": run["tip_ratio"]}
 
@@ -188,15 +198,15 @@ def crack_assembly():
     """A dense ``solve_crack`` at b = 1 per n, each in a fresh process
     (``--child``): its wall time; the peak RSS and the RSS just before the
     solve, whose difference is the solve's own share; the RSS after a
-    second solve; and the opening's digest, its centre value and its tip
-    ratio.
+    second solve and the triangular solves it took; and the opening's
+    digest, its centre value and its tip ratio.
     """
     fields = {
         "layer": "crack.solve_crack end to end (offset table, n-entry node-mean table, "
-                 "fullkernel._FoldedGrid.solve: the folded half formed in its own private "
-                 "memory map, factored in place, its residual from the finite-part block's "
-                 "product, by its structure above n = 1448, plus convolution), "
-                 "one fresh process per run",
+                 "fullkernel._FoldedGrid.solve: the folded half formed in float32 in its "
+                 "own private memory map, factored in place, refined to float64 level "
+                 "against its residual from the finite-part block's product, by its "
+                 "structure above n = 1448, plus convolution), one fresh process per run",
         "material": {**MATERIAL, "porosity": POROSITY},
         "half_length": ASSEMBLY_HALF_LENGTH,
     }
@@ -207,7 +217,8 @@ def _assembly_lines(record):
     return [f"n={row['n']}: {row['time_s_median']:.3f} s, "
             f"peak {row['peak_rss_mib_median']:.1f} MiB, "
             f"before {row['rss_before_solve_mib_median']:.1f} MiB, "
-            f"after {row['rss_after_solve_mib_median']:.1f} MiB "
+            f"after {row['rss_after_solve_mib_median']:.1f} MiB, "
+            f"{row['triangular_solves']} triangular solves "
             f"(centre {row['centre_opening']:.8f}, tip ratio {row['tip_ratio']:.7f})"
             for row in record["sizes"]]
 
@@ -392,16 +403,32 @@ def _repeated(topic: str, repeats: int, trees: list) -> list:
     return merged
 
 
+# the fields of a row that hold the layer's answers, which its digests cover
+ANSWERS = ("centre_opening", "tip_ratio", "first_row")
+
+
+def _answer_change(row: dict, other: dict) -> float:
+    """The largest relative change from ``other`` to ``row`` over the
+    entries of the answer fields they both hold; 0 if they hold none."""
+    pairs = [(row[name], other[name]) for name in ANSWERS if name in row and name in other]
+    entries = [(float(a), float(b)) for ours, theirs in pairs
+               for a, b in (zip(ours, theirs) if isinstance(ours, list) else [(ours, theirs)])]
+    return max((abs(a - b) / abs(b) if b else abs(a) for a, b in entries), default=0.0)
+
+
 def _paired_lines(lines, record, rev: str) -> list:
     """The printout of a record paired with REV's: per row, REV's time,
-    the pairs won and whether every digest equals REV's; then one line
-    for all rows."""
+    the pairs won, whether every digest equals REV's and, for a row with
+    answer fields, their largest relative change; then one line for all
+    rows."""
     field = TOPICS[record["topic"]][3]
     rows = list(zip(_rows(record), _rows(record["against"]["record"])))
     equal = [all(row[name] == other.get(name) for name in row if name.endswith("_sha256"))
              for row, other in rows]
     lines = [f"{line}; {rev}: {other[field]:.4g} s, won {row['pairs_won']}/{row['repeats']}, "
              f"digests {'equal' if same else 'DIFFER'}"
+             + (f", answers moved {_answer_change(row, other):.1e}"
+                if any(name in row for name in ANSWERS) else "")
              for line, (row, other), same in zip(lines, rows, equal)]
     return lines + [f"every digest equals {rev}'s" if all(equal)
                     else f"digests DIFFER from {rev}'s"]
