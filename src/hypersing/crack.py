@@ -52,7 +52,7 @@ import numpy as np
 
 from .grids import Grid, SampledFunction, build_grid
 from .quadrature import (OscIntSpec, cosine_integral, _check_cubic_decay,
-                         _halfline_cosine_tables)
+                         _halfline_cosine_tables, _offset_grid)
 from .fullkernel import _FoldedGrid
 
 __all__ = [
@@ -258,11 +258,11 @@ def regular_kernel(x, dp: DimensionlessParams, spec: Optional[OscIntSpec] = None
     """
     spec = spec if spec is not None else OscIntSpec()
     offsets = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(offsets)):
+        raise ValueError("kernel offsets must be finite")
     excess, remainder, decay = _kernel_split(dp)
     if decay == 0.0:
         return 0.0 if offsets.ndim == 0 else np.zeros(offsets.shape)
-    if not np.all(np.isfinite(offsets)):
-        raise ValueError("kernel offsets must be finite")
     if np.any(offsets == 0.0):
         raise ValueError("regular kernel is logarithmically singular at zero offset")
     _check_cubic_decay(remainder, spec.s_max)
@@ -297,9 +297,10 @@ def _kernel_tables(h: float, n: int, dps: Sequence[DimensionlessParams],
     and sliver once and transforms the integrands one at a time;
     ``Ci(s_max u_j)`` is computed once.  Row k is then
     ``(rem_k + decay_k (shape + Ci)) / pi``, and a classical material's
-    row is zero.
+    row is zero.  The step and the count are checked for every material.
     """
-    out = np.zeros((len(dps), int(n)))
+    h, n = _offset_grid(h, n)
+    out = np.zeros((len(dps), n))
     live, remainders, decays = [], [], []
     for k, dp in enumerate(dps):
         _, remainder, decay = _kernel_split(dp)

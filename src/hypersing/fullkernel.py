@@ -393,9 +393,9 @@ class _FoldedGrid:
         ``_solve_in_place`` until the residual is at float64 level, against B
         x taken in float64 as ``product(x)`` plus the kernel part, by
         convolutions of ``W[:r] x`` with the table's Toeplitz and Hankel
-        halves, so no column of B is formed; the residual gate is that of
-        ``lu_solve``.  Row ``n-1-i`` of the full residual equals row i, so the
-        gates cover the whole system.
+        halves, so no column of B is formed; the refinement loop and the
+        gate are the ones ``lu_solve`` runs.  Row ``n-1-i`` of the full
+        residual equals row i, so the gates cover the whole system.
 
         B is well conditioned (cond 4.3e3 at n = 3200), so each refinement
         step gains about four digits, and a solve takes two or three.  The

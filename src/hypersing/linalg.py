@@ -5,13 +5,12 @@ scipy) with explicit singularity detection and a residual gate.  Every
 solve goes through one private core that factors its matrix in place, in
 the matrix's own precision, and takes the residual from a separate
 float64 matrix-vector product, so a caller that can re-form its matrix
-need not keep a copy of it.  Float64 factors take one step of iterative
-refinement when the first solve misses the gate; float32 factors, which
-the crack's folded system uses, are refined until the residual is at
-float64 level (mixed-precision iterative refinement: Langou et al., SC'06;
-Carson and Higham, SIAM J. Sci. Comput. 2018).  ``lu_solve`` hands the
-core a float64 copy of its matrix, so the caller's arrays are never
-modified.
+need not keep a copy of it.  Factors of either precision, float64 for
+``lu_solve`` and float32 for the crack's folded system, are refined by
+one loop until the residual is at float64 level (mixed-precision
+iterative refinement: Langou et al., SC'06; Carson and Higham, SIAM J.
+Sci. Comput. 2018).  ``lu_solve`` hands the core a float64 copy of its
+matrix, so the caller's arrays are never modified.
 """
 
 from __future__ import annotations
@@ -31,9 +30,9 @@ _PRECISIONS = [np.dtype(np.float32), np.dtype(np.float64)]
 _LANGE = {dtype: scipy.linalg.get_lapack_funcs("lange", dtype=dtype) for dtype in _PRECISIONS}
 _GETRS = {dtype: scipy.linalg.get_lapack_funcs("getrs", dtype=dtype) for dtype in _PRECISIONS}
 
-# most refinement steps of float32 factors; each step gains about four
-# digits on the crack's folded system (cond 4.3e3 at n = 3200), which takes
-# two or three from n = 241 to 6400
+# most refinement steps of any factors; float32 factors gain about four
+# digits a step on the crack's folded system (cond 4.3e3 at n = 3200), which
+# takes two or three from n = 241 to 6400; routes 1-3's float64 factors take one
 _MAX_REFINEMENT_STEPS = 10
 
 
@@ -95,9 +94,8 @@ def _solve_in_place(matrix: np.ndarray, rhs: np.ndarray, matvec) -> np.ndarray:
     Each triangular solve takes its right-hand side scaled by the power of
     two that brings its max-norm into [0.5, 1), which is exact, so that a
     float32 solve neither overflows nor underflows whatever the load's
-    size; a zero right-hand side is solved without the factors.  Float64
-    factors whose first solve misses the gate take one refinement
-    step.  Float32 factors are refined until the residual is at float64
+    size; a zero right-hand side is solved without the factors.  Factors
+    of either precision are refined until the residual is at float64
     level, ``eps64 * ||matrix||_inf * ||x||_inf`` (a float64 LU's backward
     error without its growth factor) or under the gate if that is lower,
     or until it stops halving, for at most ``_MAX_REFINEMENT_STEPS`` steps
@@ -146,12 +144,8 @@ def _solve_in_place(matrix: np.ndarray, rhs: np.ndarray, matvec) -> np.ndarray:
     x = solve(rhs, peak)
     residual = rhs - matvec(x)
     resid = _peak(residual)
-    if matrix.dtype == np.float64:
-        target, steps = tol, 1
-    else:
-        target = min(tol, np.finfo(float).eps * norm_a * _peak(x))
-        steps = _MAX_REFINEMENT_STEPS
-    for _ in range(steps):
+    target = min(tol, np.finfo(float).eps * norm_a * _peak(x))
+    for _ in range(_MAX_REFINEMENT_STEPS):
         if resid <= target:
             break
         x += solve(residual, resid)
@@ -168,8 +162,8 @@ def lu_solve(A, rhs) -> np.ndarray:
     """Solve ``A x = rhs`` by LU factorization with partial pivoting,
     holding the residual to ``1e-9 ||rhs||_inf``.
 
-    A first solve that misses the bound gets one step of iterative
-    refinement with the same factors.  The factorization overwrites a
+    The solve is refined with the same factors, as ``_solve_in_place``
+    says, and then held to the bound.  The factorization overwrites a
     float64 Fortran-ordered copy of A; A and rhs are left untouched.  It
     stays float64 for every caller: float32 factors would refuse, by their
     pivot gate, matrices that a float64 LU solves, and only the crack's

@@ -253,6 +253,16 @@ def _folded_samples(F, ds: float, last: int, period: int) -> np.ndarray:
     return folded
 
 
+def _offset_grid(h, n) -> tuple:
+    """Step h and count n as float and int, if positive, finite and whole."""
+    h = float(h)
+    if not (np.isfinite(h) and h > 0.0):
+        raise ValueError(f"grid step h must be positive and finite, got {h!r}")
+    if int(n) != n or n < 1:
+        raise ValueError(f"offset count must be a positive integer, got {n!r}")
+    return h, int(n)
+
+
 def _halfline_cosine_tables(Fs, h: float, n: int, spec: OscIntSpec) -> np.ndarray:
     """``int_0^s_max F(s) cos(s u_j) ds`` at the half-odd offsets u_j = (j + 1/2) h,
     j < n, one row per integrand F of Fs.
@@ -277,12 +287,7 @@ def _halfline_cosine_tables(Fs, h: float, n: int, spec: OscIntSpec) -> np.ndarra
     2e7 samples, or a phase period 4M past int64, raise ``ValueError``
     before any is taken; the discarded tail past s_max is the caller's.
     """
-    h = float(h)
-    if not (np.isfinite(h) and h > 0.0):
-        raise ValueError(f"grid step h must be positive and finite, got {h!r}")
-    if int(n) != n or n < 1:
-        raise ValueError(f"offset count must be a positive integer, got {n!r}")
-    n = int(n)
+    h, n = _offset_grid(h, n)
     # M of the docstring: a quarter of the phase period, in samples
     max_step = 2.0 * np.pi / (_SAMPLES_PER_PERIOD * max((n - 0.5) * h, _FREQUENCY_FLOOR))
     h64 = np.float64(h)

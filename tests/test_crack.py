@@ -266,6 +266,24 @@ def test_kernel_table_matches_pointwise_kernel():
     assert np.array_equal(regular_kernel_table(0.1, 20, classical), np.zeros(20))
 
 
+@pytest.mark.parametrize("n_target", (0.0, 0.35))
+def test_kernel_input_checks_hold_for_every_material(n_target):
+    # the classical kernel is identically zero, yet it refuses the same
+    # offsets, steps and counts as a porous one
+    dp = derive_dimensionless(_with_porosity(n_target))
+    assert (symbol_asymptotics(dp)[1] == 0.0) == (n_target == 0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for x in (bad, np.array([0.5, bad])):
+            with pytest.raises(ValueError, match="offsets must be finite"):
+                regular_kernel(x, dp)
+    for h in (math.nan, math.inf, -1.0, 0.0):
+        with pytest.raises(ValueError, match="grid step"):
+            regular_kernel_table(h, 20, dp)
+    for n in (2.5, 0, -3):
+        with pytest.raises(ValueError, match="offset count"):
+            regular_kernel_table(0.1, n, dp)
+
+
 def test_sign_flipped_opening_is_refused():
     # past N = 1 - c^2 = 2/3 the symbol is negative near s = 0; at b = 10 the
     # opening dips to several times its maximum below zero, at b = 5 it is
@@ -967,6 +985,11 @@ def test_single_solve_memory_is_the_folded_matrix_alone(monkeypatch):
                         lambda *args, **kwargs: mapped.append(args[1]) or real(*args, **kwargs))
     material = _with_porosity(0.35)
     solve_crack(material, 1.0, n)  # warm-up
+    # the peak counts from the solve of B on, past the kernel table's FFT
+    # transients, which are larger at this size
+    real_solve = fullkernel._FoldedGrid.solve
+    monkeypatch.setattr(fullkernel._FoldedGrid, "solve",
+                        lambda *args: tracemalloc.reset_peak() or real_solve(*args))
     tracemalloc.start()
     try:
         solve_crack(material, 1.0, n)
@@ -993,9 +1016,10 @@ def test_single_solve_memory_within_the_budget_is_the_folded_matrix_and_its_bloc
         traced = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 8 r^2 is just under 4 MiB, so B comes from numpy's allocator and is
-    # traced, beside the grid's kept finite-part block S of the same size:
-    # B, S and every temporary together stay within 2.15 B + 1 MiB
+    # S's 8 r^2 bytes are just under 4 MiB, so the grid keeps its float64
+    # finite-part block S, and B, float32 and so 4 r^2 bytes, comes from
+    # numpy's allocator and is traced: S, B and every temporary together
+    # stay within 2.15 S + 1 MiB
     assert traced <= 2.15 * 8 * r * r + 2**20
 
 

@@ -1,10 +1,13 @@
 """Dense LU solve wrapper: exactness, failure modes, determinism."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from hypersing import SingularMatrixError, lu_solve, residual_norm
+from hypersing.linalg import _MAX_REFINEMENT_STEPS
 
 
 def test_identity_solve_returns_rhs():
@@ -118,25 +121,34 @@ def test_repeated_solves_are_bitwise_deterministic():
 def _spy_on_lapack(monkeypatch, spoil):
     """Record factorizations and the LU factors of each triangular solve
     (LAPACK's ?getrs, which the core calls directly); add ``spoil(call)``
-    to each solve, which the core then scales by the power of two it took
-    out of the right-hand side."""
+    to each solve's answer in the caller's units.  The core solves for its
+    right-hand side scaled by the power of two that ``math.frexp`` gives
+    and scales the answer back, so the spy divides the spoil by it."""
+    import types
+
     import hypersing.linalg as linalg
 
-    factored, solved = [], []
+    factored, solved, exponents = [], [], []
     real_factor = scipy.linalg.lu_factor
 
     def factor(*args, **kwargs):
         factored.append(args[0])
         return real_factor(*args, **kwargs)
 
+    def frexp(peak):
+        mantissa, exponent = math.frexp(peak)
+        exponents.append(exponent)
+        return mantissa, exponent
+
     def spied(real_getrs):
         def getrs(lu, pivots, b, **kwargs):
             solved.append(lu)
             x, info = real_getrs(lu, pivots, b, **kwargs)
-            return x + spoil(len(solved)), info
+            return x + np.ldexp(spoil(len(solved)), -exponents[-1]), info
         return getrs
 
     monkeypatch.setattr(scipy.linalg, "lu_factor", factor)
+    monkeypatch.setattr(linalg, "math", types.SimpleNamespace(frexp=frexp))
     for dtype, real_getrs in list(linalg._GETRS.items()):
         monkeypatch.setitem(linalg._GETRS, dtype, spied(real_getrs))
     return factored, solved
@@ -155,10 +167,18 @@ def test_residual_gate_refines_with_the_same_factors(monkeypatch):
     assert np.max(np.abs(x - clean)) <= 1e-14
 
 
-def test_residual_gate_raises_when_refinement_fails(monkeypatch):
+@pytest.mark.parametrize("dtype", (np.float64, np.float32))
+def test_residual_gate_raises_when_refinement_fails(monkeypatch, dtype):
+    # every triangular solve lands 1e-3 off whatever its right-hand side,
+    # so each correction is as far off as the first solve: the residual,
+    # 5e-3, does not halve, and the gate refuses it
+    from hypersing.linalg import ResidualError, _solve_in_place
+
+    A = np.array([[4.0, 1.0], [1.0, 3.0]])
     factored, solved = _spy_on_lapack(monkeypatch, lambda call: 1e-3)
-    with pytest.raises(ArithmeticError, match="residual"):
-        lu_solve(np.array([[4.0, 1.0], [1.0, 3.0]]), np.array([1.0, 2.0]))
+    with pytest.raises(ResidualError, match="residual 5.000e-03"):
+        _solve_in_place(np.asfortranarray(A, dtype=dtype), np.array([1.0, 2.0]),
+                        lambda v: A @ v)
     assert len(factored) == 1 and len(solved) == 2
 
 
@@ -228,32 +248,42 @@ def test_every_solve_route_factors_through_one_gated_lu_solve(monkeypatch):
                       "crack": ((10, 10), np.float32), "fredholm": ((12, 12), np.float64)}
 
 
-def _core_with_a_disagreeing_matvec(delta):
-    """The in-place core on A, with a matvec of A + delta * ones."""
+def _core_with_a_disagreeing_matvec(delta, dtype):
+    """The in-place core on A in ``dtype``, with a matvec of A + delta * ones."""
     from hypersing.linalg import _solve_in_place
 
     A = np.array([[4.0, 1.0], [1.0, 3.0]])
     rhs = np.array([1.0, 2.0])
     off = A + delta
-    return _solve_in_place(np.asfortranarray(A), rhs, lambda x: off @ x), off, rhs
+    return _solve_in_place(np.asfortranarray(A, dtype=dtype), rhs, lambda x: off @ x), off, rhs
 
 
-def test_in_place_core_refines_once_against_its_matvec(monkeypatch):
+@pytest.mark.parametrize("dtype", (np.float64, np.float32))
+def test_in_place_core_refines_to_its_matvecs_answer(monkeypatch, dtype):
     # a matvec 1e-6 off the factored matrix misses the gate on the first
-    # solve; one refinement step with the same factors meets it
+    # solve; refinement with the same factors solves to the matvec's own
+    # answer at float64 level
     factored, solved = _spy_on_lapack(monkeypatch, lambda call: 0.0)
-    x, off, rhs = _core_with_a_disagreeing_matvec(1e-6)
-    assert len(factored) == 1 and len(solved) == 2 and solved[0] is solved[1]
-    assert residual_norm(off, x, rhs) <= 1e-9 * np.max(np.abs(rhs))
+    x, off, rhs = _core_with_a_disagreeing_matvec(1e-6, dtype)
+    assert len(factored) == 1 and 2 <= len(solved) <= 1 + _MAX_REFINEMENT_STEPS
+    assert all(lu is solved[0] for lu in solved)
+    expect = scipy.linalg.solve(off, rhs)
+    assert np.max(np.abs(x - expect)) <= 4 * np.finfo(float).eps * np.max(np.abs(expect))
 
 
-def test_in_place_core_raises_when_its_matvec_disagrees(monkeypatch):
+@pytest.mark.parametrize("dtype", (np.float64, np.float32))
+@pytest.mark.parametrize("delta, steps", ((3.0, 1), (1.0, _MAX_REFINEMENT_STEPS)))
+def test_in_place_core_raises_when_its_matvec_disagrees(monkeypatch, dtype, delta, steps):
+    # against a matvec delta off in every entry, each step scales the
+    # residual by 5 delta / 11: by 15/11 at delta = 3, which stops the
+    # refinement after one step, and by 5/11 at delta = 1, which halves it
+    # for every one of the steps allowed and still misses the gate
     from hypersing.linalg import ResidualError
 
     factored, solved = _spy_on_lapack(monkeypatch, lambda call: 0.0)
     with pytest.raises(ResidualError, match="residual"):
-        _core_with_a_disagreeing_matvec(1.0)
-    assert len(factored) == 1 and len(solved) == 2
+        _core_with_a_disagreeing_matvec(delta, dtype)
+    assert len(factored) == 1 and len(solved) == 1 + steps
 
 
 def test_in_place_core_factors_its_matrix_without_a_copy(monkeypatch):
@@ -280,7 +310,7 @@ def test_float32_core_refines_to_a_float64_solve(monkeypatch):
     # refinement against the float64 product of the matrix they round
     # brings the solution within 1e-13 of its float64 LU solve, in a few
     # steps, each one product and one triangular solve
-    from hypersing.linalg import _MAX_REFINEMENT_STEPS, _solve_in_place
+    from hypersing.linalg import _solve_in_place
 
     for n, seed in ((7, 1), (200, 2), (400, 3)):
         work, A, rhs = _float32_system(n, 1e3, seed)

@@ -124,6 +124,13 @@ def test_paired_runs_alternate_and_count_the_pairs_won(tool, tmp_path):
                      "digests DIFFER from REV's"]
 
 
+@pytest.mark.parametrize("empty", [{"sizes": []}, {"cases": []}, {"cases": [{"curve": []}]}])
+def test_a_paired_record_with_no_rows_is_no_match(tool, empty):
+    record = {"topic": "crack_assembly", **empty,
+              "against": {"rev": "REV", "commit": "0" * 40, "record": empty}}
+    assert tool._paired_lines([], record, "REV") == ["digests DIFFER from REV's"]
+
+
 def test_answer_change_reads_every_answer_entry(tool):
     ours = {"centre_opening": 1.0, "tip_ratio": 2.0, "first_row": [0.35, 4.0, -1.0 - 4e-12]}
     theirs = {"centre_opening": 1.0, "tip_ratio": 2.0 + 2e-15, "first_row": [0.35, 4.0, -1.0]}

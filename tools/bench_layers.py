@@ -156,13 +156,16 @@ def _rss_mib() -> float:
 
 def _assembly_child(n: int) -> dict:
     """One timed solve in this process, with its RSS before the solve and
-    at its peak; then a second solve of the same size, with the RSS after
-    it, which is back at the RSS before the solve when the solve's pages
-    went back to the system, and the triangular solves (LAPACK ``?getrs``
-    calls) that it took: one, plus one per refinement step."""
+    at its peak; a second, warm solve of the same size, timed alone; then a
+    third, with the RSS after it, which is back at the RSS before the
+    solve when the solve's pages went back to the system, and the
+    triangular solves (LAPACK ``?getrs`` calls) that it took: one, plus
+    one per refinement step."""
     before = _rss_mib()
     wall, sol = _timed(solve_crack, _porous(POROSITY), ASSEMBLY_HALF_LENGTH, n)
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+    warm, warm_sol = _timed(solve_crack, _porous(POROSITY), ASSEMBLY_HALF_LENGTH, n)
+    _same_digest(sol.opening.values, warm_sol.opening.values, f"warm solve at n={n}")
     solves, real = [], dict(linalg._GETRS)
     for dtype, getrs in real.items():
         linalg._GETRS[dtype] = (lambda *args, getrs=getrs, **kwargs:
@@ -172,8 +175,9 @@ def _assembly_child(n: int) -> dict:
     finally:
         linalg._GETRS.update(real)
     after = _rss_mib()
-    return {"time_s": wall, "rss_before_solve_mib": before, "peak_rss_mib": peak,
-            "rss_after_solve_mib": after, "triangular_solves": len(solves),
+    return {"time_s": wall, "warm_time_s": warm, "rss_before_solve_mib": before,
+            "peak_rss_mib": peak, "rss_after_solve_mib": after,
+            "triangular_solves": len(solves),
             "opening_sha256": _same_digest(sol.opening.values, again.opening.values,
                                            f"solve at n={n}"),
             "centre_opening": _centre(sol), "tip_ratio": stress_concentration(sol)}
@@ -186,6 +190,7 @@ def _assembly_row(n: int) -> dict:
     done = subprocess.run(command, check=True, capture_output=True, text=True)
     run = json.loads(done.stdout.splitlines()[-1])
     return {"n": n, **_spread("time_s", run["time_s"]),
+            **_spread("warm_time_s", run["warm_time_s"]),
             **_spread("peak_rss_mib", run["peak_rss_mib"]),
             "rss_before_solve_mib_median": run["rss_before_solve_mib"],
             "rss_after_solve_mib_median": run["rss_after_solve_mib"],
@@ -196,10 +201,11 @@ def _assembly_row(n: int) -> dict:
 
 def crack_assembly():
     """A dense ``solve_crack`` at b = 1 per n, each in a fresh process
-    (``--child``): its wall time; the peak RSS and the RSS just before the
-    solve, whose difference is the solve's own share; the RSS after a
-    second solve and the triangular solves it took; and the opening's
-    digest, its centre value and its tip ratio.
+    (``--child``): its wall time, cold, and that of a warm second solve,
+    which alone resolves a change at small n; the peak RSS and the RSS
+    just before the first solve, whose difference is the solve's own
+    share; the RSS after a third solve and the triangular solves it took;
+    and the opening's digest, its centre value and its tip ratio.
     """
     fields = {
         "layer": "crack.solve_crack end to end (offset table, n-entry node-mean table, "
@@ -215,6 +221,7 @@ def crack_assembly():
 
 def _assembly_lines(record):
     return [f"n={row['n']}: {row['time_s_median']:.3f} s, "
+            f"warm {row['warm_time_s_median']:.4f} s, "
             f"peak {row['peak_rss_mib_median']:.1f} MiB, "
             f"before {row['rss_before_solve_mib_median']:.1f} MiB, "
             f"after {row['rss_after_solve_mib_median']:.1f} MiB, "
@@ -344,7 +351,9 @@ TOPICS = {"offset_table": (offset_table, _offset_lines, 5, "time_s_median"),
 
 def _rows(record) -> list:
     """The rows of a topic's record, in order: its sizes, or its cases' curves."""
-    return record.get("sizes") or [row for case in record["cases"] for row in case["curve"]]
+    if "sizes" in record:
+        return record["sizes"]
+    return [row for case in record["cases"] for row in case["curve"]]
 
 
 def _merged(values: list, key: str = "record"):
@@ -420,7 +429,7 @@ def _paired_lines(lines, record, rev: str) -> list:
     """The printout of a record paired with REV's: per row, REV's time,
     the pairs won, whether every digest equals REV's and, for a row with
     answer fields, their largest relative change; then one line for all
-    rows."""
+    rows, which says the digests differ when there are no rows."""
     field = TOPICS[record["topic"]][3]
     rows = list(zip(_rows(record), _rows(record["against"]["record"])))
     equal = [all(row[name] == other.get(name) for name in row if name.endswith("_sha256"))
@@ -430,7 +439,7 @@ def _paired_lines(lines, record, rev: str) -> list:
              + (f", answers moved {_answer_change(row, other):.1e}"
                 if any(name in row for name in ANSWERS) else "")
              for line, (row, other), same in zip(lines, rows, equal)]
-    return lines + [f"every digest equals {rev}'s" if all(equal)
+    return lines + [f"every digest equals {rev}'s" if equal and all(equal)
                     else f"digests DIFFER from {rev}'s"]
 
 
